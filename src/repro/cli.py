@@ -18,17 +18,12 @@ Examples:
     repro-sim corpus fetch benchmarks/tracesets/sample.json --check-manifest
     repro-sim corpus diffcheck traces/ --report diffreport.json
     repro-sim corpus report traces/ --engine batch
-    repro-sim cluster coordinator --bind 127.0.0.1:8736
-    repro-sim cluster worker --coordinator http://127.0.0.1:8736
-    repro-sim stack-depth --backend cluster     # sweep through the fleet
-    repro-sim serve --bind 127.0.0.1:8642       # HTTP API + dashboard
     repro-sim runs list
     repro-sim runs compare -2 -1
     repro-sim trace show -1                     # waterfall of the last run
     repro-sim trace critical-path -1
     repro-sim trace export -1 --out trace.json  # Perfetto / chrome://tracing
     REPRO_PROFILE=1 repro-sim speedup && repro-sim trace flame -1
-    repro-sim cluster status --prom             # Prometheus exposition text
     repro-sim bench compare benchmarks/baselines/smoke.json benchmarks/out
     repro-sim bench snapshot benchmarks/out benchmarks/baselines/smoke.json
 """
@@ -44,13 +39,7 @@ from repro import telemetry
 from repro.config.defaults import baseline_config
 from repro.config.options import RepairMechanism, StackOrganization
 from repro.core import tables as table_builders
-from repro.core.executor import (
-    BACKENDS,
-    ResultCache,
-    SweepExecutor,
-    default_backend,
-    default_jobs,
-)
+from repro.core.executor import ResultCache, SweepExecutor, default_jobs
 from repro.core.experiment import (
     WorkloadSpec,
     default_scale,
@@ -59,11 +48,27 @@ from repro.core.experiment import (
     run_cycle,
     run_multipath,
 )
-from repro.service.core import SWEEPS, SimulationService, normalize_request
 from repro.stats.tables import format_table
+from repro.telemetry import RunLedger, compare_entries
 from repro.workloads.characterize import table2 as build_table2
 from repro.workloads.generator import build_workload
 from repro.workloads.profiles import BENCHMARK_NAMES
+
+#: Table commands -> the name of their :mod:`repro.core.tables` builder.
+#: The builder is looked up on the module at call time, so one patched
+#: after import (a profiler's wrapper, a test double) is the one called.
+TABLES = {
+    "table1": "table1",
+    "table3": "table3_baseline",
+    "table4": "table4_btb_only",
+    "hit-rates": "fig_hit_rates",
+    "speedup": "fig_speedup",
+    "stack-depth": "fig_stack_depth",
+    "multipath": "fig_multipath",
+    "ablation-mechanisms": "ablation_mechanisms",
+    "ablation-shadow": "ablation_shadow_slots",
+    "ablation-fastsim": "ablation_fastsim_crosscheck",
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -84,12 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=int, default=default_jobs(),
                        help="worker processes for independent simulations "
                             "(default: $REPRO_JOBS or 1)")
-        p.add_argument("--backend", default=default_backend(),
-                       choices=list(BACKENDS),
-                       help="where cache misses execute: 'local' process "
-                            "pool or 'cluster' remote workers via "
-                            "$REPRO_COORDINATOR (default: $REPRO_BACKEND "
-                            "or local; see docs/distributed.md)")
         p.add_argument("--no-cache", action="store_true",
                        help="ignore and don't update the on-disk result "
                             "cache (see docs/performance.md)")
@@ -100,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="also write the table as JSON to OUT "
                             "(table commands only)")
 
-    for name in SWEEPS:
+    for name in TABLES:
         p = sub.add_parser(name, help=f"print {name}")
         common(p)
 
@@ -187,10 +186,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--shards", nargs="*", default=None,
                    help="restrict to these shard names")
     c.add_argument("--jobs", type=int, default=default_jobs())
-    c.add_argument("--backend", default=default_backend(),
-                   choices=list(BACKENDS),
-                   help="execution backend for the replay sweep "
-                        "(see docs/distributed.md)")
     c.add_argument("--no-cache", action="store_true",
                    help="ignore and don't update the on-disk result cache")
     c.add_argument("--no-telemetry", action="store_true",
@@ -200,9 +195,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def corpus_executor_opts(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--jobs", type=int, default=default_jobs())
-        sp.add_argument("--backend", default=default_backend(),
-                        choices=list(BACKENDS),
-                        help="execution backend (see docs/distributed.md)")
         sp.add_argument("--no-cache", action="store_true",
                         help="ignore and don't update the on-disk result "
                              "cache")
@@ -296,8 +288,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also write the full diff as JSON to OUT")
 
     p = sub.add_parser("trace",
-                       help="inspect distributed traces recorded next to "
-                            "the run ledger (docs/observability.md)")
+                       help="inspect sweep traces recorded next to the "
+                            "run ledger (docs/observability.md)")
     tsub = p.add_subparsers(dest="trace_command", required=True)
 
     def trace_ref(sp: argparse.ArgumentParser) -> None:
@@ -332,83 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
     trace_ref(t)
     t.add_argument("--top", type=int, default=20,
                    help="rows per section (default 20)")
-
-    p = sub.add_parser("cluster",
-                       help="distributed sweep fleet: coordinator, "
-                            "workers, status (docs/distributed.md)")
-    clsub = p.add_subparsers(dest="cluster_command", required=True)
-
-    c = clsub.add_parser("coordinator",
-                         help="run a standalone coordinator (blocks; "
-                              "^C or POST /api/shutdown to stop)")
-    c.add_argument("--bind", default="127.0.0.1:8736",
-                   help="host:port to listen on (port 0 = ephemeral)")
-    c.add_argument("--lease-timeout", type=float, default=None,
-                   help="seconds before an unheartbeated lease is "
-                        "stolen (default 30)")
-    c.add_argument("--no-cache", action="store_true",
-                   help="serve without the shared result cache")
-
-    c = clsub.add_parser("worker",
-                         help="lease and execute jobs until the "
-                              "coordinator drains")
-    c.add_argument("--coordinator", required=True,
-                   help="coordinator URL, e.g. http://127.0.0.1:8736")
-    c.add_argument("--name", default=None,
-                   help="worker name for ledger attribution "
-                        "(default: host-pid)")
-    c.add_argument("--max-jobs", type=int, default=None,
-                   help="exit after completing this many jobs")
-    c.add_argument("--no-cache", action="store_true",
-                   help="always execute; skip the shared result cache")
-
-    c = clsub.add_parser("status",
-                         help="one-line fleet summary + per-worker table")
-    c.add_argument("--coordinator", required=True)
-    c.add_argument("--json", metavar="OUT", default=None,
-                   help="also write the raw status payload to OUT")
-    c.add_argument("--prom", action="store_true",
-                   help="print the coordinator's /metricz Prometheus "
-                        "text instead of the tables")
-
-    c = clsub.add_parser("submit",
-                         help="run the stack-depth sweep through an "
-                              "external coordinator")
-    common(c)
-    c.add_argument("--coordinator", required=True)
-    c.add_argument("--sizes", nargs="+", type=int,
-                   default=[1, 2, 4, 8, 12, 16, 32, 64])
-    c.add_argument("--mechanism", default="tos-pointer-contents",
-                   choices=[m.value for m in RepairMechanism])
-
-    p = sub.add_parser("serve",
-                       help="run the simulation service: HTTP API, job "
-                            "queue, live dashboard (docs/service.md)")
-    p.add_argument("--bind", default="127.0.0.1:8642",
-                   help="host:port to listen on (port 0 = ephemeral; "
-                        "the chosen port is announced on stderr)")
-    p.add_argument("--jobs", type=int, default=default_jobs(),
-                   help="worker processes per sweep (default: "
-                        "$REPRO_JOBS or 1)")
-    p.add_argument("--backend", default=default_backend(),
-                   choices=list(BACKENDS),
-                   help="where cache misses execute (docs/distributed.md)")
-    p.add_argument("--coordinator", default=None,
-                   help="coordinator URL for --backend cluster")
-    p.add_argument("--no-cache", action="store_true",
-                   help="serve without the on-disk result cache")
-    p.add_argument("--max-concurrency", type=int, default=2,
-                   help="sweeps simulated at once; beyond this, jobs "
-                        "queue (default 2)")
-    p.add_argument("--rate", type=float, default=None,
-                   help="per-tenant submits/second token-bucket rate "
-                        "(default: unlimited)")
-    p.add_argument("--burst", type=int, default=None,
-                   help="token-bucket burst capacity (default: max(1, "
-                        "int(rate)))")
-    p.add_argument("--quota", type=int, default=None,
-                   help="max outstanding (queued+running) jobs per "
-                        "tenant (default: unlimited)")
 
     p = sub.add_parser("bench",
                        help="benchmark baselines and the CI regression "
@@ -676,8 +591,7 @@ def _corpus_diffcheck(args: argparse.Namespace, store) -> int:
 
 def _make_executor(args: argparse.Namespace) -> SweepExecutor:
     cache = None if getattr(args, "no_cache", False) else ResultCache.default()
-    return SweepExecutor(jobs=getattr(args, "jobs", None), cache=cache,
-                         backend=getattr(args, "backend", None))
+    return SweepExecutor(jobs=getattr(args, "jobs", None), cache=cache)
 
 
 def _print_sweep_summary(executor: Optional[SweepExecutor]) -> None:
@@ -785,10 +699,10 @@ def _trace_resolve(ref: str, store) -> Optional[str]:
         except (ValueError, OSError):
             pass
     try:
-        info = SimulationService(cache=None).run_entry(ref)
+        entry = RunLedger(ResultCache.default_ledger_path()).get(ref)
     except ReproError:
         return None
-    trace_id = (info.get("entry") or {}).get("trace_id")
+    trace_id = entry.get("trace_id")
     return trace_id if valid_trace_id(trace_id) else None
 
 
@@ -868,130 +782,46 @@ def _trace_command(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cluster_command(args: argparse.Namespace) -> int:
-    from repro.errors import ReproError
-    from repro.obs.log import logger
-
-    try:
-        if args.cluster_command == "coordinator":
-            from repro.cluster import DEFAULT_LEASE_TIMEOUT_S, Coordinator
-            lease = (DEFAULT_LEASE_TIMEOUT_S if args.lease_timeout is None
-                     else args.lease_timeout)
-            coordinator = Coordinator(
-                bind=args.bind,
-                cache=None if args.no_cache else ResultCache.default(),
-                lease_timeout_s=lease)
-            # scripts parse this exact line for the URL, so it stays in
-            # the event string (json mode carries it the same way)
-            logger("coordinator").info(
-                f"listening at {coordinator.url} (lease timeout {lease:g}s)")
-            try:
-                coordinator.serve_forever()
-            except KeyboardInterrupt:
-                pass
-            return 0
-        if args.cluster_command == "worker":
-            from repro.cluster import run_worker
-            stats = run_worker(
-                args.coordinator, name=args.name,
-                cache=None if args.no_cache else "default",
-                max_jobs=args.max_jobs)
-            logger("worker").info(
-                "done", **{name: value
-                           for name, value in sorted(stats.items())})
-            return 0
-        if args.cluster_command == "status":
-            from repro.cluster import ClusterClient
-            client = ClusterClient(args.coordinator)
-            if args.prom:
-                print(client.metricz(), end="")
-                return 0
-            status = client.status()
-            rows = [[name, value] for name, value
-                    in sorted((status.get("counts") or {}).items())]
-            rows += [["queue depth", status.get("queue_depth")],
-                     ["active leases", status.get("active_leases")],
-                     ["workers alive", status.get("workers_alive")],
-                     ["draining", status.get("draining")]]
-            metrics = status.get("metrics")
-            if isinstance(metrics, dict):
-                rows.append(["metrics", ", ".join(
-                    f"{len(metrics.get(section) or {})} {section}"
-                    for section in ("counters", "gauges", "rates",
-                                    "histograms"))])
-            print(format_table(["stat", "value"], rows,
-                               title=f"Coordinator {status.get('url')}"))
-            _print_fleet_table(status.get("workers") or {})
-            if args.json:
-                try:
-                    with open(args.json, "w") as handle:
-                        json.dump(status, handle, indent=2, default=str)
-                        handle.write("\n")
-                except OSError as error:
-                    print(f"repro-sim: cannot write --json {args.json}: "
-                          f"{error}", file=sys.stderr)
-                    return 1
-                print(f"json written to {args.json}", file=sys.stderr)
-            return 0
-        # submit: the stack-depth sweep through an external coordinator
-        executor = SweepExecutor(
-            jobs=args.jobs,
-            cache=None if args.no_cache else ResultCache.default(),
-            backend="cluster", coordinator_url=args.coordinator)
-        title, headers, rows = table_builders.fig_stack_depth(
-            names=args.names, sizes=args.sizes,
-            mechanism=RepairMechanism(args.mechanism),
-            seed=args.seed, scale=args.scale, executor=executor)
-        print(format_table(headers, rows, title=title))
-        _print_sweep_summary(executor)
-        if args.json:
-            return _write_json(args, title, headers, rows, executor)
-        return 0
-    except ReproError as error:
-        print(f"repro-sim cluster: {error}", file=sys.stderr)
-        return 1
-
-
-def _print_fleet_table(workers: dict) -> None:
-    """Per-worker attribution table (cluster status / runs show)."""
-    if not workers:
-        return
-    rows = [[name,
-             info.get("jobs"),
-             info.get("leases"),
-             info.get("failures"),
-             round(float(info.get("wall_time_s") or 0.0), 3)]
-            for name, info in sorted(workers.items())]
-    print(format_table(["worker", "jobs", "leases", "failures", "wall s"],
-                       rows, title="Fleet utilisation"))
-
-
 def _runs_command(args: argparse.Namespace) -> int:
     from repro.errors import ReproError
 
-    # The ledger read API lives in the service core so `repro-sim runs`
-    # and `GET /v1/runs` render the same data (docs/service.md).
-    service = SimulationService(cache=None)
+    ledger = RunLedger(args.ledger or ResultCache.default_ledger_path())
     try:
         if args.runs_command == "list":
-            (title, headers, rows), entries = service.runs_table(
-                limit=args.limit, path=args.ledger)
+            entries = ledger.entries(limit=args.limit)
             if not entries:
-                print(f"no runs recorded at {service.ledger(args.ledger).path}",
-                      file=sys.stderr)
+                print(f"no runs recorded at {ledger.path}", file=sys.stderr)
                 return 1
+            rows = []
+            for entry in entries:
+                hit_rate = (entry.get("cache") or {}).get("hit_rate")
+                accuracy = (entry.get("headline") or {}).get(
+                    "return_accuracy")
+                rows.append([
+                    entry.get("run_id"),
+                    entry.get("utc"),
+                    ",".join(entry.get("engines") or []),
+                    entry.get("submitted"),
+                    entry.get("jobs"),
+                    None if hit_rate is None else round(100 * hit_rate, 1),
+                    entry.get("wall_time_s"),
+                    None if accuracy is None else round(100 * accuracy, 2),
+                ])
+            title = f"Run ledger {ledger.path} ({len(entries)} shown)"
+            headers = ["run id", "utc", "engines", "sweeps", "jobs",
+                       "cache hit %", "wall s", "return acc %"]
             print(format_table(headers, rows, title=title))
             if args.json:
                 return _write_json(args, title, headers, rows)
             return 0
         if args.runs_command == "show":
-            info = service.run_entry(args.ref, path=args.ledger)
-            entry = info["entry"]
+            entry = ledger.get(args.ref)
+            info = {"entry": entry, "integrity_ok": ledger.verify(entry)}
             integrity = "ok" if info["integrity_ok"] else "MISMATCH"
             rows = []
             for key in sorted(entry):
-                if key in ("metrics", "cluster"):
-                    continue  # each gets its own table below
+                if key == "metrics":
+                    continue  # its own table below
                 value = entry[key]
                 if key == "configs":
                     value = ",".join(str(f)[:12] for f in value)
@@ -1010,17 +840,6 @@ def _runs_command(args: argparse.Namespace) -> int:
                     ["metric", "value"],
                     [[name, value] for name, value in metrics.items()],
                     title="Metrics (counters)"))
-            cluster = entry.get("cluster") or {}
-            if cluster:
-                rows = [[name, value] for name, value
-                        in sorted((cluster.get("counts") or {}).items())]
-                rows += [["coordinator", cluster.get("coordinator")],
-                         ["embedded", cluster.get("embedded")],
-                         ["sweep submitted", cluster.get("submitted")],
-                         ["sweep unfinished", cluster.get("unfinished")]]
-                print(format_table(["stat", "value"], rows,
-                                   title="Cluster scheduling"))
-                _print_fleet_table(cluster.get("workers") or {})
             if args.json:
                 try:
                     with open(args.json, "w") as handle:
@@ -1033,7 +852,7 @@ def _runs_command(args: argparse.Namespace) -> int:
                 print(f"json written to {args.json}", file=sys.stderr)
             return 0
         # compare
-        diff = service.compare_runs(args.a, args.b, path=args.ledger)
+        diff = compare_entries(ledger.get(args.a), ledger.get(args.b))
         field_rows = []
         for field, delta in diff["fields"].items():
             shown_a, shown_b = delta["a"], delta["b"]
@@ -1079,29 +898,6 @@ def _runs_command(args: argparse.Namespace) -> int:
         return 1
 
 
-def _serve_command(args: argparse.Namespace) -> int:
-    from repro.cluster.coordinator import parse_bind
-    from repro.errors import ReproError
-    from repro.service import ServiceServer, TenantLimiter, serve
-
-    try:
-        host, port = parse_bind(args.bind)
-        service = SimulationService(
-            cache=None if args.no_cache else "default",
-            jobs=args.jobs, backend=args.backend,
-            coordinator_url=args.coordinator)
-        limiter = TenantLimiter(rate_per_s=args.rate, burst=args.burst,
-                                quota=args.quota)
-        server = ServiceServer(service, host=host, port=port,
-                               max_concurrency=args.max_concurrency,
-                               limiter=limiter)
-        serve(server)
-        return 0
-    except ReproError as error:
-        print(f"repro-sim serve: {error}", file=sys.stderr)
-        return 1
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     _fix_names(args)
@@ -1113,6 +909,25 @@ def main(argv: Optional[List[str]] = None) -> int:
     return _dispatch(args)
 
 
+def _table_command(args: argparse.Namespace) -> int:
+    if not 0.0 < args.scale <= 4.0:
+        print(f"repro-sim {args.command}: scale {args.scale} out of range "
+              f"(0, 4]", file=sys.stderr)
+        return 1
+    builder = getattr(table_builders, TABLES[args.command])
+    executor = _make_executor(args)
+    if args.command == "table1":
+        title, headers, rows = builder()
+    else:
+        title, headers, rows = builder(names=args.names, seed=args.seed,
+                                       scale=args.scale, executor=executor)
+    print(format_table(headers, rows, title=title))
+    _print_sweep_summary(executor)
+    if args.json:
+        return _write_json(args, title, headers, rows, executor)
+    return 0
+
+
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "corpus":
         return _corpus_command(args)
@@ -1120,35 +935,10 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _runs_command(args)
     if args.command == "trace":
         return _trace_command(args)
-    if args.command == "cluster":
-        return _cluster_command(args)
     if args.command == "bench":
         return _bench_command(args)
-    if args.command == "serve":
-        return _serve_command(args)
-    if args.command in SWEEPS:
-        # Table commands run through the service core, so the CLI and
-        # the HTTP API are two frontends over the same calls; the
-        # executor still carries this invocation's scheduling flags.
-        from repro.errors import ServiceError
-        try:
-            request = normalize_request({
-                "sweep": args.command, "names": args.names,
-                "seed": args.seed, "scale": args.scale,
-            })
-        except ServiceError as error:
-            print(f"repro-sim {args.command}: {error}", file=sys.stderr)
-            return 1
-        executor = _make_executor(args)
-        outcome = SimulationService(cache=None).run_sweep(
-            request, executor=executor)
-        print(format_table(outcome.headers, outcome.rows,
-                           title=outcome.title))
-        _print_sweep_summary(executor)
-        if args.json:
-            return _write_json(args, outcome.title, outcome.headers,
-                               outcome.rows, executor)
-        return 0
+    if args.command in TABLES:
+        return _table_command(args)
     if args.command == "table2":
         print(build_table2(args.names, seed=args.seed, scale=args.scale))
         return 0

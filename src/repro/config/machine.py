@@ -244,51 +244,6 @@ class MachineConfig:
                              separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()
 
-    def to_json_dict(self) -> dict:
-        """JSON-safe dict of every field (enums as their ``.value``).
-
-        This is the wire form the distributed sweep backend ships to
-        remote workers (:mod:`repro.cluster.protocol`); it round-trips
-        through :meth:`from_json_dict` to an equal config with an equal
-        :meth:`fingerprint`.
-        """
-        def plain(value: object) -> object:
-            if isinstance(value, enum.Enum):
-                return value.value
-            if isinstance(value, dict):
-                return {key: plain(item) for key, item in value.items()}
-            if isinstance(value, (list, tuple)):
-                return [plain(item) for item in value]
-            return value
-
-        return plain(asdict(self))  # type: ignore[return-value]
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "MachineConfig":
-        """Rebuild a config from :meth:`to_json_dict` output.
-
-        Validation runs again on construction, so a tampered or
-        truncated wire payload fails fast with :class:`ConfigError`
-        rather than producing a silently different machine.
-        """
-        try:
-            predictor = dict(data["predictor"])
-            predictor["ras_repair"] = RepairMechanism(predictor["ras_repair"])
-            memory = dict(data["memory"])
-            for level in ("l1i", "l1d", "l2"):
-                memory[level] = CacheConfig(**memory[level])
-            multipath = dict(data["multipath"])
-            multipath["stack_organization"] = StackOrganization(
-                multipath["stack_organization"])
-            return cls(
-                core=CoreConfig(**data["core"]),
-                predictor=BranchPredictorConfig(**predictor),
-                memory=MemoryHierarchyConfig(**memory),
-                multipath=MultipathConfig(**multipath),
-            )
-        except (KeyError, TypeError, ValueError) as error:
-            raise ConfigError(f"malformed machine-config payload: {error}")
-
     def with_repair(self, mechanism: RepairMechanism) -> "MachineConfig":
         """Return a copy of this config using ``mechanism`` for RAS repair."""
         return replace(self, predictor=replace(self.predictor, ras_repair=mechanism))

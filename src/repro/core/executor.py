@@ -36,11 +36,6 @@ Environment knobs (see docs/performance.md):
 * ``REPRO_CACHE_DIR`` — cache root (default ``~/.cache/repro-sim``).
 * ``REPRO_CACHE=0`` — disable the default cache entirely.
 * ``REPRO_TELEMETRY=0`` — disable metrics, spans, and the run ledger.
-* ``REPRO_BACKEND`` — ``local`` (default) or ``cluster``: route cache
-  misses to a fleet of ``repro-sim cluster worker`` processes via the
-  :mod:`repro.cluster` coordinator (see docs/distributed.md). With no
-  reachable coordinator or no registered worker the executor degrades
-  to the local process pool; either way rows stay bit-identical.
 """
 
 from __future__ import annotations
@@ -67,7 +62,7 @@ from repro.core.experiment import (
     run_fast,
     run_multipath,
 )
-from repro.errors import ClusterUnavailable, ConfigError
+from repro.errors import ConfigError
 from repro.fastsim.batch import replay_shard_batched
 from repro.isa.program import Program
 from repro.obs import context as tracectx
@@ -96,15 +91,6 @@ ENGINES = ("cycle", "cycle-fast", "fast", "multipath", "multipath-fast",
 #: reporting divergence counts — cached by shard checksum like any
 #: other trace job.
 TRACE_ENGINES = ("trace", "batch", "diffcheck")
-
-#: Where cache misses execute: ``"local"`` (in-process / process pool)
-#: or ``"cluster"`` (work-stealing remote workers, docs/distributed.md).
-BACKENDS = ("local", "cluster")
-
-
-def default_backend() -> str:
-    """Default execution backend, overridable via REPRO_BACKEND."""
-    return os.environ.get("REPRO_BACKEND", "local")
 
 #: Bump when the cached JobResult schema changes shape.
 CACHE_SCHEMA = 1
@@ -413,9 +399,9 @@ def _run_job_traced(job: ExperimentJob, wire: Dict[str, object],
 
     Rebuilds the submitter's trace context from its wire form, runs the
     job under it, and returns every span recorded for that trace along
-    with the result — the pool equivalent of a cluster worker attaching
-    its span batch to a ``complete`` payload. Module-level so
-    spawn-based platforms can pickle it, like :func:`run_job`.
+    with the result, so the submitter can merge them into its trace.
+    Module-level so spawn-based platforms can pickle it, like
+    :func:`run_job`.
     """
     ctx = tracectx.from_wire(wire)
     if ctx is None:
@@ -511,9 +497,9 @@ class ResultCache:
     def default_ledger_path(cls) -> pathlib.Path:
         """Where the run ledger lives under the default cache root.
 
-        The one public spelling of the ledger location: the CLI and the
-        service layer both resolve it here instead of joining private
-        path pieces themselves.
+        The one public spelling of the ledger location: the CLI's
+        ``runs`` and ``trace`` commands resolve it here instead of
+        joining private path pieces themselves.
         """
         from repro.telemetry import LEDGER_FILENAME
         return cls.default_root() / LEDGER_FILENAME
@@ -523,33 +509,6 @@ class ResultCache:
         """The run-ledger file paired with this cache root."""
         from repro.telemetry import LEDGER_FILENAME
         return self.base_root / LEDGER_FILENAME
-
-    def stats(self) -> Dict[str, object]:
-        """On-disk occupancy: entry count and byte total under the
-        current schema root.
-
-        Served by ``GET /metricz`` and usable by operators to size
-        cache eviction; a missing or unreadable root reads as empty
-        rather than raising (the same degraded-mode stance as
-        :meth:`get`/:meth:`put`).
-        """
-        entries = 0
-        size = 0
-        try:
-            for path in self.root.rglob("*.json"):
-                try:
-                    size += path.stat().st_size
-                except OSError:
-                    continue
-                entries += 1
-        except OSError:
-            pass
-        return {
-            "root": str(self.base_root),
-            "schema": CACHE_SCHEMA,
-            "entries": entries,
-            "bytes": size,
-        }
 
     def _path(self, key: str) -> pathlib.Path:
         return self.root / key[:2] / f"{key}.json"
@@ -593,70 +552,28 @@ class ResultCache:
 
         Entries are immutable in *content* — every writer of one key
         holds the same deterministic result — so overwrite order never
-        matters; :meth:`put_if_absent` additionally reports which
-        writer won, which the executor and cluster paths use to count
-        each result exactly once.
+        matters, and the atomic replace means readers never see a
+        partial entry.
         """
         with span("cache/put"):
-            self._write(key, result, if_absent=False)
-
-    def put_if_absent(self, key: str, result: JobResult) -> bool:
-        """First-writer-wins put: ``True`` iff this call created the
-        entry.
-
-        Duplicate completions — a pool worker and a cluster worker
-        racing, or a slow remote worker finishing a stolen job — call
-        this instead of :meth:`put` so only the winning write counts in
-        cache statistics and ledger entries. A corrupt or stale entry
-        under ``key`` does not block the write: the repairing writer
-        replaces it and wins.
-        """
-        with span("cache/put") as probe:
-            won = self._write(key, result, if_absent=True)
-            if probe is not None:
-                probe.set(outcome="won" if won else "lost")
-            return won
-
-    def _write(self, key: str, result: JobResult,
-               if_absent: bool) -> bool:
-        path = self._path(key)
-        tmp: Optional[pathlib.Path] = None
-        try:
-            if if_absent and self._read(key) is not None:
-                return False  # a valid entry already exists: we lost
-            path.parent.mkdir(parents=True, exist_ok=True)
-            payload = {"key": key, "result": result.to_json_dict()}
-            tmp = self._tmp_path(path)
-            tmp.write_text(json.dumps(payload))
-            if if_absent and not path.exists():
-                # atomic create-if-missing: two racing first writers
-                # cannot both link, so exactly one reports the win
-                try:
-                    os.link(tmp, path)
-                    tmp.unlink(missing_ok=True)
-                except FileExistsError:
-                    tmp.unlink(missing_ok=True)
-                    return False
-                except OSError:
-                    # filesystem without hard links: fall back to the
-                    # atomic-replace path (best-effort first-writer)
-                    tmp.replace(path)
-            else:
-                # plain put, or repairing a corrupt/stale entry: the
-                # replace stays atomic so readers never see partials
+            path = self._path(key)
+            tmp: Optional[pathlib.Path] = None
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                payload = {"key": key, "result": result.to_json_dict()}
+                tmp = self._tmp_path(path)
+                tmp.write_text(json.dumps(payload))
                 tmp.replace(path)
-            if telemetry_state.enabled():
-                telemetry.metrics().counter("cache.put").increment()
-            return True
-        except OSError:
-            # a read-only cache dir degrades to "no cache"; don't
-            # leave an orphaned temp file behind on partial failure
-            if tmp is not None:
-                try:
-                    tmp.unlink(missing_ok=True)
-                except OSError:
-                    pass
-            return False
+                if telemetry_state.enabled():
+                    telemetry.metrics().counter("cache.put").increment()
+            except OSError:
+                # a read-only cache dir degrades to "no cache"; don't
+                # leave an orphaned temp file behind on partial failure
+                if tmp is not None:
+                    try:
+                        tmp.unlink(missing_ok=True)
+                    except OSError:
+                        pass
 
 
 # ----------------------------------------------------------------------
@@ -673,23 +590,11 @@ class SweepExecutor:
     """Schedules independent experiment jobs, with caching.
 
     ``run`` preserves submission order, so any sweep routed through the
-    executor produces identical rows at every ``jobs`` setting *and*
-    every backend. With the default ``local`` backend and ``jobs > 1``
-    cache misses fan out over a process pool — fork-based where the
-    platform offers it (workers inherit warm program caches), spawn
-    otherwise. A broken pool no longer restarts the whole sweep
-    serially: only the jobs the breakage swallowed are retried, under
-    the same capped-backoff policy the cluster uses, degrading to
-    in-process execution once the budget is spent.
-
-    With ``backend="cluster"`` (or ``REPRO_BACKEND=cluster``) cache
-    misses are shipped to a fleet of ``repro-sim cluster worker``
-    processes through a work-stealing coordinator —
-    ``coordinator_url`` / ``REPRO_COORDINATOR`` names an external one,
-    otherwise the executor embeds its own for the sweep — with the
-    result cache as the shared dedupe layer. No reachable coordinator
-    or no registered worker degrades gracefully to the local path.
-    See docs/distributed.md.
+    executor produces identical rows at every ``jobs`` setting. With
+    ``jobs > 1`` cache misses fan out over a process pool — fork-based
+    where the platform offers it (workers inherit warm program caches),
+    spawn otherwise. A broken pool does not restart the whole sweep:
+    only the jobs the breakage swallowed are re-run, in-process.
     """
 
     def __init__(
@@ -698,26 +603,8 @@ class SweepExecutor:
         cache: Union[ResultCache, None, str] = "default",
         telemetry_enabled: Optional[bool] = None,
         ledger: Union[RunLedger, str, os.PathLike, None] = "auto",
-        backend: Optional[str] = None,
-        coordinator_url: Optional[str] = None,
-        retry_policy: Optional["RetryPolicy"] = None,
     ) -> None:
         self.jobs = default_jobs() if jobs is None else max(1, int(jobs))
-        self.backend = default_backend() if backend is None else backend
-        if self.backend not in BACKENDS:
-            raise ConfigError(
-                f"unknown backend {self.backend!r}; "
-                f"expected one of {BACKENDS}")
-        self.coordinator_url = coordinator_url
-        if retry_policy is None:
-            from repro.cluster.retry import RetryPolicy
-            retry_policy = RetryPolicy()
-        #: Backoff policy shared by the broken-pool retry path and (via
-        #: the coordinator) the cluster's failed-job re-queue path.
-        self.retry_policy = retry_policy
-        #: Attribution block of the last cluster sweep (ledgered under
-        #: the nondeterministic ``cluster`` entry key), or ``None``.
-        self.last_cluster: Optional[Dict[str, object]] = None
         if cache == "default":
             self.cache: Optional[ResultCache] = ResultCache.default()
         else:
@@ -772,7 +659,6 @@ class SweepExecutor:
 
     def _run_all(self, jobs: List[ExperimentJob]) -> List[JobResult]:
         started = time.perf_counter()
-        self.last_cluster = None
         hits_before, misses_before = self.cache_hits, self.cache_misses
         capture = TraceCapture.begin(self._trace_store())
         self._capture = capture
@@ -899,7 +785,6 @@ class SweepExecutor:
             descriptor = self._workload_descriptor(job)
             seen.setdefault(json.dumps(descriptor, sort_keys=True), descriptor)
         probed = hits + misses
-        cluster = self.last_cluster
         entry: Dict[str, object] = {
             "kind": "sweep",
             "ts": round(time.time(), 3),
@@ -921,13 +806,6 @@ class SweepExecutor:
             "headline": self._headline(results),
             "metrics": registry.snapshot(),
         }
-        if cluster is not None:
-            # scheduling attribution (which worker ran what, steals,
-            # retries) is honest but nondeterministic, so it lives under
-            # a NONDETERMINISTIC_KEYS entry key: the deterministic_view
-            # of a cluster sweep stays bit-identical to the serial one
-            entry["cluster"] = cluster
-            self.last_cluster = None
         if capture is not None:
             # trace identity and the optional sampling profile are run
             # artifacts, not results — both sit behind
@@ -971,41 +849,12 @@ class SweepExecutor:
     # -- execution ------------------------------------------------------
 
     def _execute(self, jobs: List[ExperimentJob]) -> List[JobResult]:
-        if self.backend == "cluster":
-            try:
-                return self._execute_cluster(jobs)
-            except ClusterUnavailable:
-                # no coordinator / no workers: the documented graceful
-                # degradation to the local process pool
-                if telemetry_state.enabled():
-                    telemetry.metrics().counter(
-                        "executor.cluster_fallbacks").increment()
         if self.jobs > 1 and len(jobs) > 1:
             try:
                 return self._execute_pool(jobs)
             except OSError:
                 pass  # e.g. sandboxed semaphores; fall through to serial
         return [run_job(job) for job in jobs]
-
-    def _execute_cluster(self, jobs: List[ExperimentJob]) -> List[JobResult]:
-        """Ship this sweep's cache misses to the fleet.
-
-        Jobs the cluster could not finish (unkeyed, terminally failed,
-        dead fleet mid-batch) come back as ``None`` and are completed
-        in-process, so the sweep still terminates with full rows.
-        """
-        from repro.cluster.backend import run_jobs_on_cluster
-
-        remote, summary = run_jobs_on_cluster(
-            jobs, cache=self.cache, coordinator_url=self.coordinator_url)
-        # worker/coordinator span batches ride the batch status home;
-        # they merge into the capture, not the ledger entry
-        spans = summary.pop("spans", None)
-        if self._capture is not None:
-            self._capture.add_spans(spans)
-        self.last_cluster = summary
-        return [result if result is not None else run_job(job)
-                for job, result in zip(jobs, remote)]
 
     # The pool factory is an attribute so tests can inject pools that
     # fail deterministically (see tests/test_cluster.py).
@@ -1017,63 +866,46 @@ class SweepExecutor:
         return self._pool_factory(max_workers=workers, **kwargs)
 
     def _execute_pool(self, jobs: List[ExperimentJob]) -> List[JobResult]:
-        """Fan jobs over a process pool, retrying only what breaks.
+        """Fan jobs over one process pool.
 
         A ``BrokenProcessPool`` (a worker OOM-killed or segfaulted)
-        used to abandon the pool and rerun the *whole* sweep serially;
-        now each attempt keeps every finished result and re-queues only
-        the jobs the breakage swallowed, backing off between attempts
-        with the same capped policy the cluster's coordinator applies
-        (``executor.retries`` counts the re-queued jobs). Jobs still
-        failing after the retry budget finish in-process — the same
-        graceful floor as before, paid only by the stragglers.
+        keeps every result that did finish; only the jobs the breakage
+        swallowed re-run, in-process and in submission order
+        (``executor.retries`` counts them).
         """
         results: List[Optional[JobResult]] = [None] * len(jobs)
-        pending = list(range(len(jobs)))
-        attempt = 0
+        broken: List[int] = []
         # ship the trace context to pool workers so their sweep/job
         # spans come home with the results (fork inherits the recorder
         # but forked rings never flow back; explicit return does)
         ctx = tracectx.current()
         wire = (tracectx.to_wire(ctx)
                 if ctx is not None and self._capture is not None else None)
-        while pending:
-            attempt += 1
-            broken: List[int] = []
-            with self._make_pool(min(self.jobs, len(pending))) as pool:
-                futures: Dict[int, concurrent.futures.Future] = {}
-                for index in pending:
-                    try:
-                        if wire is None:
-                            futures[index] = pool.submit(run_job, jobs[index])
-                        else:
-                            futures[index] = pool.submit(
-                                _run_job_traced, jobs[index], wire)
-                    except (concurrent.futures.process.BrokenProcessPool,
-                            concurrent.futures.BrokenExecutor,
-                            RuntimeError):
-                        broken.append(index)
-                for index, future in futures.items():
-                    try:
-                        outcome = future.result()
-                        if wire is not None and isinstance(outcome, tuple):
-                            outcome, spans = outcome
-                            if self._capture is not None:
-                                self._capture.add_spans(spans)
-                        results[index] = outcome
-                    except (concurrent.futures.process.BrokenProcessPool,
-                            concurrent.futures.BrokenExecutor):
-                        broken.append(index)
-            if not broken:
-                break
-            broken.sort()
-            if telemetry_state.enabled():
-                telemetry.metrics().counter("executor.retries").increment(
-                    len(broken))
-            if self.retry_policy.exhausted(attempt):
-                for index in broken:
-                    results[index] = run_job(jobs[index])
-                break
-            time.sleep(self.retry_policy.delay_s(attempt, "pool"))
-            pending = broken
+        with self._make_pool(min(self.jobs, len(jobs))) as pool:
+            futures: Dict[int, concurrent.futures.Future] = {}
+            for index, job in enumerate(jobs):
+                try:
+                    if wire is None:
+                        futures[index] = pool.submit(run_job, job)
+                    else:
+                        futures[index] = pool.submit(_run_job_traced, job,
+                                                     wire)
+                except (concurrent.futures.BrokenExecutor, RuntimeError):
+                    broken.append(index)
+            for index, future in futures.items():
+                try:
+                    outcome = future.result()
+                except concurrent.futures.BrokenExecutor:
+                    broken.append(index)
+                    continue
+                if wire is not None and isinstance(outcome, tuple):
+                    outcome, spans = outcome
+                    if self._capture is not None:
+                        self._capture.add_spans(spans)
+                results[index] = outcome
+        if broken and telemetry_state.enabled():
+            telemetry.metrics().counter("executor.retries").increment(
+                len(broken))
+        for index in sorted(broken):
+            results[index] = run_job(jobs[index])
         return results  # type: ignore[return-value]

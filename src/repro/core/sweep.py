@@ -58,9 +58,8 @@ def stack_depth_jobs(
 ) -> List[ExperimentJob]:
     """The job list behind :func:`stack_depth_sweep`, one per depth.
 
-    Exposed separately so other schedulers — the ``repro-sim cluster
-    submit`` command in particular — can hand the exact same cacheable
-    jobs to a different executor without re-deriving configs.
+    Exposed separately so a caller can hand the exact same cacheable
+    jobs to its own executor without re-deriving configs.
     """
     repaired = (base or baseline_config()).with_repair(mechanism)
     engine = "fast" if use_fast_model else "cycle"

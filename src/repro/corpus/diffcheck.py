@@ -30,8 +30,7 @@ Fault injection: set ``REPRO_DIFF_CORRUPT_EVENT=<index>`` to perturb
 the target of the <index>-th return event *as seen by our lane only*.
 The reference still sees the pristine trace, so the gate must go red —
 the corpus-smoke CI job and ``tests/test_diffcheck.py`` both prove the
-alarm actually fires (the same chaos-knob idiom as
-``REPRO_CHAOS_KILL_MIDJOB`` in the cluster layer). The knob bypasses
+alarm actually fires. The knob bypasses
 the result cache: a corrupted run is never served from, or written to,
 cached entries.
 """

@@ -54,21 +54,3 @@ class DivergenceError(ReproError):
     disagreeing (see :mod:`repro.corpus.diffcheck`); the message names
     the shard and the first diverging event."""
 
-
-class ClusterError(ReproError):
-    """A distributed-sweep operation failed (bad message, dead lease,
-    a job that exhausted its retry budget, ...)."""
-
-
-class ServiceError(ReproError):
-    """A simulation-service request is invalid (unknown sweep, bad
-    parameter, malformed payload, ...)."""
-
-
-class ClusterUnavailable(ClusterError):
-    """No usable cluster: the coordinator is unreachable or no worker
-    registered within the grace window.
-
-    The executor treats this as a signal to degrade gracefully to the
-    local process pool, never as a sweep failure.
-    """

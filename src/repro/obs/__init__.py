@@ -1,18 +1,16 @@
-"""Distributed observability on top of ``repro.telemetry``.
+"""Sweep tracing on top of ``repro.telemetry``.
 
-The telemetry layer (spans, metrics, ledger) is deliberately
-process-local; this package makes it fleet-wide:
+The telemetry layer (spans, metrics, ledger) is process-local; this
+package stitches one sweep's spans — the submitter's and its pool
+workers' — into a single trace:
 
 - ``repro.obs.context`` — trace-context propagation (``trace_id`` /
-  ``span_id`` / ``parent_id``) across threads, processes, and HTTP hops
-  (W3C-style ``traceparent``).
+  ``span_id`` / ``parent_id``) across threads and pool processes.
 - ``repro.obs.capture`` — per-sweep span collection into a trace store.
 - ``repro.obs.store`` — JSONL trace store next to the result cache.
 - ``repro.obs.analysis`` — waterfall / critical-path / Chrome-trace
   rendering of merged traces.
 - ``repro.obs.profile`` — opt-in sampling profiler (``REPRO_PROFILE=1``).
-- ``repro.obs.prom`` — Prometheus text rendering of metrics snapshots.
-- ``repro.obs.log`` — structured stderr logging (``REPRO_LOG_FORMAT=json``).
 
 Submodules are imported by path (``from repro.obs import context``)
 rather than re-exported here: ``repro.telemetry.spans`` imports
@@ -24,8 +22,6 @@ __all__ = [
     "analysis",
     "capture",
     "context",
-    "log",
     "profile",
-    "prom",
     "store",
 ]

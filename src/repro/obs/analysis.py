@@ -114,8 +114,8 @@ def critical_path(spans: Sequence[Dict[str, object]]) -> Dict[str, object]:
     child whose *end time* is latest — the stage the parent was waiting
     on when it finished. Returns the path (top-down), its duration, and
     ``coverage``: path duration over the whole trace's wall extent.
-    For a healthy sweep trace the root is ``sweep/run`` (or the
-    service's ``service/job``) and coverage is ~1.0; a low coverage
+    For a healthy sweep trace the root is ``sweep/run`` and coverage
+    is ~1.0; a low coverage
     means the trace has disconnected time the path cannot explain.
     """
     if not spans:

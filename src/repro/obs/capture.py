@@ -1,17 +1,14 @@
-"""Per-sweep trace capture: collect local + remote spans, persist them.
+"""Per-sweep trace capture: collect local + pool-worker spans, persist them.
 
 ``SweepExecutor._run_all`` opens a :class:`TraceCapture` around each
 sweep. The capture:
 
 1. establishes a root trace context on the submitting thread (unless
-   one is already active — e.g. the service layer opened a trace for
-   the whole HTTP job, in which case the sweep joins that trace);
+   one is already active, in which case the sweep joins that trace);
 2. subscribes to the process-global span recorder and collects every
    span tagged with this trace's id (serial jobs, cache probes, the
    ``sweep/run`` root itself);
-3. accepts remote span batches — pool workers return them with their
-   results, cluster workers ship them on ``complete`` payloads and the
-   coordinator piggybacks its own on ``batch_status``;
+3. accepts the span batches pool workers return with their results;
 4. optionally runs the sampling profiler (``REPRO_PROFILE=1``); and
 5. on close, writes the merged trace to the :class:`TraceStore` next
    to the ledger.
@@ -38,9 +35,8 @@ class TraceCapture:
         self.trace_id = trace_id
         self._ctx_token = ctx_token
         self._spans: List[Dict[str, object]] = []
-        # span_ids already merged: with an embedded coordinator its
-        # spans arrive twice (recorded in-process AND shipped back on
-        # batch_status), and dedup here keeps the trace single-copy
+        # span_ids already merged: a batch handed in twice (or a span
+        # both recorded here and returned by a worker) is kept once
         self._seen: set = set()
         self._sealed = False
         self._closed = False

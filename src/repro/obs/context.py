@@ -1,13 +1,12 @@
-"""Trace-context propagation for distributed spans.
+"""Trace-context propagation for sweep spans.
 
 A :class:`TraceContext` names the trace a piece of work belongs to
 (``trace_id``) and the span that work is nested under (``span_id``).
 Contexts live on a per-thread stack: ``span()`` in
 ``repro.telemetry.spans`` pushes a child context while a span is open,
 so any span recorded inside inherits the correct parent.  Crossing a
-process or HTTP boundary serialises the current context with
-:func:`to_wire` / :func:`format_traceparent` and rebuilds it on the far
-side with :func:`from_wire` / :func:`parse_traceparent`.
+process boundary (a pool worker) serialises the current context with
+:func:`to_wire` and rebuilds it on the far side with :func:`from_wire`.
 
 This module must not import anything from ``repro.telemetry`` — the
 span recorder imports *us* at module load.
@@ -111,36 +110,8 @@ def _valid_id(value: object, length: int) -> bool:
             and bool(_HEX_RE.match(value)) and set(value) != {"0"})
 
 
-def format_traceparent(ctx: TraceContext) -> str:
-    """W3C-style ``traceparent``: ``00-<trace_id>-<span_id>-01``."""
-    span_id = ctx.span_id if _valid_id(ctx.span_id, SPAN_ID_LEN) else new_span_id()
-    return f"00-{ctx.trace_id}-{span_id}-01"
-
-
-def parse_traceparent(header: object) -> Optional[TraceContext]:
-    """Parse a ``traceparent`` header; None on any malformation.
-
-    Only the version-00 shape is accepted; the parent span id becomes
-    the context's ``span_id`` so spans opened under it attach to the
-    caller's span.
-    """
-    if not isinstance(header, str):
-        return None
-    parts = header.strip().lower().split("-")
-    if len(parts) != 4:
-        return None
-    version, trace_id, span_id, flags = parts
-    if version != "00" or not _HEX_RE.match(flags or "x"):
-        return None
-    if not _valid_id(trace_id, TRACE_ID_LEN):
-        return None
-    if not _valid_id(span_id, SPAN_ID_LEN):
-        return None
-    return TraceContext(trace_id=trace_id, span_id=span_id)
-
-
 def to_wire(ctx: TraceContext) -> dict:
-    """JSON-safe form for job payloads and lease grants."""
+    """Picklable, JSON-safe form shipped with pool jobs."""
     wire = {"trace_id": ctx.trace_id}
     if ctx.span_id:
         wire["parent_id"] = ctx.span_id

@@ -6,8 +6,8 @@ nondeterministic ``profile`` key) and to the trace store, powering
 ``repro-sim trace flame``.
 
 The sampler is a daemon thread polling ``sys._current_frames()`` every
-few milliseconds — no signals (safe inside the asyncio service and
-pool workers), no C extensions, and zero cost when the env var is off.
+few milliseconds — no signals (safe inside threads and pool
+workers), no C extensions, and zero cost when the env var is off.
 Sampling bias: it sees only what the *target thread* is doing when the
 sampler wakes, which is exactly the statistical view a flamegraph
 wants. Stacks are collapsed to the standard ``root;...;leaf count``

@@ -2,9 +2,8 @@
 
 Traces live next to the result cache and ledger, under
 ``<cache root>/traces/<trace_id>.jsonl``. The submitter that owns a
-trace is the only writer (workers ship their spans home on ``complete``
-payloads, the coordinator piggybacks its own on ``batch_status``), so
-appends from one sweep never race; appends are one ``write`` call per
+trace is the only writer (pool workers return their spans with their
+results), so appends from one sweep never race; appends are one ``write`` call per
 line, so even a concurrent writer cannot tear a line on POSIX.
 
 Reads are defensive: torn or non-JSON lines are skipped, and any span

@@ -38,12 +38,12 @@ LEDGER_SCHEMA = 1
 LEDGER_FILENAME = "ledger.jsonl"
 
 #: Entry keys that legitimately differ between two runs of the same
-#: sweep: wall-clock identity, timing, and scheduling attribution (the
-#: ``cluster`` block records which worker ran what — honest, but a
-#: property of the fleet, not of the results). ``trace_id`` and the
-#: sampling ``profile`` (repro.obs) are run artifacts of the same kind:
-#: stripping them keeps deterministic_view bit-identical with tracing
-#: or profiling on or off.
+#: sweep: wall-clock identity and timing. ``trace_id`` and the sampling
+#: ``profile`` (repro.obs) are run artifacts of the same kind: stripping
+#: them keeps deterministic_view bit-identical with tracing or
+#: profiling on or off. ``cluster`` is the scheduling-attribution block
+#: that ledgers written by the retired remote-worker backend carry; it
+#: stays listed so those entries still compare equal to local ones.
 NONDETERMINISTIC_KEYS = ("run_id", "ts", "utc", "wall_time_s", "sim_time_s",
                          "cluster", "trace_id", "profile")
 

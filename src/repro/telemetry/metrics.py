@@ -101,26 +101,6 @@ class MetricsRegistry:
             },
         }
 
-    def flatten(self) -> Dict[str, object]:
-        """One flat sorted ``section.key -> value`` dict.
-
-        The presentation-friendly projection of :meth:`snapshot` —
-        ``GET /metricz`` and the dashboard render it directly, and CI
-        assertions index it without walking nested sections. Rates
-        flatten to their computed value (hit fraction or ``None``);
-        histograms to their total observation count.
-        """
-        flat: Dict[str, object] = {}
-        for key in sorted(self._counters):
-            flat[f"counters.{key}"] = self._counters[key].value
-        for key in sorted(self._gauges):
-            flat[f"gauges.{key}"] = self._gauges[key].value
-        for key, rate in sorted(self._rates.items()):
-            flat[f"rates.{key}"] = rate.value
-        for key, hist in sorted(self._histograms.items()):
-            flat[f"histograms.{key}"] = sum(hist.buckets.values())
-        return flat
-
     def merge(self, snapshot: Optional[Mapping[str, object]]) -> "MetricsRegistry":
         """Fold a snapshot in (see the module docstring for semantics).
 

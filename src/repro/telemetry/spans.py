@@ -37,9 +37,8 @@ import json
 import os
 import threading
 import time
-import weakref
 from contextlib import contextmanager
-from typing import Callable, Deque, Dict, Iterator, List, Optional, TextIO, Tuple
+from typing import Callable, Deque, Dict, Iterator, List, Optional, TextIO
 
 from repro.obs import context as tracectx
 from repro.telemetry import state
@@ -121,8 +120,7 @@ class SpanRecorder:
         self._epoch_wall = time.time()
         self._sink_path: Optional[str] = None
         self._sink: Optional[TextIO] = None
-        self._subscribers: Dict[int, Tuple[Callable[[Span], None],
-                                           Optional[object]]] = {}
+        self._subscribers: Dict[int, Callable[[Span], None]] = {}
         self._next_token = 1
 
     @property
@@ -160,27 +158,17 @@ class SpanRecorder:
             return None  # an unwritable sink degrades to in-memory only
         return self._sink
 
-    def subscribe(self, callback: Callable[[Span], None],
-                  owner: Optional[threading.Thread] = None) -> int:
+    def subscribe(self, callback: Callable[[Span], None]) -> int:
         """Call ``callback`` with every span as it is recorded.
 
-        The callback runs synchronously in the recording thread, so
-        subscribers that feed another thread (the service layer's
-        server-sent progress events) must hand off rather than block.
+        The callback runs synchronously in the recording thread (the
+        process-pool trace path uses it to collect a job's spans).
         Returns a token for :meth:`unsubscribe`. A callback that raises
-        is dropped silently — live progress must never fail a sweep.
-
-        ``owner`` optionally binds the subscription to a thread's
-        lifetime: once that thread is no longer alive the subscription
-        is reaped on the next ``record()``, so a job thread that dies
-        mid-stream (or forgets to unsubscribe on an unexpected exit
-        path) cannot leak a dead subscriber that grows the registry and
-        keeps its closure alive forever.
+        is dropped silently — collection must never fail a sweep.
         """
         token = self._next_token
         self._next_token += 1
-        ref = weakref.ref(owner) if owner is not None else None
-        self._subscribers[token] = (callback, ref)
+        self._subscribers[token] = callback
         return token
 
     def unsubscribe(self, token: int) -> None:
@@ -189,12 +177,7 @@ class SpanRecorder:
     def record(self, span: Span) -> None:
         self._ring.append(span)
         if self._subscribers:
-            for token, (callback, owner_ref) in list(self._subscribers.items()):
-                if owner_ref is not None:
-                    owner = owner_ref()
-                    if owner is None or not owner.is_alive():
-                        self._subscribers.pop(token, None)
-                        continue
+            for token, callback in list(self._subscribers.items()):
                 try:
                     callback(span)
                 except Exception:

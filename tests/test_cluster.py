@@ -1,34 +1,17 @@
-"""Tests for the distributed sweep backend (repro.cluster).
+"""Tests for a sweep spread over a cluster of local pool workers.
 
-Transport-free units first (retry policy, wire format, lease table),
-then in-process integration: a real coordinator over HTTP with thread
-workers, proving cluster rows and ledger views bit-identical to serial
-execution. Hard-failure chaos (SIGKILL, restarts) lives in
-test_cluster_chaos.py.
+When a worker process dies the pool raises ``BrokenProcessPool`` for
+every job it swallowed. The executor re-runs exactly those jobs
+in-process, starts no second pool, and its rows match a clean run.
 """
 
 import concurrent.futures
-import json
-import threading
-
-import pytest
 
 from repro import telemetry
-from repro.cluster import (
-    ClusterClient,
-    ClusterWorker,
-    Coordinator,
-    LeaseTable,
-    RetryPolicy,
-    decode_job,
-    encode_job,
-)
 from repro.config.defaults import baseline_config
-from repro.core import ExperimentJob, JobResult, ResultCache, SweepExecutor
-from repro.core.experiment import WorkloadSpec, build_program
-from repro.errors import ClusterError, ConfigError
-from repro.telemetry import RunLedger
-from repro.telemetry.ledger import deterministic_view
+from repro.core import ExperimentJob, SweepExecutor
+from repro.core import executor as executor_module
+from repro.core.experiment import WorkloadSpec
 
 SPEC = WorkloadSpec("li", seed=1, scale=0.05)
 
@@ -37,365 +20,6 @@ def _jobs(sizes=(1, 8, 32)):
     base = baseline_config()
     return [ExperimentJob(SPEC, base.with_ras_entries(size), "fast")
             for size in sizes]
-
-
-def _result(wall=0.25):
-    return {"engine": "fast", "instructions": 10, "cycles": 20.0,
-            "ipc": 0.5, "counters": {}, "rates": {}, "wall_time_s": wall}
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 1000.0
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
-
-
-class TestRetryPolicy:
-    def test_deterministic_jitter(self):
-        policy = RetryPolicy()
-        assert policy.delay_s(2, "k") == policy.delay_s(2, "k")
-        assert policy.delay_s(2, "k") != policy.delay_s(2, "other")
-        assert policy.delay_s(2, "k") != policy.delay_s(3, "k")
-
-    def test_exponential_and_capped(self):
-        policy = RetryPolicy(base_delay_s=1.0, max_delay_s=4.0, jitter=0.0)
-        assert policy.schedule() == [1.0, 2.0, 4.0]
-        assert policy.delay_s(10) == 4.0  # capped, not 512
-
-    def test_jitter_bounded(self):
-        policy = RetryPolicy(base_delay_s=1.0, max_delay_s=1.0, jitter=0.25)
-        for attempt in range(1, 6):
-            delay = policy.delay_s(attempt, "any-key")
-            assert 0.75 <= delay <= 1.25
-
-    def test_budget_counts_executions(self):
-        policy = RetryPolicy(max_attempts=3)
-        assert not policy.exhausted(2)
-        assert policy.exhausted(3)
-        assert policy.exhausted(4)
-
-
-class TestPutIfAbsent:
-    KEY = "ab" + "0" * 62
-
-    def _make(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        result = JobResult(engine="fast", instructions=1, cycles=2.0,
-                           ipc=0.5, counters={}, rates={})
-        return cache, result
-
-    def test_first_writer_wins(self, tmp_path):
-        cache, result = self._make(tmp_path)
-        assert cache.put_if_absent(self.KEY, result) is True
-        loser = JobResult(engine="fast", instructions=999, cycles=2.0,
-                          ipc=0.5, counters={}, rates={})
-        assert cache.put_if_absent(self.KEY, loser) is False
-        assert cache.get(self.KEY).instructions == 1  # not overwritten
-
-    def test_corrupt_entry_is_repaired(self, tmp_path):
-        cache, result = self._make(tmp_path)
-        assert cache.put_if_absent(self.KEY, result) is True
-        path, = list(cache.root.rglob("*.json"))
-        path.write_text("{ not json !!")
-        assert cache.get(self.KEY) is None
-        assert cache.put_if_absent(self.KEY, result) is True  # repair wins
-        assert cache.get(self.KEY) == result
-
-    def test_duplicate_completion_counts_put_once(self, tmp_path):
-        cache, result = self._make(tmp_path)
-        registry = telemetry.metrics()
-        before = registry.counter("cache.put").value
-        cache.put_if_absent(self.KEY, result)
-        cache.put_if_absent(self.KEY, result)
-        assert registry.counter("cache.put").value == before + 1
-
-
-class TestWireFormat:
-    def test_job_roundtrip_preserves_cache_key(self):
-        job = _jobs(sizes=(8,))[0]
-        clone = decode_job(json.loads(json.dumps(encode_job(job))))
-        assert clone.cache_key() == job.cache_key()
-        assert clone.config.fingerprint() == job.config.fingerprint()
-        assert clone.engine == job.engine
-
-    def test_config_json_roundtrip(self):
-        config = baseline_config().with_ras_entries(12)
-        from repro.config.machine import MachineConfig
-        clone = MachineConfig.from_json_dict(config.to_json_dict())
-        assert clone.fingerprint() == config.fingerprint()
-        with pytest.raises(ConfigError):
-            MachineConfig.from_json_dict({"core": "nope"})
-
-    def test_raw_program_refused(self):
-        job = ExperimentJob(build_program(SPEC), baseline_config(), "fast")
-        with pytest.raises(ClusterError):
-            encode_job(job)
-
-    def test_version_mismatch_refused(self):
-        payload = encode_job(_jobs(sizes=(8,))[0])
-        payload["version"] = 99
-        with pytest.raises(ClusterError):
-            decode_job(payload)
-
-
-class TestLeaseTable:
-    def _table(self, clock, **kwargs):
-        kwargs.setdefault("lease_timeout_s", 10.0)
-        kwargs.setdefault("policy", RetryPolicy(max_attempts=3, jitter=0.0,
-                                                base_delay_s=1.0))
-        return LeaseTable(clock=clock, **kwargs)
-
-    def test_lease_complete_batch_order(self):
-        clock = FakeClock()
-        table = self._table(clock)
-        worker = table.register("w")
-        batch_id, stats = table.submit(
-            [{"n": 1}, {"n": 2}], ["k1", "k2"], {})
-        assert stats == {"enqueued": 2, "coalesced": 0, "cache_resolved": 0}
-        for expected in ("k1", "k2"):
-            grant = table.lease(worker)
-            assert grant["key"] == expected
-            table.complete(worker, grant["lease_id"], expected,
-                           _result(wall=0.5))
-        status = table.batch_status(batch_id)
-        assert status["done"] and status["pending"] == 0
-        assert [r["wall_time_s"] for r in status["results"]] == [0.5, 0.5]
-        workers = table.stats()["workers"]
-        assert workers["w"]["jobs"] == 2
-        assert workers["w"]["wall_time_s"] == pytest.approx(1.0)
-
-    def test_duplicate_keys_coalesce_within_and_across_batches(self):
-        clock = FakeClock()
-        table = self._table(clock)
-        batch_a, stats_a = table.submit(
-            [{"n": 1}, {"n": 1}], ["k", "k"], {})
-        batch_b, stats_b = table.submit([{"n": 1}], ["k"], {})
-        assert stats_a["coalesced"] == 1 and stats_b["coalesced"] == 1
-        worker = table.register("w")
-        grant = table.lease(worker)
-        assert table.lease(worker) is None  # exactly one execution
-        table.complete(worker, grant["lease_id"], "k", _result())
-        for batch_id in (batch_a, batch_b):
-            status = table.batch_status(batch_id)
-            assert status["done"]
-            assert all(r is not None for r in status["results"])
-
-    def test_cached_jobs_born_done(self):
-        table = self._table(FakeClock())
-        batch_id, stats = table.submit(
-            [{"n": 1}], ["k"], {"k": _result()})
-        assert stats["cache_resolved"] == 1
-        assert table.batch_status(batch_id)["done"]
-        assert table.queue_depth() == 0
-
-    def test_expired_lease_is_stolen(self):
-        clock = FakeClock()
-        table = self._table(clock)
-        dead, alive = table.register("dead"), table.register("alive")
-        table.submit([{"n": 1}], ["k"], {})
-        grant = table.lease(dead)
-        assert table.lease(alive) is None  # leased, not expired yet
-        clock.advance(11.0)
-        stolen = table.lease(alive)
-        assert stolen is not None and stolen["key"] == "k"
-        assert stolen["lease_id"] != grant["lease_id"]
-        assert table.counts["steals"] == 1
-
-    def test_heartbeat_extends_lease(self):
-        clock = FakeClock()
-        table = self._table(clock)
-        worker = table.register("w")
-        table.submit([{"n": 1}], ["k"], {})
-        grant = table.lease(worker)
-        for _ in range(3):
-            clock.advance(8.0)
-            assert table.heartbeat(worker, [grant["lease_id"]]) == []
-        assert table.stats()["active_leases"] == 1  # never expired
-
-    def test_late_result_discarded_idempotently(self):
-        clock = FakeClock()
-        table = self._table(clock)
-        slow, fast = table.register("slow"), table.register("fast")
-        table.submit([{"n": 1}], ["k"], {})
-        slow_grant = table.lease(slow)
-        clock.advance(11.0)  # slow worker exceeds the lease timeout
-        fast_grant = table.lease(fast)
-        first = table.complete(fast, fast_grant["lease_id"], "k",
-                               _result(wall=1.0))
-        late = table.complete(slow, slow_grant["lease_id"], "k",
-                              _result(wall=9.0))
-        assert first["accepted"] and not late["accepted"]
-        assert late["duplicate"] and table.counts["duplicates"] == 1
-        assert table.counts["completed"] == 1
-        # the winner's attribution, not the late worker's
-        assert table.stats()["workers"]["fast"]["jobs"] == 1
-        assert table.stats()["workers"]["slow"]["jobs"] == 0
-
-    def test_failure_backoff_then_terminal(self):
-        clock = FakeClock()
-        table = self._table(clock)
-        worker = table.register("w")
-        batch_id, _ = table.submit([{"n": 1}], ["k"], {})
-        grant = table.lease(worker)
-        verdict = table.fail(worker, grant["lease_id"], "k", "flaky")
-        assert verdict["requeued"] and verdict["attempts"] == 1
-        assert table.lease(worker) is None  # inside the backoff window
-        clock.advance(1.5)  # base_delay 1.0s, jitter 0
-        grant = table.lease(worker)
-        assert grant["attempt"] == 2
-        table.fail(worker, grant["lease_id"], "k", "flaky")
-        clock.advance(2.5)
-        grant = table.lease(worker)
-        assert grant["attempt"] == 3
-        verdict = table.fail(worker, grant["lease_id"], "k", "flaky")
-        assert verdict["terminal"]  # max_attempts=3 exhausted
-        status = table.batch_status(batch_id)
-        assert status["done"] and status["failed"] == 1
-        assert status["results"] == [None]
-        assert "flaky" in status["errors"]["k"]
-
-    def test_steals_count_against_retry_budget(self):
-        clock = FakeClock()
-        table = self._table(clock)
-        worker = table.register("w")
-        batch_id, _ = table.submit([{"n": 1}], ["k"], {})
-        for _ in range(3):  # poison job: every execution dies silently
-            assert table.lease(worker)["key"] == "k"
-            clock.advance(11.0)
-        status = table.batch_status(batch_id)
-        assert status["done"] and status["failed"] == 1  # no infinite loop
-
-    def test_unknown_worker_rejected(self):
-        table = self._table(FakeClock())
-        with pytest.raises(ClusterError):
-            table.lease("never-registered")
-
-
-@pytest.fixture()
-def fleet(tmp_path):
-    """A live coordinator + one thread worker over real HTTP."""
-    cache = ResultCache(tmp_path / "shared-cache")
-    coordinator = Coordinator(bind="127.0.0.1:0", cache=cache,
-                              lease_timeout_s=10.0,
-                              poll_interval_s=0.02).start()
-    worker = ClusterWorker(coordinator.url, name="t1", cache=cache)
-    thread = threading.Thread(target=worker.run, daemon=True)
-    thread.start()
-    yield coordinator, cache
-    worker.stop()
-    coordinator.stop(drain=True)
-    thread.join(timeout=5.0)
-
-
-class TestClusterExecutor:
-    def _serial_entry(self, tmp_path):
-        executor = SweepExecutor(
-            jobs=1, cache=ResultCache(tmp_path / "serial-cache"),
-            ledger=RunLedger(tmp_path / "serial-ledger.jsonl"))
-        return executor.run(_jobs()), executor.last_entry
-
-    def test_rows_and_ledger_match_serial(self, fleet, tmp_path):
-        coordinator, cache = fleet
-        executor = SweepExecutor(
-            jobs=1, cache=cache, backend="cluster",
-            coordinator_url=coordinator.url,
-            ledger=RunLedger(tmp_path / "cluster-ledger.jsonl"))
-        results = executor.run(_jobs())
-        serial_results, serial_entry = self._serial_entry(tmp_path)
-        assert [r.as_dict() for r in results] \
-            == [r.as_dict() for r in serial_results]
-        assert deterministic_view(executor.last_entry) \
-            == deterministic_view(serial_entry)
-        cluster = executor.last_entry["cluster"]
-        assert cluster["counts"]["completed"] == len(_jobs())
-        assert cluster["workers"]["t1"]["jobs"] == len(_jobs())
-        assert cluster["unfinished"] == 0
-
-    def test_remote_results_fill_shared_cache(self, fleet, tmp_path):
-        coordinator, cache = fleet
-        executor = SweepExecutor(jobs=1, cache=cache, backend="cluster",
-                                 coordinator_url=coordinator.url,
-                                 ledger=None)
-        executor.run(_jobs())
-        assert executor.cache_misses == len(_jobs())
-        # second sweep: resolved from the cache at submit time, so the
-        # coordinator enqueues nothing and no simulator runs anywhere
-        from repro.core import executor as executor_module
-        before = executor_module.simulation_calls()
-        rerun = SweepExecutor(jobs=1, cache=cache, backend="cluster",
-                              coordinator_url=coordinator.url, ledger=None)
-        rerun.run(_jobs())
-        assert rerun.cache_hits == len(_jobs())
-        assert executor_module.simulation_calls() == before
-        assert coordinator.table.queue_depth() == 0
-
-    def test_uncacheable_jobs_run_locally(self, fleet, tmp_path):
-        coordinator, cache = fleet
-        executor = SweepExecutor(jobs=1, cache=cache, backend="cluster",
-                                 coordinator_url=coordinator.url,
-                                 ledger=None)
-        raw = ExperimentJob(build_program(SPEC), baseline_config(), "fast")
-        mixed = _jobs() + [raw]
-        results = executor.run(mixed)
-        assert len(results) == len(mixed)
-        assert all(r.instructions > 0 for r in results)
-        cluster = executor.last_entry["cluster"]
-        assert cluster["local_jobs"] == 1  # the raw job never shipped
-        assert coordinator.table.counts["submitted"] == len(_jobs())
-
-    def test_no_workers_degrades_to_local(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CLUSTER_GRACE_S", "0.2")
-        coordinator = Coordinator(bind="127.0.0.1:0", cache=None).start()
-        try:
-            executor = SweepExecutor(
-                jobs=1, cache=ResultCache(tmp_path / "cache"),
-                backend="cluster", coordinator_url=coordinator.url,
-                ledger=None)
-            results = executor.run(_jobs())
-            assert [r.instructions > 0 for r in results]
-            assert executor.last_cluster is None  # the sweep ran locally
-        finally:
-            coordinator.stop()
-
-    def test_unreachable_coordinator_degrades_to_local(self, tmp_path):
-        executor = SweepExecutor(
-            jobs=1, cache=ResultCache(tmp_path / "cache"), backend="cluster",
-            coordinator_url="http://127.0.0.1:9", ledger=None)  # discard port
-        results = executor.run(_jobs(sizes=(8,)))
-        assert results[0].instructions > 0
-
-    def test_transient_worker_failures_are_retried(self, tmp_path):
-        from repro.cluster import ChaosHooks
-        cache = ResultCache(tmp_path / "cache")
-        coordinator = Coordinator(
-            bind="127.0.0.1:0", cache=cache, poll_interval_s=0.02,
-            policy=RetryPolicy(max_attempts=4, base_delay_s=0.01,
-                               max_delay_s=0.05)).start()
-        worker = ClusterWorker(coordinator.url, name="flaky", cache=cache,
-                               chaos=ChaosHooks(fail_first=2))
-        thread = threading.Thread(target=worker.run, daemon=True)
-        thread.start()
-        try:
-            executor = SweepExecutor(jobs=1, cache=cache, backend="cluster",
-                                     coordinator_url=coordinator.url,
-                                     ledger=None)
-            results = executor.run(_jobs())
-            assert all(r.instructions > 0 for r in results)
-            assert coordinator.table.counts["retries"] == 2
-            assert coordinator.table.counts["completed"] == len(_jobs())
-        finally:
-            worker.stop()
-            coordinator.stop(drain=True)
-            thread.join(timeout=5.0)
-
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ConfigError):
-            SweepExecutor(backend="warp-drive")
 
 
 class _FlakyPool:
@@ -430,74 +54,42 @@ class _FlakyPool:
 
 
 class TestBrokenPoolRetry:
-    """Satellite: BrokenProcessPool retries the failed jobs only."""
+    """A BrokenProcessPool re-runs only the jobs it swallowed."""
 
     def _executor(self, plan, log):
-        executor = SweepExecutor(
-            jobs=2, cache=None, ledger=None,
-            retry_policy=RetryPolicy(max_attempts=3, base_delay_s=0.001,
-                                     max_delay_s=0.002))
+        executor = SweepExecutor(jobs=2, cache=None, ledger=None)
         executor._pool_factory = _FlakyPool(plan, log)
         return executor
 
     def test_only_failed_jobs_retried(self):
-        log = []
-        # first pool breaks the futures of jobs 1 and 2; second is clean
-        executor = self._executor({0: (1, 2)}, log)
-        before = telemetry.metrics().counter("executor.retries").value
-        results = executor.run(_jobs())
-        assert all(r.instructions > 0 for r in results)
-        assert len(log) == 2
-        assert len(log[0]) == 3 and len(log[1]) == 2  # failed subset only
-        assert log[1] == log[0][1:]  # and exactly the broken ones, in order
-        assert telemetry.metrics().counter("executor.retries").value \
-            == before + 2
+        telemetry.set_enabled(True)
+        try:
+            log = []
+            # the pool breaks the futures of jobs 1 and 2
+            executor = self._executor({0: (1, 2)}, log)
+            retries = telemetry.metrics().counter("executor.retries").value
+            calls = executor_module.simulation_calls()
+            results = executor.run(_jobs())
+            assert all(r.instructions > 0 for r in results)
+            # every job simulated exactly once: job 0 in the pool, the
+            # two broken ones re-run in-process
+            assert executor_module.simulation_calls() == calls + 3
+            assert telemetry.metrics().counter(
+                "executor.retries").value == retries + 2
+        finally:
+            telemetry.set_enabled(None)
 
     def test_rows_identical_to_clean_run(self):
-        broken = self._executor({0: (0, 1, 2), 1: (0,)}, [])
+        broken = self._executor({0: (0, 1, 2)}, [])
         clean = SweepExecutor(jobs=1, cache=None, ledger=None)
         assert [r.as_dict() for r in broken.run(_jobs())] \
             == [r.as_dict() for r in clean.run(_jobs())]
 
     def test_exhausted_budget_finishes_serially(self):
         log = []
-        # every pool instance breaks everything: the retry budget runs
-        # out and the stragglers complete in-process
-        plan = {i: (0, 1, 2) for i in range(10)}
-        executor = self._executor(plan, log)
+        # the pool breaks everything and there is no retry budget: no
+        # second pool is started, the stragglers complete in-process
+        executor = self._executor({0: (0, 1, 2)}, log)
         results = executor.run(_jobs())
         assert all(r.instructions > 0 for r in results)
-        assert len(log) == executor.retry_policy.max_attempts
-
-
-class TestClusterCli:
-    def test_status_against_live_coordinator(self, fleet, capsys):
-        coordinator, _ = fleet
-        from repro.cli import main as cli_main
-        assert cli_main(["cluster", "status",
-                         "--coordinator", coordinator.url]) == 0
-        out = capsys.readouterr().out
-        assert "workers alive" in out
-
-    def test_submit_through_external_coordinator(self, fleet, tmp_path,
-                                                 monkeypatch, capsys):
-        coordinator, _ = fleet
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cli-cache"))
-        from repro.cli import main as cli_main
-        out = tmp_path / "submit.json"
-        assert cli_main([
-            "cluster", "submit", "--coordinator", coordinator.url,
-            "--names", "li", "--scale", "0.05", "--sizes", "1", "8",
-            "--json", str(out),
-        ]) == 0
-        payload = json.loads(out.read_text())
-        assert payload["rows"][0][0] == "li"
-        assert payload["cache"]["misses"] == 2
-
-    def test_backend_flag_falls_back_without_fleet(self, tmp_path,
-                                                   monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.setenv("REPRO_CLUSTER_GRACE_S", "0.2")
-        from repro.cli import main as cli_main
-        assert cli_main(["stack-depth", "--names", "li", "--scale", "0.05",
-                         "--backend", "cluster"]) == 0
+        assert len(log) == 1 and len(log[0]) == 3

@@ -1,6 +1,8 @@
 """Tests for the parallel experiment executor and the result cache."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -177,6 +179,37 @@ class TestCliFlags:
         before = executor_module.simulation_calls()
         assert cli_main(["speedup", "--names", "li", "--scale", "0.05"]) == 0
         assert executor_module.simulation_calls() == before
+
+    def test_scale_out_of_range_rejected(self, tmp_path, monkeypatch,
+                                         capsys):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        assert cli_main(["hit-rates", "--scale", "5"]) == 1
+        assert capsys.readouterr().err.strip() == (
+            "repro-sim hit-rates: scale 5.0 out of range (0, 4]")
+        assert cli_main(["speedup", "--scale", "0"]) == 1
+        assert not (tmp_path / "cache").exists()
+
+    def test_cli_import_loads_no_network_stack(self):
+        """The CLI runs sweeps locally: importing it loads no asyncio
+        and no repro.service / repro.cluster package."""
+        probe = ("import sys, repro.cli; print('\\n'.join(sorted("
+                 "name for name in sys.modules if name == 'asyncio' "
+                 "or name.startswith(('asyncio.', 'repro.service', "
+                 "'repro.cluster')))))")
+        loaded = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            check=True).stdout.split()
+        assert loaded == []
+
+
+class TestLedgerPaths:
+    def test_ledger_path_beside_cache_root(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        assert cache.ledger_path.parent == tmp_path / "cache"
+
+    def test_default_ledger_path_honours_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "alt"))
+        assert ResultCache.default_ledger_path().parent == tmp_path / "alt"
 
 
 class TestTables:

@@ -1,18 +1,15 @@
-"""Tests for repro.obs: distributed tracing, profiling, metrics text.
+"""Tests for repro.obs: sweep tracing and profiling.
 
-Covers the acceptance criteria of the observability PR: trace-context
-propagation (thread-local stack, traceparent, wire forms), span
+Covers trace-context propagation (thread-local stack, wire form), span
 identity and parenting under an active context, the span-ring capacity
-knob and dead-subscriber reaping, the trace store's corruption
+knob and raising-subscriber removal, the trace store's corruption
 defenses (a SIGKILLed worker's garbage never pollutes a merged trace),
-trace analysis (tree, critical path, Chrome export), Prometheus text
-rendering + strict validation, structured logging, the sampling
-profiler, and the two determinism guarantees: results are bit-identical
-with tracing on or off, and serial vs cluster.
+trace analysis (tree, critical path, Chrome export), the sampling
+profiler, and the determinism guarantee: results are bit-identical with
+tracing on or off, and pool workers' spans join the submitter's trace.
 """
 
 import json
-import threading
 import time
 
 import pytest
@@ -22,10 +19,9 @@ from repro.cli import main as cli_main
 from repro.config.defaults import baseline_config
 from repro.core import ExperimentJob, ResultCache, SweepExecutor
 from repro.core.experiment import WorkloadSpec
-from repro.obs import analysis, prom
+from repro.obs import analysis
 from repro.obs import context as tracectx
 from repro.obs.capture import TraceCapture
-from repro.obs.log import StructLogger
 from repro.obs.profile import SamplingProfiler, render_flame
 from repro.obs.store import TraceStore, valid_trace_id
 from repro.telemetry import RunLedger, deterministic_view, span
@@ -66,22 +62,6 @@ class TestTraceContext:
         with tracectx.activate(None) as ctx:
             assert ctx is None
             assert tracectx.current() is None
-
-    def test_traceparent_roundtrip(self):
-        ctx = tracectx.TraceContext(tracectx.new_trace_id(),
-                                    tracectx.new_span_id())
-        parsed = tracectx.parse_traceparent(tracectx.format_traceparent(ctx))
-        assert parsed == ctx
-
-    @pytest.mark.parametrize("header", [
-        None, "", "garbage", "00-short-span-01",
-        "01-" + "a" * 32 + "-" + "b" * 16 + "-01",   # unknown version
-        "00-" + "0" * 32 + "-" + "b" * 16 + "-01",   # all-zero trace id
-        "00-" + "a" * 32 + "-" + "0" * 16 + "-01",   # all-zero span id
-        "00-" + "G" * 32 + "-" + "b" * 16 + "-01",   # non-hex
-    ])
-    def test_malformed_traceparent_rejected(self, header):
-        assert tracectx.parse_traceparent(header) is None
 
     def test_wire_roundtrip(self):
         ctx = tracectx.TraceContext(tracectx.new_trace_id(),
@@ -131,25 +111,6 @@ class TestSpanIdentity:
         assert SpanRecorder().capacity == 16
         monkeypatch.setenv("REPRO_SPAN_BUFFER", "bogus")
         assert SpanRecorder().capacity == 4096
-
-    def test_dead_owner_subscription_reaped(self):
-        recorder = SpanRecorder()
-        seen = []
-        worker = threading.Thread(target=lambda: None)
-        worker.start()
-        worker.join()
-        recorder.subscribe(seen.append, owner=worker)   # owner already dead
-        recorder.record(Span("obs/x", {}))
-        assert seen == []
-        assert recorder.subscriber_count() == 0
-
-    def test_live_owner_subscription_survives(self):
-        recorder = SpanRecorder()
-        seen = []
-        recorder.subscribe(seen.append, owner=threading.current_thread())
-        recorder.record(Span("obs/x", {}))
-        assert len(seen) == 1
-        assert recorder.subscriber_count() == 1
 
     def test_raising_subscriber_dropped(self):
         recorder = SpanRecorder()
@@ -231,7 +192,7 @@ class TestCapture:
         item = {"name": "dup", "trace_id": capture.trace_id,
                 "span_id": "ab" * 8, "ts": 1.0, "ms": 1.0}
         assert capture.add_spans([item]) == 1
-        assert capture.add_spans([item]) == 0   # embedded-coordinator echo
+        assert capture.add_spans([item]) == 0   # a repeated batch
         capture.close()
         assert len(store.load(capture.trace_id)) == 1
 
@@ -305,69 +266,6 @@ class TestAnalysis:
         assert rollup["by_name"]["root"] == 1
 
 
-class TestPrometheus:
-    def test_render_and_validate(self):
-        registry = telemetry.metrics()
-        registry.counter("jobs", engine="fast").increment(3)
-        registry.gauge("queue.depth").set(2)
-        registry.rate("cache.hits", kind="l1").record(True)
-        registry.histogram("wall").record(4)
-        text = prom.render_prometheus(registry.snapshot())
-        samples = prom.validate(text)
-        assert samples >= 4
-        assert 'repro_jobs_total{engine="fast"} 3' in text
-        assert "repro_queue_depth 2" in text
-        assert any(line.startswith("repro_cache_hits_hits_total")
-                   for line in text.splitlines())
-        assert 'bucket="4"' in text
-
-    def test_extra_gauges_and_name_sanitization(self):
-        text = prom.render_prometheus(
-            {}, extra_gauges={"service.queue/depth": 7, "2bad": 1})
-        prom.validate(text)
-        assert "repro_service_queue_depth 7" in text
-        assert "repro_2bad" not in text     # leading digit guarded
-        assert "repro__2bad 1" in text
-
-    def test_label_escaping(self):
-        registry = telemetry.metrics()
-        registry.counter("odd", path='a"b\\c').increment(1)
-        text = prom.render_prometheus(registry.snapshot())
-        prom.validate(text)
-        assert '\\"' in text and "\\\\" in text
-
-    def test_validate_rejects_malformed(self):
-        with pytest.raises(ValueError):
-            prom.validate("this is not prometheus\n")
-        with pytest.raises(ValueError):
-            prom.validate("repro_x{unclosed 1\n")
-
-
-class TestStructLog:
-    def test_text_mode_preserves_parsed_lines(self, capsys):
-        StructLogger("service").info("listening at http://127.0.0.1:1234")
-        line = capsys.readouterr().err.strip()
-        assert line == "service listening at http://127.0.0.1:1234"
-
-    def test_text_mode_fields_append_after_event(self, capsys):
-        StructLogger("worker").info("done", jobs=4, failures=0)
-        line = capsys.readouterr().err.strip()
-        assert line == "worker done jobs=4 failures=0"
-
-    def test_json_mode_carries_trace_id(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_LOG_FORMAT", "json")
-        ctx = tracectx.TraceContext(tracectx.new_trace_id(), "")
-        with tracectx.activate(ctx):
-            StructLogger("coordinator").info("lease granted",
-                                             run_id="abc", jobs=2)
-        payload = json.loads(capsys.readouterr().err)
-        assert payload["component"] == "coordinator"
-        assert payload["event"] == "lease granted"
-        assert payload["trace_id"] == ctx.trace_id
-        assert payload["run_id"] == "abc" and payload["jobs"] == 2
-        assert payload["level"] == "info"
-
-
 class TestProfiler:
     def test_sampling_profiler_collects_stacks(self):
         profiler = SamplingProfiler(interval_s=0.001).start()
@@ -436,99 +334,6 @@ class TestDeterminism:
         # when the pool actually forked (pids may collapse on reuse)
         assert {s["trace_id"] for s in spans} == {executor.last_trace_id}
         assert len(spans) == len({s["span_id"] for s in spans})
-
-
-class TestClusterTrace:
-    def test_cluster_run_matches_serial_and_merges_worker_spans(
-            self, tmp_path):
-        from repro.cluster import ClusterWorker, Coordinator
-
-        cache = ResultCache(tmp_path / "shared-cache")
-        coordinator = Coordinator(bind="127.0.0.1:0", cache=cache,
-                                  lease_timeout_s=10.0,
-                                  poll_interval_s=0.02).start()
-        worker = ClusterWorker(coordinator.url, name="t1", cache=cache)
-        thread = threading.Thread(target=worker.run, daemon=True)
-        thread.start()
-        try:
-            executor = SweepExecutor(
-                jobs=1, cache=cache, backend="cluster",
-                coordinator_url=coordinator.url,
-                ledger=RunLedger(tmp_path / "cluster-ledger.jsonl"))
-            results = [r.as_dict() for r in executor.run(_jobs())]
-            entry = executor.last_entry
-        finally:
-            worker.stop()
-            coordinator.stop(drain=True)
-            thread.join(timeout=5.0)
-        serial = SweepExecutor(
-            jobs=1, cache=ResultCache(tmp_path / "serial-cache"),
-            ledger=RunLedger(tmp_path / "serial-ledger.jsonl"))
-        serial_results = [r.as_dict() for r in serial.run(_jobs())]
-        assert results == serial_results
-        assert deterministic_view(entry) \
-            == deterministic_view(serial.last_entry)
-        # the merged trace spans submitter, coordinator, and worker
-        spans = TraceStore.at_cache_root(cache.base_root).load(
-            executor.last_trace_id)
-        names = {s["name"] for s in spans}
-        assert {"sweep/run", "cluster/batch", "cluster/submit",
-                "cluster/lease", "cluster/job"} <= names
-        assert len(spans) == len({s["span_id"] for s in spans})
-        workers = {s["attrs"].get("worker") for s in spans
-                   if s["name"] == "cluster/job"}
-        assert workers == {"t1"}
-        assert analysis.critical_path(spans)["coverage"] >= 0.95
-
-
-class TestServiceTrace:
-    def test_submit_with_traceparent_joins_and_echoes(self, tmp_path,
-                                                      monkeypatch):
-        import urllib.request
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        from repro.service.core import SimulationService
-        from repro.service.http import BackgroundServer, ServiceServer
-
-        service = SimulationService(cache="default", jobs=1)
-        server = ServiceServer(service, port=0)
-        trace_id = tracectx.new_trace_id()
-        parent = tracectx.new_span_id()
-        with BackgroundServer(server) as background:
-            body = json.dumps({"sweep": "hit-rates", "names": ["li"],
-                               "scale": 0.05}).encode()
-            request = urllib.request.Request(
-                f"{background.url}/v1/sweeps", data=body,
-                headers={"Content-Type": "application/json",
-                         "traceparent": f"00-{trace_id}-{parent}-01"})
-            response = urllib.request.urlopen(request)
-            echoed = response.headers.get("traceparent")
-            descriptor = json.loads(response.read())
-            assert descriptor["trace_id"] == trace_id
-            assert echoed is not None and echoed.startswith(f"00-{trace_id}")
-            deadline = time.time() + 60
-            while time.time() < deadline:
-                state = json.loads(urllib.request.urlopen(
-                    f"{background.url}/v1/sweeps/{descriptor['job']}").read())
-                if state["state"] in ("done", "failed"):
-                    break
-                time.sleep(0.05)
-            assert state["state"] == "done"
-            # prom-format metricz negotiates via query or Accept header
-            text = urllib.request.urlopen(
-                f"{background.url}/metricz?format=prom").read().decode()
-            assert prom.validate(text) > 0
-            default = json.loads(urllib.request.urlopen(
-                f"{background.url}/metricz").read())
-            assert "service" in default   # JSON stays the default
-        spans = TraceStore.at_cache_root(
-            ResultCache.default().base_root).load(trace_id)
-        names = {s["name"] for s in spans}
-        assert "service/job" in names and "sweep/run" in names
-        job_span = next(s for s in spans if s["name"] == "service/job")
-        run_span = next(s for s in spans if s["name"] == "sweep/run")
-        assert job_span["parent_id"] == parent
-        assert run_span["parent_id"] == job_span["span_id"]
 
 
 class TestTraceCli:

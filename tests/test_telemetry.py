@@ -25,9 +25,11 @@ from repro.telemetry import (
     RunLedger,
     compare_entries,
     deterministic_view,
+    entry_digest,
     metric_key,
     span,
 )
+from repro.telemetry.spans import Span, SpanRecorder
 
 SPEC = WorkloadSpec("li", seed=1, scale=0.05)
 SIZES = (1, 4, 16)
@@ -136,6 +138,27 @@ class TestSpans:
         assert lines and lines[-1]["name"] == "test/sink"
         assert lines[-1]["attrs"] == {"n": 2}
         assert "ms" in lines[-1] and "pid" in lines[-1]
+
+    def test_subscriber_sees_spans_and_unsubscribes(self):
+        recorder = SpanRecorder()
+        seen = []
+        token = recorder.subscribe(seen.append)
+        recorder.record(Span("sweep/job", {"n": 1}))
+        recorder.unsubscribe(token)
+        recorder.record(Span("sweep/job", {"n": 2}))
+        assert [item.attrs["n"] for item in seen] == [1]
+
+    def test_raising_subscriber_is_dropped_not_fatal(self):
+        recorder = SpanRecorder()
+
+        def explode(item):
+            raise RuntimeError("boom")
+
+        recorder.subscribe(explode)
+        recorder.record(Span("sweep/job", {}))  # must not raise
+        recorder.record(Span("sweep/job", {}))
+        assert len(recorder.records()) == 2
+        assert recorder.subscriber_count() == 0
 
 
 class TestJobResultProvenance:
@@ -364,6 +387,15 @@ class TestRunsCli:
         diff = json.loads(out.read_text())
         assert diff["metrics"]["cache.hit_rate"]["b"] == 1.0
 
+    def test_runs_show_json(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        assert cli_main(["hit-rates", "--names", "li", "--scale", "0.05"]) == 0
+        out = tmp_path / "entry.json"
+        assert cli_main(["runs", "show", "-1", "--json", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["integrity_ok"] is True
+        assert payload["entry"]["run_id"]
+
     def test_runs_errors_are_friendly(self, tmp_path, capsys):
         missing = str(tmp_path / "none.jsonl")
         assert cli_main(["runs", "list", "--ledger", missing]) == 1
@@ -402,6 +434,55 @@ class TestRunsCli:
                          "--scale", "0.05"]) == 0
         err = capsys.readouterr().err
         assert "cache:" in err and "hit rate" in err and "run " in err
+
+
+class TestLegacyLedger:
+    """Ledgers written before the remote-worker backend was retired
+    carry a ``cluster`` scheduling block; they must still load."""
+
+    CLUSTER = {
+        "coordinator": "http://127.0.0.1:8736", "embedded": True,
+        "submitted": 3, "local_jobs": 0, "unfinished": 0, "errors": {},
+        "workers": {"host-1": {"jobs": 3, "leases": 3, "failures": 0,
+                               "wall_time_s": 0.4}},
+        "counts": {"done": 3}, "peaks": {"queue_depth": 3},
+    }
+
+    def _ledger(self, tmp_path):
+        """A local sweep's entry, then the same entry as the cluster
+        backend ledgered it, written line for line as that code did."""
+        local = SweepExecutor(jobs=1, cache=ResultCache(tmp_path / "cache"),
+                              ledger=None)
+        local.run(_jobs())
+        legacy = {key: value for key, value in local.last_entry.items()
+                  if key != "run_id"}
+        legacy.update(schema=1, cluster=self.CLUSTER)
+        legacy["run_id"] = entry_digest(legacy)[:12]
+        path = tmp_path / "ledger.jsonl"
+        ledger = RunLedger(path)
+        first = ledger.append(local.last_entry)
+        with open(path, "a") as stream:
+            stream.write(json.dumps(legacy, sort_keys=True, default=str)
+                         + "\n")
+        return path, first, legacy
+
+    def test_verify_and_deterministic_view(self, tmp_path):
+        path, local, legacy = self._ledger(tmp_path)
+        loaded = RunLedger(path).get("-1")
+        assert loaded == legacy
+        assert RunLedger(path).verify(loaded)
+        assert "cluster" not in deterministic_view(loaded)
+        assert deterministic_view(loaded) == deterministic_view(local)
+
+    def test_runs_show_and_compare_render(self, tmp_path, capsys):
+        path, local, legacy = self._ledger(tmp_path)
+        assert cli_main(["runs", "show", "-1", "--ledger", str(path)]) == 0
+        shown = capsys.readouterr().out
+        assert "content hash ok" in shown
+        assert "cluster" in shown and "host-1" in shown
+        assert cli_main(["runs", "compare", local["run_id"],
+                         legacy["run_id"], "--ledger", str(path)]) == 0
+        assert "identical configuration" in capsys.readouterr().out
 
 
 class TestOverheadBudget:
