@@ -1,7 +1,8 @@
 """The return-address stack and its repair mechanisms.
 
-This module is the paper's primary contribution surface. Two physical
-organisations are provided:
+This module is the paper's primary contribution surface and the only
+home of each stack organisation's semantics: every engine drives a
+stack through the :class:`BaseRas` port. Three are provided:
 
 * :class:`CircularRas` — the conventional circular buffer (Alpha
   21164/21264 style). Pushes advance the top-of-stack (TOS) pointer and
@@ -29,11 +30,14 @@ organisations are provided:
   checkpoint restores the full logical stack — until the pool recycles
   a still-referenced entry, which is why this scheme needs more physical
   entries than logical depth (the paper's observation).
+
+* :class:`ChampSimRas` — a port of ChampSim's ``return_stack``, the
+  cross-validation target of :mod:`repro.corpus.diffcheck`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.config.options import RepairMechanism
 from repro.errors import ConfigError
@@ -45,7 +49,17 @@ Checkpoint = Tuple
 
 
 class BaseRas:
-    """Interface shared by both stack organisations."""
+    """The port every stack organisation implements.
+
+    Speculative engines predict with :meth:`pop` and repair with
+    :meth:`checkpoint`/:meth:`restore`; committed-trace replay retires
+    each return through :meth:`retire_return` and may hand whole blocks
+    to :meth:`replay_committed`.
+    """
+
+    #: Does every pop yield a prediction? A stack that always predicts
+    #: never falls back to the BTB, so trace replay builds none for it.
+    always_predicts = False
 
     def __init__(self, name: str) -> None:
         self.stats = StatGroup(name)
@@ -64,6 +78,22 @@ class BaseRas:
 
     def top(self) -> Optional[int]:
         raise NotImplementedError
+
+    def retire_return(self, target: int) -> Optional[int]:
+        """A return on the committed path, resolved to ``target``: its
+        prediction, or ``None`` when the stack makes none."""
+        return self.pop()
+
+    def replay_committed(self, classes: Sequence[int], pcs: Sequence[int],
+                         next_pcs: Sequence[int], return_idx: int
+                         ) -> Optional[Tuple[int, int]]:
+        """Block kernel for committed replay: ``(returns, hits)`` over
+        parallel call/return columns (class ``return_idx`` is a return,
+        any other a call of ``pc``), leaving the state and counters of
+        per-operation :meth:`retire_return` / ``push(pc + WORD_SIZE)``.
+        ``None`` (the default) means no kernel: step per operation. Only
+        a stack that :attr:`always_predicts` may have one (no BTB)."""
+        return None
 
     def checkpoint(self) -> Optional[Checkpoint]:
         raise NotImplementedError
@@ -107,6 +137,7 @@ class CircularRas(BaseRas):
         super().__init__(f"ras[{repair}]")
         self.entries = entries
         self.repair = repair
+        self.always_predicts = repair is not RepairMechanism.VALID_BITS
         self.contents_depth = contents_depth
         self._stack: List[int] = [0] * entries
         self._tos = 0
@@ -148,6 +179,46 @@ class CircularRas(BaseRas):
         if self.repair is RepairMechanism.VALID_BITS and not self._valid[self._tos]:
             return None
         return self._stack[self._tos]
+
+    def replay_committed(self, classes: Sequence[int], pcs: Sequence[int],
+                         next_pcs: Sequence[int], return_idx: int
+                         ) -> Optional[Tuple[int, int]]:
+        # With no wrong paths every repair but VALID_BITS replays the
+        # same: a pop always yields the slot, so this is pop()/push()
+        # inlined as local integer ops, counters bumped once per block.
+        # The valid bits are not maintained, so VALID_BITS steps per op.
+        if not self.always_predicts:
+            return None
+        stack = self._stack
+        entries = self.entries
+        word = WORD_SIZE
+        tos = self._tos
+        depth = self._depth
+        returns = hits = overflows = underflows = 0
+        for cls, pc, next_pc in zip(classes, pcs, next_pcs):
+            if cls == return_idx:
+                returns += 1
+                if stack[tos] == next_pc:
+                    hits += 1
+                tos = (tos - 1) % entries
+                if depth:
+                    depth -= 1
+                else:
+                    underflows += 1
+            else:
+                tos = (tos + 1) % entries
+                stack[tos] = pc + word
+                if depth == entries:
+                    overflows += 1
+                else:
+                    depth += 1
+        self._tos = tos
+        self._depth = depth
+        self._pops.increment(returns)
+        self._pushes.increment(len(classes) - returns)
+        self._overflows.increment(overflows)
+        self._underflows.increment(underflows)
+        return returns, hits
 
     # -- repair ----------------------------------------------------------
     def checkpoint(self) -> Optional[Checkpoint]:
@@ -336,8 +407,6 @@ class ChampSimRas(BaseRas):
     DEFAULT_CALL_SIZE = 4
     #: Largest apparent call size the calibration accepts, in bytes.
     MAX_CALL_SIZE = 10
-    #: ChampSim warns about the first ten backwards returns, then stops.
-    BACKWARDS_WARNING_LIMIT = 10
 
     def __init__(self, entries: int,
                  num_call_size_trackers: int = NUM_CALL_SIZE_TRACKERS) -> None:
@@ -354,7 +423,6 @@ class ChampSimRas(BaseRas):
         self._mask = num_call_size_trackers - 1
         self._backwards = self.stats.counter("backwards_returns")
         self._calibrations = self.stats.counter("calibrations")
-        self._warnings_left = self.BACKWARDS_WARNING_LIMIT
 
     # -- native ChampSim API ---------------------------------------------
     def prediction(self) -> Optional[int]:
@@ -392,8 +460,6 @@ class ChampSimRas(BaseRas):
         call_ip = self._stack.pop()
         if call_ip > branch_target:
             self._backwards.increment()
-            if self._warnings_left:
-                self._warnings_left -= 1
             size = call_ip - branch_target
         else:
             size = branch_target - call_ip
@@ -409,8 +475,7 @@ class ChampSimRas(BaseRas):
 
     def pop(self) -> Optional[int]:
         # Predict-time pop: the resolved target is not known yet, so no
-        # calibration happens (the committed-trace replay path uses the
-        # native API and does calibrate).
+        # calibration happens (retire_return does calibrate).
         self._pops.increment()
         if not self._stack:
             self._underflows.increment()
@@ -418,6 +483,13 @@ class ChampSimRas(BaseRas):
         value = self.prediction()
         self._stack.pop()
         return value
+
+    def retire_return(self, target: int) -> Optional[int]:
+        # ChampSim at commit: predict, then learn the call size from the
+        # resolved target (which also consumes the top call site).
+        predicted = self.prediction()
+        self.calibrate_call_size(target)
+        return predicted
 
     def top(self) -> Optional[int]:
         return self.prediction()
@@ -433,7 +505,6 @@ class ChampSimRas(BaseRas):
         twin = ChampSimRas(self.entries, self._mask + 1)
         twin._stack = list(self._stack)
         twin._trackers = list(self._trackers)
-        twin._warnings_left = self._warnings_left
         return twin
 
     def logical_entries(self) -> List[int]:

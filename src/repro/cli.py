@@ -31,6 +31,7 @@ Examples:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional
@@ -71,7 +72,10 @@ TABLES = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process; environment-backed
+    defaults stay ``None`` until :func:`_resolve_defaults`."""
     parser = argparse.ArgumentParser(
         prog="repro-sim",
         description="Return-address-stack repair reproduction "
@@ -84,9 +88,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        default=names_default,
                        choices=BENCHMARK_NAMES,
                        help="benchmarks to run (default: varies)")
-        p.add_argument("--seed", type=int, default=default_seed())
-        p.add_argument("--scale", type=float, default=default_scale())
-        p.add_argument("--jobs", type=int, default=default_jobs(),
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--scale", type=float, default=None)
+        p.add_argument("--jobs", type=int, default=None,
                        help="worker processes for independent simulations "
                             "(default: $REPRO_JOBS or 1)")
         p.add_argument("--no-cache", action="store_true",
@@ -152,8 +156,8 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--names", nargs="*", default=None,
                    choices=BENCHMARK_NAMES,
                    help="benchmarks to record (default: all)")
-    c.add_argument("--seed", type=int, default=default_seed())
-    c.add_argument("--scale", type=float, default=default_scale())
+    c.add_argument("--seed", type=int, default=None)
+    c.add_argument("--scale", type=float, default=None)
     c.add_argument("--max-instructions", type=int, default=50_000_000)
 
     c = csub.add_parser("import",
@@ -176,7 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="stack-depth sweep over every shard")
     c.add_argument("corpus")
     c.add_argument("--sizes", nargs="+", type=int,
-                   default=[1, 2, 4, 8, 12, 16, 32, 64])
+                   default=(1, 2, 4, 8, 12, 16, 32, 64))
     c.add_argument("--mechanism", default="none",
                    choices=[m.value for m in RepairMechanism])
     c.add_argument("--engine", default="trace", choices=["trace", "batch"],
@@ -185,7 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "several times faster; docs/performance.md)")
     c.add_argument("--shards", nargs="*", default=None,
                    help="restrict to these shard names")
-    c.add_argument("--jobs", type=int, default=default_jobs())
+    c.add_argument("--jobs", type=int, default=None)
     c.add_argument("--no-cache", action="store_true",
                    help="ignore and don't update the on-disk result cache")
     c.add_argument("--no-telemetry", action="store_true",
@@ -194,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also write the table as JSON to OUT")
 
     def corpus_executor_opts(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--jobs", type=int, default=default_jobs())
+        sp.add_argument("--jobs", type=int, default=None)
         sp.add_argument("--no-cache", action="store_true",
                         help="ignore and don't update the on-disk result "
                              "cache")
@@ -218,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--names", dest="trace_names", nargs="*", default=None,
                    help="restrict to these trace names (note: trace-set "
                         "names, not benchmark names)")
-    c.add_argument("--jobs", type=int, default=default_jobs(),
+    c.add_argument("--jobs", type=int, default=None,
                    help="parallel ingestion worker processes")
     c.add_argument("--limit", type=int, default=None,
                    help="import at most this many records per trace")
@@ -365,9 +369,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=["python", "numpy"],
                    help="force the columnar array backend for the sweep "
                         "(default: $REPRO_CYCLE_BACKEND resolution)")
-    p.add_argument("--ras-entries", nargs="+", type=int, default=[8, 32],
+    p.add_argument("--ras-entries", nargs="+", type=int, default=(8, 32),
                    help="RAS sizes for the single-path cells")
-    p.add_argument("--paths", nargs="+", type=int, default=[2],
+    p.add_argument("--paths", nargs="+", type=int, default=(2,),
                    help="path budgets for the multipath cells")
     p.add_argument("--no-multipath", action="store_true",
                    help="skip the multipath cells")
@@ -382,9 +386,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fix_names(args: argparse.Namespace) -> None:
+def _resolve_defaults(args: argparse.Namespace) -> None:
+    """Fill in the defaults read from the environment, per call: the
+    parser is built once, but ``REPRO_SEED`` etc. may change between."""
     if getattr(args, "names", None) in (None, []):
         args.names = list(BENCHMARK_NAMES)
+    for name, default in (("seed", default_seed), ("scale", default_scale),
+                          ("jobs", default_jobs)):
+        if getattr(args, name, 0) is None:
+            setattr(args, name, default())
 
 
 def _run_command(args: argparse.Namespace) -> int:
@@ -900,7 +910,7 @@ def _runs_command(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    _fix_names(args)
+    _resolve_defaults(args)
     if getattr(args, "no_telemetry", False):
         # scope the opt-out to this invocation: main() is re-entrant in
         # tests and long-lived embedding processes

@@ -5,9 +5,13 @@ they run on, so this module replays any trace shard through **two**
 implementations side by side and demands bit-identical predictions:
 
 * *ours* — the production replay lane
-  (:class:`repro.trace.replay._Lane`), i.e. whichever
-  :class:`~repro.bpred.ras.BaseRas` variant the mechanism names, driven
-  exactly as corpus sweeps drive it;
+  (:class:`repro.trace.replay._Lane`, the one lane every trace-replay
+  engine drives), stepped once per event over the
+  :class:`~repro.bpred.ras.BaseRas` port of whichever organisation the
+  mechanism names: a return is retired through
+  :meth:`~repro.bpred.ras.BaseRas.retire_return` (for ``champsim``,
+  ChampSim's ``prediction`` then ``calibrate_call_size``), a call pushes
+  its return address;
 * *reference* — :class:`ReferenceReturnStack`, a deliberately
   straight-line transliteration of ChampSim's ``return_stack``
   (``btb/basic_btb/return_stack.cc``), kept free of every abstraction
@@ -67,7 +71,7 @@ class ReferenceReturnStack:
     ``std::deque`` stack, ``call_size_trackers`` indexed by the call
     site's low bits, the ``<= 10``-byte calibration heuristic, and the
     backwards-return counter — and deliberately shares no code with
-    :class:`repro.bpred.ras.ChampSimRas`.
+    the production port in :mod:`repro.bpred.ras`.
     """
 
     def __init__(self, max_size: int = 64,

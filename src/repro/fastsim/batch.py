@@ -19,11 +19,13 @@ replays the same shards block-at-a-time instead:
    loop: only calls and returns touch a return-address stack, so each
    block is reduced once to its stack-relevant events and conditional
    branches / jumps (the bulk of any trace) never reach Python code.
-3. **Replay** — specialised lanes inline the circular-buffer push/pop
-   arithmetic of :class:`~repro.bpred.ras.CircularRas` (and the linked
-   pool of :class:`~repro.bpred.ras.LinkedRas`) as local-variable
-   integer ops, updating counters once per block instead of once per
-   event.
+3. **Replay** — each RAS configuration is the streaming engine's own
+   lane (:class:`repro.trace.replay._Lane`), fed whole blocks. A stack
+   with a block kernel (:meth:`~repro.bpred.ras.BaseRas.replay_committed`;
+   today the circular buffer under every repair but valid bits) runs
+   the block as local-variable integer ops, updating counters once per
+   block; any other stack is stepped one port call per event. Either
+   way the semantics are those of :mod:`repro.bpred.ras`, written once.
 
 Parity is the contract: for every repair mechanism, stack size, and
 container version, a batched replay produces **bit-identical**
@@ -44,11 +46,9 @@ import io
 import os
 import re
 import struct
-from typing import BinaryIO, Dict, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import BinaryIO, Dict, Iterable, Iterator, List, Sequence, Union
 
-from repro.bpred.btb import BranchTargetBuffer
 from repro.config.options import RepairMechanism
-from repro.errors import ConfigError
 from repro.telemetry import span
 from repro.telemetry import state as telemetry_state
 from repro.telemetry import metrics as telemetry_metrics
@@ -58,7 +58,8 @@ from repro.trace.format import (
     TraceReader,
 )
 from repro.trace.format import _CLASS_INDEX, _CLASS_LIST  # stable byte encoding
-from repro.trace.replay import TraceRasResult, TraceShardSpec
+from repro.trace.replay import (TraceRasResult, TraceShardSpec, _Lane,
+                                _shard_parts)
 
 try:  # optional accelerator; the stdlib path is always available
     import numpy as _np
@@ -199,268 +200,21 @@ def _iter_stream(stream: BinaryIO, decode, block_events: int
 
 
 # ----------------------------------------------------------------------
-# Replay lanes: inlined RAS semantics, one specialisation per
-# organisation. Counters match repro.bpred.ras bit-for-bit; the proofs
-# live in tests/test_batch_replay.py.
+# Replay entry points, mirroring repro.trace.replay. Each RAS
+# configuration is a repro.trace.replay lane fed one block at a time.
 
-class _LaneBase:
-    __slots__ = ("returns", "hits", "overflows", "underflows")
+def _replay(batches: Iterable[EventBatch], lanes: Sequence[_Lane]
+            ) -> "tuple[int, int]":
+    """Feed every batch to every lane; the blocks and events seen."""
+    blocks = events = 0
+    for batch in batches:
+        blocks += 1
+        events += batch.events
+        for lane in lanes:
+            lane.replay_block(batch.classes, batch.pcs, batch.next_pcs,
+                              _RETURN_IDX)
+    return blocks, events
 
-    def __init__(self) -> None:
-        self.returns = 0
-        self.hits = 0
-        self.overflows = 0
-        self.underflows = 0
-
-    def result(self) -> TraceRasResult:
-        return TraceRasResult(self.returns, self.hits,
-                              self.overflows, self.underflows)
-
-
-class _CircularLane(_LaneBase):
-    """Circular buffer, any repair mechanism without valid bits.
-
-    With no wrong paths in a committed trace, NONE / TOS_POINTER /
-    TOS_POINTER_AND_CONTENTS / FULL_STACK replay identically: pops
-    always yield the (zero-initialised) slot contents, so the BTB
-    fallback can never be consulted and needs no modelling here.
-    """
-
-    __slots__ = ("_stack", "_entries", "_tos", "_depth")
-
-    def __init__(self, entries: int) -> None:
-        super().__init__()
-        self._stack = [0] * entries
-        self._entries = entries
-        self._tos = 0
-        self._depth = 0
-
-    def run(self, batch: EventBatch) -> None:
-        stack = self._stack
-        entries = self._entries
-        tos = self._tos
-        depth = self._depth
-        returns = hits = overflows = underflows = 0
-        return_idx = _RETURN_IDX
-        for cls, pc, next_pc in zip(batch.classes, batch.pcs,
-                                    batch.next_pcs):
-            if cls == return_idx:
-                returns += 1
-                if stack[tos] == next_pc:
-                    hits += 1
-                tos = (tos - 1) % entries
-                if depth:
-                    depth -= 1
-                else:
-                    underflows += 1
-            else:  # batches hold only calls and returns
-                tos = (tos + 1) % entries
-                stack[tos] = pc + 4
-                if depth == entries:
-                    overflows += 1
-                else:
-                    depth += 1
-        self._tos = tos
-        self._depth = depth
-        self.returns += returns
-        self.hits += hits
-        self.overflows += overflows
-        self.underflows += underflows
-
-
-class _ValidBitsLane(_LaneBase):
-    """Circular buffer with Pentium-style valid bits.
-
-    A pop of a never-written slot yields no prediction, so the BTB
-    fallback is observable; the lane drives a real
-    :class:`BranchTargetBuffer` with exactly the lookup/update sequence
-    of the streaming evaluator.
-    """
-
-    __slots__ = ("_stack", "_valid", "_entries", "_tos", "_depth", "_btb")
-
-    def __init__(self, entries: int, btb: Optional[BranchTargetBuffer]
-                 ) -> None:
-        super().__init__()
-        self._stack = [0] * entries
-        self._valid = [False] * entries
-        self._entries = entries
-        self._tos = 0
-        self._depth = 0
-        self._btb = btb
-
-    def run(self, batch: EventBatch) -> None:
-        stack = self._stack
-        valid = self._valid
-        entries = self._entries
-        tos = self._tos
-        depth = self._depth
-        btb = self._btb
-        return_idx = _RETURN_IDX
-        for cls, pc, next_pc in zip(batch.classes, batch.pcs,
-                                    batch.next_pcs):
-            if cls == return_idx:
-                if valid[tos]:
-                    predicted: Optional[int] = stack[tos]
-                elif btb is not None:
-                    predicted = btb.lookup(pc)
-                else:
-                    predicted = None
-                tos = (tos - 1) % entries
-                if depth:
-                    depth -= 1
-                else:
-                    self.underflows += 1
-                self.returns += 1
-                if predicted == next_pc:
-                    self.hits += 1
-                if btb is not None:
-                    btb.update(pc, next_pc, True)
-            else:
-                tos = (tos + 1) % entries
-                stack[tos] = pc + 4
-                valid[tos] = True
-                if depth == entries:
-                    self.overflows += 1
-                else:
-                    depth += 1
-        self._tos = tos
-        self._depth = depth
-
-
-class _LinkedLane(_LaneBase):
-    """Jourdan-style self-checkpointing pool (see LinkedRas)."""
-
-    __slots__ = ("_address", "_next", "_pool", "_tos", "_alloc", "_btb")
-
-    def __init__(self, logical_entries: int, overprovision: int,
-                 btb: Optional[BranchTargetBuffer]) -> None:
-        super().__init__()
-        self._pool = logical_entries * overprovision
-        self._address = [0] * self._pool
-        self._next = [-1] * self._pool
-        self._tos = -1
-        self._alloc = 0
-        self._btb = btb
-
-    def _is_live(self, slot: int) -> bool:
-        index = self._tos
-        links = self._next
-        for _ in range(self._pool):
-            if index == -1:
-                return False
-            if index == slot:
-                return True
-            index = links[index]
-        return False
-
-    def run(self, batch: EventBatch) -> None:
-        address = self._address
-        links = self._next
-        pool = self._pool
-        btb = self._btb
-        return_idx = _RETURN_IDX
-        for cls, pc, next_pc in zip(batch.classes, batch.pcs,
-                                    batch.next_pcs):
-            if cls == return_idx:
-                tos = self._tos
-                if tos == -1:
-                    self.underflows += 1
-                    predicted = None if btb is None else btb.lookup(pc)
-                else:
-                    predicted = address[tos]
-                    self._tos = links[tos]
-                self.returns += 1
-                if predicted == next_pc:
-                    self.hits += 1
-                if btb is not None:
-                    btb.update(pc, next_pc, True)
-            else:
-                slot = self._alloc
-                self._alloc = (slot + 1) % pool
-                if slot == self._tos or self._is_live(slot):
-                    self.overflows += 1
-                address[slot] = pc + 4
-                links[slot] = self._tos
-                self._tos = slot
-
-
-class _ChampSimLane(_LaneBase):
-    """ChampSim ``return_stack`` semantics, inlined (see ChampSimRas).
-
-    The stack is a bounded deque of *call sites* that drops from the
-    bottom on overflow; a return predicts top + learned call size, then
-    calibrates the tracker against the resolved target. An empty-stack
-    return yields no prediction, so the BTB fallback is observable and
-    the lane drives a real :class:`BranchTargetBuffer` exactly like the
-    streaming evaluator.
-    """
-
-    __slots__ = ("_stack", "_trackers", "_mask", "_entries", "_btb")
-
-    def __init__(self, entries: int, btb: Optional[BranchTargetBuffer]
-                 ) -> None:
-        super().__init__()
-        from repro.bpred.ras import ChampSimRas
-        self._stack: List[int] = []
-        self._trackers = ([ChampSimRas.DEFAULT_CALL_SIZE]
-                          * ChampSimRas.NUM_CALL_SIZE_TRACKERS)
-        self._mask = ChampSimRas.NUM_CALL_SIZE_TRACKERS - 1
-        self._entries = entries
-        self._btb = btb
-
-    def run(self, batch: EventBatch) -> None:
-        stack = self._stack
-        trackers = self._trackers
-        mask = self._mask
-        entries = self._entries
-        btb = self._btb
-        return_idx = _RETURN_IDX
-        for cls, pc, next_pc in zip(batch.classes, batch.pcs,
-                                    batch.next_pcs):
-            if cls == return_idx:
-                if stack:
-                    call_ip = stack.pop()
-                    predicted: Optional[int] = (
-                        call_ip + trackers[call_ip & mask])
-                    size = (call_ip - next_pc if call_ip > next_pc
-                            else next_pc - call_ip)
-                    if size <= 10:
-                        trackers[call_ip & mask] = size
-                elif btb is not None:
-                    self.underflows += 1
-                    predicted = btb.lookup(pc)
-                else:
-                    self.underflows += 1
-                    predicted = None
-                self.returns += 1
-                if predicted == next_pc:
-                    self.hits += 1
-                if btb is not None:
-                    btb.update(pc, next_pc, True)
-            else:
-                stack.append(pc)
-                if len(stack) > entries:
-                    del stack[0]
-                    self.overflows += 1
-
-
-def _make_lane(ras_entries: int, mechanism: RepairMechanism,
-               btb_fallback: bool) -> _LaneBase:
-    if ras_entries < 1:
-        raise ConfigError("RAS needs at least one entry")
-    btb = BranchTargetBuffer() if btb_fallback else None
-    if mechanism is RepairMechanism.SELF_CHECKPOINT:
-        return _LinkedLane(ras_entries, 4, btb)
-    if mechanism is RepairMechanism.VALID_BITS:
-        return _ValidBitsLane(ras_entries, btb)
-    if mechanism is RepairMechanism.CHAMPSIM:
-        return _ChampSimLane(ras_entries, btb)
-    return _CircularLane(ras_entries)
-
-
-# ----------------------------------------------------------------------
-# Replay entry points, mirroring repro.trace.replay.
 
 def replay_batches(
     batches: Iterable[EventBatch],
@@ -469,9 +223,8 @@ def replay_batches(
     btb_fallback: bool = True,
 ) -> TraceRasResult:
     """Run pre-decoded batches through one RAS configuration."""
-    lane = _make_lane(ras_entries, mechanism, btb_fallback)
-    for batch in batches:
-        lane.run(batch)
+    lane = _Lane(ras_entries, mechanism, btb_fallback)
+    _replay(batches, [lane])
     return lane.result()
 
 
@@ -483,22 +236,16 @@ def replay_batches_multi(
 ) -> Dict[int, TraceRasResult]:
     """Every stack size in one decode pass; independent lane state per
     size, so results equal per-size :func:`replay_batches` runs."""
-    lanes = [_make_lane(size, mechanism, btb_fallback) for size in sizes]
-    for batch in batches:
-        for lane in lanes:
-            lane.run(batch)
+    lanes = [_Lane(size, mechanism, btb_fallback) for size in sizes]
+    _replay(batches, lanes)
     return {size: lane.result() for size, lane in zip(sizes, lanes)}
 
 
-def _shard_parts(shard: Union[TraceShardSpec, str, os.PathLike]
-                 ) -> "tuple[str, str]":
-    if isinstance(shard, TraceShardSpec):
-        return shard.path, shard.name
-    path = os.fspath(shard)
-    return path, path
-
-
-def _count_metrics(blocks: int, events: int) -> None:
+def _replay_shard(path: str, lanes: Sequence[_Lane], trace_span) -> None:
+    """Decode ``path`` once into every lane; record blocks and events."""
+    blocks, events = _replay(iter_event_batches(path), lanes)
+    if trace_span is not None:
+        trace_span.set(blocks=blocks, events=events)
     if telemetry_state.enabled():
         registry = telemetry_metrics()
         registry.counter("batch.blocks").increment(blocks)
@@ -513,18 +260,11 @@ def replay_shard_batched(
 ) -> TraceRasResult:
     """Batched equivalent of :func:`repro.trace.replay.replay_shard`."""
     path, label = _shard_parts(shard)
+    lane = _Lane(ras_entries, mechanism, btb_fallback)
     with span("replay/batch", shard=label, entries=ras_entries,
               decoder=decoder_backend()) as trace_span:
-        lane = _make_lane(ras_entries, mechanism, btb_fallback)
-        blocks = events = 0
-        for batch in iter_event_batches(path):
-            blocks += 1
-            events += batch.events
-            lane.run(batch)
-        if trace_span is not None:
-            trace_span.set(blocks=blocks, events=events)
-        _count_metrics(blocks, events)
-        return lane.result()
+        _replay_shard(path, [lane], trace_span)
+    return lane.result()
 
 
 def replay_shard_batched_multi(
@@ -537,17 +277,8 @@ def replay_shard_batched_multi(
     :func:`repro.trace.replay.replay_shard_multi`: one decode pass
     feeds every stack size."""
     path, label = _shard_parts(shard)
+    lanes = [_Lane(size, mechanism, btb_fallback) for size in sizes]
     with span("replay/batch-multi", shard=label, sizes=len(sizes),
               decoder=decoder_backend()) as trace_span:
-        lanes = [_make_lane(size, mechanism, btb_fallback)
-                 for size in sizes]
-        blocks = events = 0
-        for batch in iter_event_batches(path):
-            blocks += 1
-            events += batch.events
-            for lane in lanes:
-                lane.run(batch)
-        if trace_span is not None:
-            trace_span.set(blocks=blocks, events=events)
-        _count_metrics(blocks, events)
-        return {size: lane.result() for size, lane in zip(sizes, lanes)}
+        _replay_shard(path, lanes, trace_span)
+    return {size: lane.result() for size, lane in zip(sizes, lanes)}

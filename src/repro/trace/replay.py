@@ -40,7 +40,7 @@ from repro.bpred.btb import BranchTargetBuffer
 from repro.bpred.ras import make_ras
 from repro.config.options import RepairMechanism
 from repro.errors import ReproError
-from repro.isa.opcodes import ControlClass
+from repro.isa.opcodes import WORD_SIZE, ControlClass
 from repro.telemetry import span
 from repro.trace.format import (
     ControlFlowEvent,
@@ -93,24 +93,25 @@ class TraceShardSpec:
 
 
 class _Lane:
-    """Replay state for one RAS configuration during a shared pass.
+    """One RAS configuration replaying the committed path.
 
-    The ``champsim`` mechanism replays through the native ChampSim API:
-    calls push the *call site*, and a return peeks the prediction, then
-    calibrates the call-size tracker against the resolved target — the
-    semantics :mod:`repro.corpus.diffcheck` cross-validates against an
-    independent transliteration of the C++.
+    The one lane of every trace-replay engine: the streaming evaluator
+    and diffcheck call :meth:`step` per event, the batch engine
+    :meth:`replay_block` per block. It knows no organisation, only the
+    :class:`~repro.bpred.ras.BaseRas` port, and builds a BTB fallback
+    only for a stack that can fail to predict.
     """
 
-    __slots__ = ("ras", "btb", "returns", "hits", "_champsim")
+    __slots__ = ("ras", "btb", "returns", "hits")
 
     def __init__(self, ras_entries: int, mechanism: RepairMechanism,
                  btb_fallback: bool) -> None:
         self.ras = make_ras(ras_entries, mechanism)
-        self.btb = BranchTargetBuffer() if btb_fallback else None
+        self.btb = (BranchTargetBuffer()
+                    if btb_fallback and not self.ras.always_predicts
+                    else None)
         self.returns = 0
         self.hits = 0
-        self._champsim = mechanism is RepairMechanism.CHAMPSIM
 
     def step(self, event: ControlFlowEvent) -> Optional[int]:
         """Advance one event; returns the prediction made for a RETURN
@@ -118,26 +119,43 @@ class _Lane:
         callers that care about the distinction check ``event.control``).
         """
         control = event.control
-        predicted: Optional[int] = None
         if control is ControlClass.RETURN:
-            if self._champsim:
-                predicted = self.ras.prediction()
-                self.ras.calibrate_call_size(event.next_pc)
-            else:
-                predicted = self.ras.pop()
-            if predicted is None and self.btb is not None:
-                predicted = self.btb.lookup(event.pc)
-            self.returns += 1
-            if predicted == event.next_pc:
-                self.hits += 1
-            if self.btb is not None:
-                self.btb.update(event.pc, event.next_pc, True)
+            return self._retire(event.pc, event.next_pc)
         if control.is_call:
-            if self._champsim:
-                self.ras.push_call(event.pc)
-            else:
-                self.ras.push(event.pc + 4)
+            self.ras.push(event.pc + WORD_SIZE)
+        return None
+
+    def _retire(self, pc: int, target: int) -> Optional[int]:
+        predicted = self.ras.retire_return(target)
+        btb = self.btb
+        if btb is not None:
+            if predicted is None:
+                predicted = btb.lookup(pc)
+            btb.update(pc, target, True)
+        self.returns += 1
+        if predicted == target:
+            self.hits += 1
         return predicted
+
+    def replay_block(self, classes: Sequence[int], pcs: Sequence[int],
+                     next_pcs: Sequence[int], return_idx: int) -> None:
+        """Replay parallel call/return columns (a class equal to
+        ``return_idx`` is a return, any other a call): through the
+        stack's block kernel when it has one, else one port call per
+        event."""
+        counts = self.ras.replay_committed(classes, pcs, next_pcs,
+                                           return_idx)
+        if counts is not None:
+            self.returns += counts[0]
+            self.hits += counts[1]
+            return
+        retire = self._retire
+        push = self.ras.push
+        for cls, pc, next_pc in zip(classes, pcs, next_pcs):
+            if cls == return_idx:
+                retire(pc, next_pc)
+            else:
+                push(pc + WORD_SIZE)
 
     def result(self) -> TraceRasResult:
         return TraceRasResult(
@@ -145,6 +163,15 @@ class _Lane:
             self.ras.stats["overflows"].value,
             self.ras.stats["underflows"].value,
         )
+
+
+def _shard_parts(shard: Union[TraceShardSpec, str, os.PathLike]
+                 ) -> "tuple[str, str]":
+    """A shard's path and its label for spans."""
+    if isinstance(shard, TraceShardSpec):
+        return shard.path, shard.name
+    path = os.fspath(shard)
+    return path, path
 
 
 def replay_events(
@@ -156,8 +183,8 @@ def replay_events(
     """Stream ``events`` through one RAS configuration.
 
     ``mechanism`` matters only for organisations whose *normal*
-    behaviour differs (valid bits / self-checkpointing); with no wrong
-    paths there is nothing to repair. The iterable is consumed exactly
+    behaviour differs (valid bits, self-checkpointing, ChampSim); with
+    no wrong paths there is nothing to repair. The iterable is consumed exactly
     once and never materialised.
     """
     lane = _Lane(ras_entries, mechanism, btb_fallback)
@@ -193,8 +220,7 @@ def replay_shard(
     btb_fallback: bool = True,
 ) -> TraceRasResult:
     """Stream one on-disk shard (v1 or v2) through a RAS configuration."""
-    path = shard.path if isinstance(shard, TraceShardSpec) else os.fspath(shard)
-    label = shard.name if isinstance(shard, TraceShardSpec) else path
+    path, label = _shard_parts(shard)
     with span("trace/replay", shard=label, entries=ras_entries):
         return replay_events(iter_trace_file(path), ras_entries, mechanism,
                              btb_fallback)
@@ -207,8 +233,7 @@ def replay_shard_multi(
     btb_fallback: bool = True,
 ) -> Dict[int, TraceRasResult]:
     """Depth-sweep one on-disk shard in a single streaming pass."""
-    path = shard.path if isinstance(shard, TraceShardSpec) else os.fspath(shard)
-    label = shard.name if isinstance(shard, TraceShardSpec) else path
+    path, label = _shard_parts(shard)
     with span("trace/replay-multi", shard=label, sizes=len(sizes)):
         return replay_events_multi(iter_trace_file(path), sizes, mechanism,
                                    btb_fallback)

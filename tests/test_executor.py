@@ -1,5 +1,7 @@
 """Tests for the parallel experiment executor and the result cache."""
 
+import argparse
+import gc
 import json
 import subprocess
 import sys
@@ -200,6 +202,39 @@ class TestCliFlags:
             [sys.executable, "-c", probe], capture_output=True, text=True,
             check=True).stdout.split()
         assert loaded == []
+
+
+class TestCliParser:
+    def test_parser_built_once(self, tmp_path, capsys):
+        """Repeated main() calls reuse one argparse tree, so commands
+        leave no parser garbage for the cycle collector."""
+        argv = ["runs", "list", "--ledger", str(tmp_path / "ledger.jsonl")]
+        cli_main(argv)  # the first call in this process may build it
+
+        def parsers():
+            return sum(isinstance(obj, argparse.ArgumentParser)
+                       for obj in gc.get_objects())
+
+        gc.disable()
+        try:
+            before = parsers()
+            for _ in range(3):
+                cli_main(argv)
+            assert parsers() == before
+        finally:
+            gc.enable()
+
+    def test_env_defaults_read_per_call(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        out = tmp_path / "table1.json"
+        seen = []
+        for seed, scale in (("3", "0.5"), ("7", "0.125")):
+            monkeypatch.setenv("REPRO_SEED", seed)
+            monkeypatch.setenv("REPRO_SCALE", scale)
+            assert cli_main(["table1", "--json", str(out)]) == 0
+            payload = json.loads(out.read_text())
+            seen.append((payload["seed"], payload["scale"]))
+        assert seen == [(3, 0.5), (7, 0.125)]
 
 
 class TestLedgerPaths:

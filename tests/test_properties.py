@@ -8,7 +8,7 @@ exactness, copy-on-write fork isolation, and predictor-table bounds.
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
-from repro.bpred import CircularRas, LinkedRas
+from repro.bpred import ChampSimRas, CircularRas, LinkedRas
 from repro.bpred.twobit import CounterTable
 from repro.caches import Cache
 from repro.config import CacheConfig, RepairMechanism
@@ -112,6 +112,116 @@ class TestStackProperties:
         twin = ras.clone()
         assert twin.logical_entries() == ras.logical_entries()
         assert twin.pop() == ras.pop()
+
+
+class TestCommittedKernelProperties:
+    """``CircularRas.replay_committed`` equals per-operation replay.
+
+    Streams are seeded with the call/return imbalance patterns of
+    ret2spec and Spectre Returns: underflow runs (returns with nothing
+    pushed) and call chains deeper than the stack (overflow, then an
+    unwind past the surviving entries).
+    """
+
+    CALL, RETURN = 0, 1
+    KERNEL_REPAIRS = (RepairMechanism.NONE, RepairMechanism.TOS_POINTER,
+                      RepairMechanism.TOS_POINTER_AND_CONTENTS,
+                      RepairMechanism.FULL_STACK)
+
+    @st.composite
+    def streams(draw):
+        """``(size, [(class, pc, next_pc)])``: balanced stretches, underflow
+        runs and over-deep call chains, in any order."""
+        size = draw(st.integers(1, 70))
+        rng = DeterministicRng(draw(st.integers(1, 2 ** 31)))
+        shadow, events = [], []
+
+        def call():
+            pc = 4 * rng.randint(0, 2 ** 18)
+            shadow.append(pc + 4)
+            events.append((0, pc, 4 * rng.randint(0, 2 ** 18)))
+
+        def ret(faithful=True):
+            target = (shadow.pop() if shadow and faithful
+                      else 4 * rng.randint(0, 2 ** 18))
+            events.append((1, 4 * rng.randint(0, 2 ** 18), target))
+
+        kinds = st.sampled_from(["mixed", "underflow", "deep"])
+        for kind in draw(st.lists(kinds, min_size=1, max_size=5)):
+            if kind == "underflow":
+                shadow.clear()
+                for _ in range(draw(st.integers(1, 2 * size + 2))):
+                    ret(faithful=False)
+            elif kind == "deep":
+                depth = draw(st.integers(size + 1, 2 * size + 4))
+                for _ in range(depth):
+                    call()
+                for _ in range(depth):
+                    ret()
+            else:
+                for _ in range(draw(st.integers(0, 40))):
+                    if rng.randint(0, 1):
+                        call()
+                    else:
+                        ret(faithful=rng.randint(0, 7) > 0)
+        return size, events
+
+    @staticmethod
+    def per_operation(ras, events):
+        returns = hits = 0
+        for cls, pc, next_pc in events:
+            if cls == 1:
+                returns += 1
+                hits += ras.retire_return(next_pc) == next_pc
+            else:
+                ras.push(pc + 4)
+        return returns, hits
+
+    @staticmethod
+    def counters(ras):
+        return [ras.stats[name].value
+                for name in ("pushes", "pops", "overflows", "underflows")]
+
+    @settings(max_examples=150, deadline=None)
+    @given(stream=streams(), repair=st.sampled_from(KERNEL_REPAIRS),
+           cuts=st.lists(st.integers(0, 10 ** 6), max_size=6),
+           after=st.lists(st.one_of(st.tuples(st.just("push"), addresses),
+                                    st.just("pop")), min_size=1, max_size=8))
+    def test_blocks_equal_per_operation_replay(self, stream, repair, cuts,
+                                                after):
+        size, events = stream
+        kernel = CircularRas(size, repair)
+        twin = CircularRas(size, repair)
+        bounds = sorted({0, len(events)}
+                        | {cut % (len(events) + 1) for cut in cuts})
+        returns = hits = 0
+        for start, stop in zip(bounds, bounds[1:]):
+            block = events[start:stop]
+            got = kernel.replay_committed([e[0] for e in block],
+                                          [e[1] for e in block],
+                                          [e[2] for e in block], self.RETURN)
+            returns += got[0]
+            hits += got[1]
+        assert (returns, hits) == self.per_operation(twin, events)
+        assert self.counters(kernel) == self.counters(twin)
+        assert kernel.logical_entries() == twin.logical_entries()
+        assert kernel.depth == twin.depth
+        for op in after:
+            if op == "pop":
+                assert kernel.pop() == twin.pop()
+            else:
+                kernel.push(op[1])
+                twin.push(op[1])
+            assert kernel.logical_entries() == twin.logical_entries()
+        assert self.counters(kernel) == self.counters(twin)
+
+    def test_no_kernel_where_a_pop_can_miss(self):
+        """Valid bits, the linked pool and ChampSim step per operation."""
+        for ras in (CircularRas(4, RepairMechanism.VALID_BITS),
+                    LinkedRas(4), ChampSimRas(4)):
+            assert not ras.always_predicts
+            assert ras.replay_committed([0], [8], [0], self.RETURN) is None
+            assert self.counters(ras) == [0, 0, 0, 0]
 
 
 class TestUndoLogProperties:
