@@ -720,7 +720,7 @@ def _trace_command(args: argparse.Namespace) -> int:
     from repro.obs import analysis
     from repro.obs.store import TraceStore
 
-    store = TraceStore.at_cache_root(ResultCache.default().base_root)
+    store = TraceStore.at_cache_root(ResultCache.default_root())
     if args.trace_command == "list":
         rows = []
         for trace_id in store.trace_ids()[:max(1, args.limit)]:
@@ -735,8 +735,8 @@ def _trace_command(args: argparse.Namespace) -> int:
         return 0
     trace_id = _trace_resolve(args.ref, store)
     if trace_id is None:
-        print(f"repro-sim trace: no trace for {args.ref!r} (is tracing "
-              f"on? REPRO_TRACE=0 disables it)", file=sys.stderr)
+        print(f"repro-sim trace: no trace for {args.ref!r} (is telemetry "
+              f"on? REPRO_TELEMETRY=0 disables it)", file=sys.stderr)
         return 1
     if args.trace_command == "flame":
         from repro.obs.profile import render_flame

@@ -23,19 +23,20 @@ scheduling point:
   submission order, so parallel and serial runs are bit-identical.
 
 Telemetry (see docs/observability.md): every ``SweepExecutor.run``
-opens a ``sweep/run`` span, every job a ``sweep/job`` span, and cache
-probes ``cache/get``/``cache/put`` spans; each sweep additionally
-aggregates a deterministic per-sweep metrics registry from its results
-(in submission order, so parallel == serial bit-for-bit) and appends
-one entry to the run ledger under the cache root. ``--no-telemetry``
-or ``REPRO_TELEMETRY=0`` turns all of it off.
+records one trace (:mod:`repro.obs.capture`) — a ``sweep/run`` span,
+a ``sweep/job`` span per job, wherever it ran, and ``cache/get``/
+``cache/put`` spans for cache probes — next to the ledger. Each sweep
+also aggregates a deterministic per-sweep metrics registry from its
+results (in submission order, so parallel == serial bit-for-bit) and
+appends one entry to the run ledger under the cache root.
+``--no-telemetry`` or ``REPRO_TELEMETRY=0`` turns all of it off.
 
 Environment knobs (see docs/performance.md):
 
 * ``REPRO_JOBS`` — default worker count (default 1).
 * ``REPRO_CACHE_DIR`` — cache root (default ``~/.cache/repro-sim``).
 * ``REPRO_CACHE=0`` — disable the default cache entirely.
-* ``REPRO_TELEMETRY=0`` — disable metrics, spans, and the run ledger.
+* ``REPRO_TELEMETRY=0`` — disable metrics, traces, and the run ledger.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ import time
 from typing import Dict, List, Optional, Sequence, Union
 
 import repro
-from repro import telemetry
 from repro.config.machine import MachineConfig
 from repro.core.experiment import (
     WorkloadSpec,
@@ -65,13 +65,11 @@ from repro.core.experiment import (
 from repro.errors import ConfigError
 from repro.fastsim.batch import replay_shard_batched
 from repro.isa.program import Program
-from repro.obs import context as tracectx
-from repro.obs.capture import TraceCapture
+from repro.obs.capture import TraceCapture, span
 from repro.obs.store import TraceStore
 from repro.stats.counters import Counter, Rate
-from repro.telemetry import MetricsRegistry, RunLedger, span
+from repro.telemetry import MetricsRegistry, RunLedger
 from repro.telemetry import state as telemetry_state
-from repro.telemetry.spans import Span, recorder
 from repro.trace.replay import TraceShardSpec, replay_shard
 
 #: Engines a job may name: the three simulator families, their
@@ -393,32 +391,22 @@ def run_job(job: ExperimentJob) -> JobResult:
         result, wall_time_s=time.perf_counter() - started, from_cache=False)
 
 
-def _run_job_traced(job: ExperimentJob, wire: Dict[str, object],
+def _run_job_traced(job: ExperimentJob, trace_id: str,
+                    parent_id: Optional[str],
                     ) -> "tuple[JobResult, List[Dict[str, object]]]":
-    """Pool-worker entry point when trace propagation is active.
+    """Pool-worker entry point for a traced sweep.
 
-    Rebuilds the submitter's trace context from its wire form, runs the
-    job under it, and returns every span recorded for that trace along
-    with the result, so the submitter can merge them into its trace.
-    Module-level so spawn-based platforms can pickle it, like
-    :func:`run_job`.
+    Runs the job under a store-less capture joined to the submitter's
+    trace below ``parent_id`` and returns its spans with the result, so
+    the submitter can merge them into its own capture. Module-level so
+    spawn-based platforms can pickle it, like :func:`run_job`.
     """
-    ctx = tracectx.from_wire(wire)
-    if ctx is None:
-        return run_job(job), []
-    collected: List[Dict[str, object]] = []
-
-    def _collect(item: Span) -> None:
-        if item.trace_id == ctx.trace_id:
-            collected.append(item.to_json_dict())
-
-    token = recorder.subscribe(_collect)
+    capture = TraceCapture(None, trace_id, parent_id)
     try:
-        with tracectx.activate(ctx):
-            result = run_job(job)
+        result = run_job(job)
     finally:
-        recorder.unsubscribe(token)
-    return result, collected
+        capture.seal()
+    return result, capture.spans
 
 
 def _dispatch_job(job: ExperimentJob) -> JobResult:
@@ -516,12 +504,8 @@ class ResultCache:
     def get(self, key: str) -> Optional[JobResult]:
         with span("cache/get") as probe:
             result = self._read(key)
-            if telemetry_state.enabled():
-                outcome = "miss" if result is None else "hit"
-                if probe is not None:
-                    probe.set(outcome=outcome)
-                telemetry.metrics().counter("cache.get",
-                                            outcome=outcome).increment()
+            if probe is not None:
+                probe.set(outcome="miss" if result is None else "hit")
             return result
 
     def _read(self, key: str) -> Optional[JobResult]:
@@ -564,8 +548,6 @@ class ResultCache:
                 tmp = self._tmp_path(path)
                 tmp.write_text(json.dumps(payload))
                 tmp.replace(path)
-                if telemetry_state.enabled():
-                    telemetry.metrics().counter("cache.put").increment()
             except OSError:
                 # a read-only cache dir degrades to "no cache"; don't
                 # leave an orphaned temp file behind on partial failure
@@ -779,7 +761,6 @@ class SweepExecutor:
                     capture: Optional[TraceCapture] = None) -> None:
         registry = self.sweep_metrics(jobs, results)
         self.last_metrics = registry
-        telemetry.metrics().merge(registry.snapshot())
         seen: Dict[str, Dict[str, object]] = {}
         for job in jobs:
             descriptor = self._workload_descriptor(job)
@@ -870,26 +851,23 @@ class SweepExecutor:
 
         A ``BrokenProcessPool`` (a worker OOM-killed or segfaulted)
         keeps every result that did finish; only the jobs the breakage
-        swallowed re-run, in-process and in submission order
-        (``executor.retries`` counts them).
+        swallowed re-run, in-process and in submission order.
         """
         results: List[Optional[JobResult]] = [None] * len(jobs)
         broken: List[int] = []
-        # ship the trace context to pool workers so their sweep/job
-        # spans come home with the results (fork inherits the recorder
-        # but forked rings never flow back; explicit return does)
-        ctx = tracectx.current()
-        wire = (tracectx.to_wire(ctx)
-                if ctx is not None and self._capture is not None else None)
+        # a traced sweep ships its trace id and open span to the pool
+        # workers, whose sweep/job spans come home with the results
+        capture = self._capture
         with self._make_pool(min(self.jobs, len(jobs))) as pool:
             futures: Dict[int, concurrent.futures.Future] = {}
             for index, job in enumerate(jobs):
                 try:
-                    if wire is None:
+                    if capture is None:
                         futures[index] = pool.submit(run_job, job)
                     else:
-                        futures[index] = pool.submit(_run_job_traced, job,
-                                                     wire)
+                        futures[index] = pool.submit(
+                            _run_job_traced, job, capture.trace_id,
+                            capture.open_spans[-1])
                 except (concurrent.futures.BrokenExecutor, RuntimeError):
                     broken.append(index)
             for index, future in futures.items():
@@ -898,14 +876,10 @@ class SweepExecutor:
                 except concurrent.futures.BrokenExecutor:
                     broken.append(index)
                     continue
-                if wire is not None and isinstance(outcome, tuple):
+                if capture is not None:
                     outcome, spans = outcome
-                    if self._capture is not None:
-                        self._capture.add_spans(spans)
+                    capture.spans.extend(spans)
                 results[index] = outcome
-        if broken and telemetry_state.enabled():
-            telemetry.metrics().counter("executor.retries").increment(
-                len(broken))
         for index in sorted(broken):
             results[index] = run_job(jobs[index])
         return results  # type: ignore[return-value]

@@ -22,7 +22,6 @@ from repro.config.options import RepairMechanism, StackOrganization
 from repro.core.executor import ExperimentJob, JobResult, SweepExecutor
 from repro.core.experiment import WorkloadSpec, multipath_machine
 from repro.isa.program import Program
-from repro.telemetry import span
 from repro.trace.replay import TraceShardSpec
 
 Workload = Union[Program, WorkloadSpec]
@@ -43,8 +42,7 @@ def mechanism_sweep(
     mechanisms = list(mechanisms)
     jobs = [ExperimentJob(workload, base.with_repair(mechanism), "cycle")
             for mechanism in mechanisms]
-    with span("sweep/mechanisms", points=len(jobs)):
-        results = _executor(executor).run(jobs)
+    results = _executor(executor).run(jobs)
     return {mechanism: result.as_dict()
             for mechanism, result in zip(mechanisms, results)}
 
@@ -87,9 +85,7 @@ def stack_depth_sweep(
     """
     jobs = stack_depth_jobs(workload, sizes, mechanism=mechanism,
                             use_fast_model=use_fast_model, base=base)
-    engine = jobs[0].engine if jobs else "fast"
-    with span("sweep/stack-depth", engine=engine, points=len(jobs)):
-        results = _executor(executor).run(jobs)
+    results = _executor(executor).run(jobs)
     return {size: result.return_accuracy
             for size, result in zip(sizes, results)}
 
@@ -120,9 +116,7 @@ def trace_depth_sweep(
     sizes = list(sizes)
     jobs = [ExperimentJob(shard, repaired.with_ras_entries(size), engine)
             for shard in shards for size in sizes]
-    with span("sweep/trace-depth", shards=len(shards), sizes=len(sizes),
-              engine=engine):
-        results = _executor(executor).run(jobs)
+    results = _executor(executor).run(jobs)
     swept: Dict[str, Dict[int, JobResult]] = {}
     for index, shard in enumerate(shards):
         chunk = results[index * len(sizes):(index + 1) * len(sizes)]
@@ -143,8 +137,7 @@ def multipath_sweep(
     jobs = [ExperimentJob(workload, multipath_machine(paths, organization),
                           "multipath")
             for paths, organization in grid]
-    with span("sweep/multipath", points=len(jobs)):
-        results = _executor(executor).run(jobs)
+    results = _executor(executor).run(jobs)
     return [
         {
             "paths": paths,

@@ -49,7 +49,7 @@ from typing import Deque, Dict, Iterable, List, Optional, Union
 from repro.config.options import RepairMechanism
 from repro.errors import DivergenceError
 from repro.isa.opcodes import ControlClass
-from repro.telemetry import span
+from repro.obs.capture import span
 from repro.trace.format import ControlFlowEvent, iter_trace_file
 from repro.trace.replay import TraceShardSpec, _Lane
 

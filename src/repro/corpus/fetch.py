@@ -56,7 +56,6 @@ from repro.corpus.store import (
     ingest_champsim_shard,
 )
 from repro.errors import CorpusError
-from repro.telemetry import span
 
 #: Bump when the trace-set manifest JSON layout changes shape.
 TRACESET_SCHEMA = 1
@@ -269,29 +268,28 @@ def fetch_entry(
     url, local = manifest.resolve(entry)
     part = dest.with_name(dest.name + ".part")
     offset = part.stat().st_size if part.exists() else 0
-    with span("corpus/fetch", trace=entry.name, resumed=bool(offset)):
-        if progress:
-            verb = "resuming" if offset else "fetching"
-            progress(f"{entry.name}: {verb} {url}"
-                     + (f" at byte {offset}" if offset else ""))
-        try:
-            if local is not None:
-                if not local.exists():
-                    raise CorpusError(
-                        f"{entry.name}: local trace {local} does not exist")
-                _copy_resume(local, part, offset)
-            else:
-                _download_resume(url, part, offset)
-        except OSError as error:
-            raise CorpusError(
-                f"{entry.name}: fetch from {url} failed: {error}") from error
-        found = _file_sha256(part)
-        if found != entry.sha256:
-            part.unlink(missing_ok=True)
-            raise CorpusError(
-                f"{entry.name}: digest mismatch after fetch from {url}: "
-                f"found {found}, expected {entry.sha256}")
-        part.replace(dest)
+    if progress:
+        verb = "resuming" if offset else "fetching"
+        progress(f"{entry.name}: {verb} {url}"
+                 + (f" at byte {offset}" if offset else ""))
+    try:
+        if local is not None:
+            if not local.exists():
+                raise CorpusError(
+                    f"{entry.name}: local trace {local} does not exist")
+            _copy_resume(local, part, offset)
+        else:
+            _download_resume(url, part, offset)
+    except OSError as error:
+        raise CorpusError(
+            f"{entry.name}: fetch from {url} failed: {error}") from error
+    found = _file_sha256(part)
+    if found != entry.sha256:
+        part.unlink(missing_ok=True)
+        raise CorpusError(
+            f"{entry.name}: digest mismatch after fetch from {url}: "
+            f"found {found}, expected {entry.sha256}")
+    part.replace(dest)
     if progress:
         progress(f"{entry.name}: verified {dest.stat().st_size} bytes")
     return dest
@@ -349,28 +347,27 @@ def ingest_traces(
         seen.add(name)
     results: List[Optional["tuple[ShardRecord, ImportStats]"]] = (
         [None] * len(items))
-    with span("corpus/ingest-batch", shards=len(items), jobs=jobs):
-        try:
-            if jobs > 1 and len(items) > 1:
-                try:
-                    with _fork_pool(min(jobs, len(items))) as pool:
-                        futures = [
-                            pool.submit(ingest_champsim_shard, store.root,
-                                        name, path, limit)
-                            for name, path in items]
-                        for index, future in enumerate(futures):
-                            results[index] = future.result()
-                except OSError:
-                    pass  # e.g. sandboxed semaphores; retry serially
-            for index, (name, path) in enumerate(items):
-                if results[index] is None:
-                    results[index] = ingest_champsim_shard(
-                        store.root, name, path, limit=limit)
-        except BaseException:
-            for outcome, (name, _) in zip(results, items):
-                if outcome is not None:
-                    store.shard_path(outcome[0]).unlink(missing_ok=True)
-            raise
+    try:
+        if jobs > 1 and len(items) > 1:
+            try:
+                with _fork_pool(min(jobs, len(items))) as pool:
+                    futures = [
+                        pool.submit(ingest_champsim_shard, store.root,
+                                    name, path, limit)
+                        for name, path in items]
+                    for index, future in enumerate(futures):
+                        results[index] = future.result()
+            except OSError:
+                pass  # e.g. sandboxed semaphores; retry serially
+        for index, (name, path) in enumerate(items):
+            if results[index] is None:
+                results[index] = ingest_champsim_shard(
+                    store.root, name, path, limit=limit)
+    except BaseException:
+        for outcome, (name, _) in zip(results, items):
+            if outcome is not None:
+                store.shard_path(outcome[0]).unlink(missing_ok=True)
+        raise
     for outcome in results:
         assert outcome is not None
         store.register(outcome[0])

@@ -31,7 +31,6 @@ from repro.corpus.manifest import CorpusManifest, ShardRecord
 from repro.core.experiment import WorkloadSpec, build_program
 from repro.errors import CorpusError
 from repro.isa.opcodes import ControlClass
-from repro.telemetry import span
 from repro.trace.format import (
     ControlFlowEvent,
     DEFAULT_BLOCK_EVENTS,
@@ -118,11 +117,8 @@ def ingest_champsim_shard(
     if path.exists():
         raise CorpusError(f"shard file {path} already exists")
     stats = ImportStats()
-    with span("corpus/ingest", shard=name) as ingest:
-        count, calls, returns = write_shard_file(
-            path, champsim_events(trace_path, limit=limit, stats=stats))
-        if ingest is not None:
-            ingest.set(events=count, calls=calls, returns=returns)
+    count, calls, returns = write_shard_file(
+        path, champsim_events(trace_path, limit=limit, stats=stats))
     record = ShardRecord(
         name=name,
         filename=path.name,
@@ -255,11 +251,8 @@ class CorpusStore:
         path = self.root / f"{name}{_SHARD_SUFFIX}"
         if path.exists():
             raise CorpusError(f"shard file {path} already exists")
-        with span("corpus/ingest", shard=name) as ingest:
-            count, calls, returns = write_shard_file(
-                path, events, version=version, block_events=block_events)
-            if ingest is not None:
-                ingest.set(events=count, calls=calls, returns=returns)
+        count, calls, returns = write_shard_file(
+            path, events, version=version, block_events=block_events)
         record = ShardRecord(
             name=name,
             filename=path.name,
@@ -298,17 +291,15 @@ class CorpusStore:
         max_instructions: int = 50_000_000,
     ) -> List[ShardRecord]:
         """Record one shard per workload spec via the reference emulator."""
-        specs = list(specs)
         records = []
-        with span("corpus/build", shards=len(specs)):
-            for spec in specs:
-                records.append(self.add_shard(
-                    workload_shard_name(spec),
-                    iter_control_events(build_program(spec),
-                                        max_instructions=max_instructions),
-                    source={"kind": "workload", "name": spec.name,
-                            "seed": spec.seed, "scale": spec.scale},
-                ))
+        for spec in specs:
+            records.append(self.add_shard(
+                workload_shard_name(spec),
+                iter_control_events(build_program(spec),
+                                    max_instructions=max_instructions),
+                source={"kind": "workload", "name": spec.name,
+                        "seed": spec.seed, "scale": spec.scale},
+            ))
         return records
 
     def import_champsim(
@@ -323,10 +314,9 @@ class CorpusStore:
             name = trace_path.name.split(".")[0]
         if name in self.manifest:
             raise CorpusError(f"duplicate shard name {name!r}")
-        with span("corpus/import", trace=trace_path.name):
-            record, stats = ingest_champsim_shard(
-                self.root, name, trace_path, limit=limit)
-            self.register(record)
+        record, stats = ingest_champsim_shard(
+            self.root, name, trace_path, limit=limit)
+        self.register(record)
         return record, stats
 
     # -- integrity -----------------------------------------------------
@@ -338,20 +328,16 @@ class CorpusStore:
         shard with the found-vs-expected digests.
         """
         problems = []
-        with span("corpus/verify", shards=len(self.manifest)) as check:
-            for record in self.manifest:
-                path = self.shard_path(record)
-                if not path.exists():
-                    problems.append(
-                        f"{record.name}: shard file {path} missing")
-                    continue
-                found = _file_sha256(path)
-                if found != record.checksum:
-                    problems.append(
-                        f"{record.name}: checksum mismatch: found {found}, "
-                        f"expected {record.checksum}")
-            if check is not None:
-                check.set(problems=len(problems))
+        for record in self.manifest:
+            path = self.shard_path(record)
+            if not path.exists():
+                problems.append(f"{record.name}: shard file {path} missing")
+                continue
+            found = _file_sha256(path)
+            if found != record.checksum:
+                problems.append(
+                    f"{record.name}: checksum mismatch: found {found}, "
+                    f"expected {record.checksum}")
         if problems:
             raise CorpusError(
                 "corpus verification failed:\n  " + "\n  ".join(problems))

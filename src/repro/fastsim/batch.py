@@ -49,9 +49,7 @@ import struct
 from typing import BinaryIO, Dict, Iterable, Iterator, List, Sequence, Union
 
 from repro.config.options import RepairMechanism
-from repro.telemetry import span
-from repro.telemetry import state as telemetry_state
-from repro.telemetry import metrics as telemetry_metrics
+from repro.obs.capture import span
 from repro.trace.format import (
     DEFAULT_BLOCK_EVENTS,
     TraceFormatError,
@@ -246,10 +244,6 @@ def _replay_shard(path: str, lanes: Sequence[_Lane], trace_span) -> None:
     blocks, events = _replay(iter_event_batches(path), lanes)
     if trace_span is not None:
         trace_span.set(blocks=blocks, events=events)
-    if telemetry_state.enabled():
-        registry = telemetry_metrics()
-        registry.counter("batch.blocks").increment(blocks)
-        registry.counter("batch.events").increment(events)
 
 
 def replay_shard_batched(

@@ -1,95 +1,153 @@
-"""Per-sweep trace capture: collect local + pool-worker spans, persist them.
+"""Sweep tracing: ``span()`` records straight into the active capture.
+
+A *span* times one named operation inside a sweep — the sweep itself,
+one job, a cache probe, a shard replay. Usage::
+
+    with span("sweep/job", engine="cycle", workload="li") as sp:
+        ...
+        if sp is not None:
+            sp.set(outcome="hit")      # attach attrs mid-flight
 
 ``SweepExecutor._run_all`` opens a :class:`TraceCapture` around each
-sweep. The capture:
+sweep. Creating a capture makes it the active one on its thread, and
+the capture owns the stack of open span ids: every ``span()`` on that
+thread appends one dict to ``capture.spans``, parented under the
+innermost open span. Outside a capture ``span()`` yields ``None`` and
+records nothing, at the cost of one thread-local read.
 
-1. establishes a root trace context on the submitting thread (unless
-   one is already active, in which case the sweep joins that trace);
-2. subscribes to the process-global span recorder and collects every
-   span tagged with this trace's id (serial jobs, cache probes, the
-   ``sweep/run`` root itself);
-3. accepts the span batches pool workers return with their results;
-4. optionally runs the sampling profiler (``REPRO_PROFILE=1``); and
-5. on close, writes the merged trace to the :class:`TraceStore` next
-   to the ledger.
+A pool worker runs its job under a capture with no store, joined to
+the submitter's trace (:func:`repro.core.executor._run_job_traced`);
+the worker returns ``capture.spans`` with the result and the submitter
+extends its own list with them. With ``REPRO_PROFILE=1`` the
+submitter's capture also runs the sampling profiler while the sweep
+runs. On close it writes the merged trace, and any profile, to its
+:class:`TraceStore`.
 
-``begin`` returns ``None`` when telemetry or tracing is off, so the
-executor's hot path stays a single ``is not None`` check.
+Timing is monotonic (``time.perf_counter``); a span's ``start_s`` is
+the offset from this process's epoch. The wall-clock epoch captured at
+the same instant gives every span an absolute ``ts``, so spans from
+many processes share one timeline (to NTP accuracy).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import os
+import threading
+import time
+import uuid
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional
 
-from repro.obs import context as tracectx
 from repro.obs import profile as profiling
 from repro.obs.store import TraceStore
 from repro.telemetry import state
-from repro.telemetry.spans import Span, recorder
+
+# Captured back to back: _EPOCH_WALL + (perf_counter() - _EPOCH)
+# approximates wall time for any span this process records.
+_EPOCH = time.perf_counter()
+_EPOCH_WALL = time.time()
+
+
+class _Active(threading.local):
+    capture: Optional["TraceCapture"] = None
+
+
+_active = _Active()
+
+
+class Span:
+    """An open span, as ``span()`` yields it inside a capture."""
+
+    __slots__ = ("name", "attrs", "span_id", "parent_id")
+
+    def __init__(self, name: str, attrs: Dict[str, object],
+                 parent_id: Optional[str]) -> None:
+        self.name = name
+        self.attrs = attrs
+        self.span_id = os.urandom(8).hex()
+        self.parent_id = parent_id
+
+    def set(self, **attrs: object) -> None:
+        """Attach attributes while the span is open."""
+        self.attrs.update(attrs)
+
+    def to_json_dict(self, trace_id: str, started: float,
+                     ended: float) -> Dict[str, object]:
+        start_s = started - _EPOCH
+        payload: Dict[str, object] = {
+            "name": self.name,
+            "start_s": round(start_s, 6),
+            "ms": round((ended - started) * 1000.0, 3),
+            "pid": os.getpid(),
+            "attrs": self.attrs,
+            "trace_id": trace_id,
+            "span_id": self.span_id,
+        }
+        if self.parent_id:
+            payload["parent_id"] = self.parent_id
+        payload["tid"] = threading.get_ident()
+        payload["ts"] = round(_EPOCH_WALL + start_s, 6)
+        return payload
+
+
+@contextmanager
+def span(name: str, **attrs: object) -> Iterator[Optional[Span]]:
+    """Time a named operation; yields the :class:`Span` or ``None``.
+
+    The span is recorded when the block exits — including on
+    exceptions, so failed operations still show their duration.
+    """
+    capture = _active.capture
+    if capture is None:
+        yield None
+        return
+    stack = capture.open_spans
+    item = Span(name, attrs, stack[-1] if stack else None)
+    depth = len(stack)
+    stack.append(item.span_id)
+    started = time.perf_counter()
+    try:
+        yield item
+    finally:
+        ended = time.perf_counter()
+        # truncate rather than pop: a span leaked by an abandoned
+        # generator cannot parent the spans that follow this one
+        del stack[depth:]
+        capture.spans.append(item.to_json_dict(capture.trace_id, started,
+                                               ended))
 
 
 class TraceCapture:
-    def __init__(self, store: Optional[TraceStore],
-                 trace_id: str, ctx_token: Optional[int]) -> None:
+    """The spans of one sweep (or of one pool job within it)."""
+
+    def __init__(self, store: Optional[TraceStore], trace_id: str,
+                 parent_id: Optional[str] = None) -> None:
         self.store = store
         self.trace_id = trace_id
-        self._ctx_token = ctx_token
-        self._spans: List[Dict[str, object]] = []
-        # span_ids already merged: a batch handed in twice (or a span
-        # both recorded here and returned by a worker) is kept once
-        self._seen: set = set()
+        self.spans: List[Dict[str, object]] = []
+        #: Ids of the spans open on this thread, innermost last; a
+        #: worker's capture starts under the submitter's open span.
+        self.open_spans: List[str] = [parent_id] if parent_id else []
+        self._profiler: Optional[profiling.SamplingProfiler] = None
         self._sealed = False
         self._closed = False
-        self._profiler: Optional[profiling.SamplingProfiler] = None
-        if profiling.profiling_enabled():
-            self._profiler = profiling.SamplingProfiler().start()
-
-        def _collect(item: Span) -> None:
-            if item.trace_id == trace_id:
-                self._add(item.to_json_dict())
-
-        self._token: Optional[int] = recorder.subscribe(_collect)
-
-    def _add(self, item: Dict[str, object]) -> bool:
-        span_id = item.get("span_id")
-        if span_id is not None:
-            if span_id in self._seen:
-                return False
-            self._seen.add(span_id)
-        self._spans.append(item)
-        return True
+        self._previous = _active.capture
+        _active.capture = self
 
     @classmethod
     def begin(cls, store: Optional[TraceStore]) -> Optional["TraceCapture"]:
-        """Start capturing for the current sweep, or None if tracing is
-        off. Joins the ambient trace when one exists; otherwise mints a
-        fresh ``trace_id`` and pushes a root context."""
-        if not state.enabled() or not tracectx.tracing_enabled():
+        """Start capturing a sweep under a fresh ``trace_id``, or return
+        None when telemetry is off."""
+        if not state.enabled():
             return None
-        ctx = tracectx.current()
-        token: Optional[int] = None
-        if ctx is None:
-            ctx = tracectx.TraceContext(tracectx.new_trace_id(), "")
-            token = tracectx.push(ctx)
-        return cls(store, ctx.trace_id, token)
-
-    def add_spans(self, spans: object) -> int:
-        """Merge a remote span batch (list of dicts); returns accepted.
-
-        Anything that is not a dict carrying *this* trace's id is
-        dropped — a crashed worker's garbage cannot pollute the trace.
-        """
-        if not isinstance(spans, list):
-            return 0
-        accepted = 0
-        for item in spans:
-            if isinstance(item, dict) and item.get("trace_id") == self.trace_id:
-                if self._add(item):
-                    accepted += 1
-        return accepted
+        capture = cls(store, uuid.uuid4().hex)
+        if profiling.profiling_enabled():
+            capture._profiler = profiling.SamplingProfiler().start()
+        return capture
 
     def seal(self) -> None:
-        """Stop collecting (subscriber + profiler); idempotent.
+        """Stop collecting and restore the capture active before this
+        one; idempotent.
 
         Called before the ledger entry is built so the profile summary
         can ride on it; ``close`` still runs later for persistence.
@@ -97,9 +155,7 @@ class TraceCapture:
         if self._sealed:
             return
         self._sealed = True
-        if self._token is not None:
-            recorder.unsubscribe(self._token)
-            self._token = None
+        _active.capture = self._previous
         if self._profiler is not None:
             self._profiler.stop()
 
@@ -109,17 +165,15 @@ class TraceCapture:
         return self._profiler.summary()
 
     def close(self) -> None:
-        """Seal, pop the root context, persist the merged trace."""
+        """Seal, then persist the merged trace and any profile."""
         if self._closed:
             return
         self._closed = True
         self.seal()
-        if self._ctx_token is not None:
-            tracectx.pop(self._ctx_token)
-            self._ctx_token = None
-        if self.store is not None and self._spans:
-            self.store.append(self.trace_id, self._spans)
-        if (self.store is not None and self._profiler is not None
-                and self._profiler.samples):
+        if self.store is None:
+            return
+        if self.spans:
+            self.store.append(self.trace_id, self.spans)
+        if self._profiler is not None and self._profiler.samples:
             self.store.write_profile(
                 self.trace_id, "\n".join(self._profiler.collapsed()) + "\n")

@@ -1,25 +1,24 @@
-"""First-class observability for the experiment harness.
+"""Telemetry: the switch, per-sweep metrics, and the run ledger.
 
-Three layers, all stdlib-only, default-on, and cheap enough to leave
-on (<3% overhead on the smoke bench, asserted in the tests — spans and
-metrics fire per *sweep* and per *job*, never per simulated
-instruction):
+Default-on, stdlib-only, and cheap enough to leave on (<3% overhead on
+the smoke sweep, asserted in the tests — metrics and ledger entries
+are built per *sweep*, never per simulated instruction):
 
+* **switch** — ``REPRO_TELEMETRY=0`` in the environment, the CLI's
+  ``--no-telemetry``, or :func:`set_enabled`/:func:`disabled` in code.
+  Off means no metrics, no ledger entry, and no sweep trace;
 * **metrics** — :class:`MetricsRegistry`: labelled
   Counter/Gauge/Rate/Histogram with deterministic snapshot/merge
-  semantics, so per-worker metrics aggregate identically at every
-  ``--jobs`` setting;
-* **spans** — ``with span("sweep/job", engine="cycle"): ...``:
-  monotonic timing into a process-global ring, mirrored to JSONL via
-  ``REPRO_SPAN_LOG``;
+  semantics, so a sweep's registry is identical at every ``--jobs``
+  setting;
 * **run ledger** — :class:`RunLedger`: append-only JSONL under the
   cache root recording every sweep (configs, cache hits, wall time,
   headline rates, metrics), with content-hash run ids and a
   ``repro-sim runs list/show/compare`` CLI.
 
-Kill switches: ``REPRO_TELEMETRY=0`` in the environment, the CLI's
-``--no-telemetry``, or :func:`set_enabled`/:func:`disabled` in code.
-See docs/observability.md for the full metric/span/ledger reference.
+Spans and sweep traces live in :mod:`repro.obs.capture`; this package
+imports nothing from ``repro.obs``. See docs/observability.md for the
+full metric/span/ledger reference.
 """
 
 from repro.telemetry.ledger import (
@@ -33,24 +32,7 @@ from repro.telemetry.ledger import (
     numeric_leaves,
 )
 from repro.telemetry.metrics import MetricsRegistry, metric_key
-from repro.telemetry.spans import Span, SpanRecorder, recorder, span
 from repro.telemetry.state import disabled, enabled, set_enabled
-
-#: Process-global registry: long-lived instrumentation (cache probes,
-#: corpus ingests) records here; per-sweep registries merge in too.
-_GLOBAL_METRICS = MetricsRegistry()
-
-
-def metrics() -> MetricsRegistry:
-    """The process-global metrics registry."""
-    return _GLOBAL_METRICS
-
-
-def reset_metrics() -> None:
-    """Fresh process-global registry (test isolation)."""
-    global _GLOBAL_METRICS
-    _GLOBAL_METRICS = MetricsRegistry()
-
 
 __all__ = [
     "LEDGER_FILENAME",
@@ -58,18 +40,12 @@ __all__ = [
     "MetricsRegistry",
     "NONDETERMINISTIC_KEYS",
     "RunLedger",
-    "Span",
-    "SpanRecorder",
     "compare_entries",
     "deterministic_view",
     "disabled",
     "enabled",
     "entry_digest",
     "metric_key",
-    "metrics",
     "numeric_leaves",
-    "recorder",
-    "reset_metrics",
     "set_enabled",
-    "span",
 ]

@@ -41,7 +41,7 @@ from repro.bpred.ras import make_ras
 from repro.config.options import RepairMechanism
 from repro.errors import ReproError
 from repro.isa.opcodes import WORD_SIZE, ControlClass
-from repro.telemetry import span
+from repro.obs.capture import span
 from repro.trace.format import (
     ControlFlowEvent,
     TraceReader,

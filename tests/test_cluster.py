@@ -67,15 +67,12 @@ class TestBrokenPoolRetry:
             log = []
             # the pool breaks the futures of jobs 1 and 2
             executor = self._executor({0: (1, 2)}, log)
-            retries = telemetry.metrics().counter("executor.retries").value
             calls = executor_module.simulation_calls()
             results = executor.run(_jobs())
             assert all(r.instructions > 0 for r in results)
             # every job simulated exactly once: job 0 in the pool, the
             # two broken ones re-run in-process
             assert executor_module.simulation_calls() == calls + 3
-            assert telemetry.metrics().counter(
-                "executor.retries").value == retries + 2
         finally:
             telemetry.set_enabled(None)
 

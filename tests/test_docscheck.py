@@ -8,6 +8,7 @@ be reported, and the template/generated-path idioms the docs
 legitimately use must not be.
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -140,3 +141,18 @@ class TestRealRepo:
         (repo / "README.md").write_text("fine\n")
         assert docscheck.main([]) == 0
         assert "ok" in capsys.readouterr().out
+
+
+class TestKnobInventory:
+    def test_performance_knob_table_lists_every_env_name(self):
+        """docs/performance.md §3 is the one complete list of the
+        ``REPRO_*`` variables the package reads: a knob added, removed
+        or merely mentioned under src/repro must show up there."""
+        root = Path(__file__).resolve().parent.parent
+        used = set()
+        for path in (root / "src" / "repro").rglob("*.py"):
+            used.update(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
+        text = (root / "docs" / "performance.md").read_text()
+        section = text.split("\n## 3. ", 1)[1].split("\n## ", 1)[0]
+        rows = set(re.findall(r"^\| *`(REPRO_[A-Z_]+)`", section, re.M))
+        assert used == rows

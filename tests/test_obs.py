@@ -1,8 +1,7 @@
 """Tests for repro.obs: sweep tracing and profiling.
 
-Covers trace-context propagation (thread-local stack, wire form), span
-identity and parenting under an active context, the span-ring capacity
-knob and raising-subscriber removal, the trace store's corruption
+Covers span identity, parenting and the span format inside a capture,
+captures joined to another's trace, the trace store's corruption
 defenses (a SIGKILLed worker's garbage never pollutes a merged trace),
 trace analysis (tree, critical path, Chrome export), the sampling
 profiler, and the determinism guarantee: results are bit-identical with
@@ -11,6 +10,7 @@ tracing on or off, and pool workers' spans join the submitter's trace.
 
 import json
 import time
+import uuid
 
 import pytest
 
@@ -20,12 +20,10 @@ from repro.config.defaults import baseline_config
 from repro.core import ExperimentJob, ResultCache, SweepExecutor
 from repro.core.experiment import WorkloadSpec
 from repro.obs import analysis
-from repro.obs import context as tracectx
-from repro.obs.capture import TraceCapture
+from repro.obs.capture import TraceCapture, span
 from repro.obs.profile import SamplingProfiler, render_flame
 from repro.obs.store import TraceStore, valid_trace_id
-from repro.telemetry import RunLedger, deterministic_view, span
-from repro.telemetry.spans import Span, SpanRecorder
+from repro.telemetry import RunLedger, deterministic_view
 
 SPEC = WorkloadSpec("li", seed=1, scale=0.05)
 
@@ -39,88 +37,51 @@ def _jobs(sizes=(1, 4, 16), engine="fast"):
 @pytest.fixture(autouse=True)
 def fresh_telemetry():
     telemetry.set_enabled(True)
-    telemetry.recorder.clear()
-    telemetry.reset_metrics()
     yield
     telemetry.set_enabled(None)
-    telemetry.recorder.configure_sink(None)
-    telemetry.recorder.clear()
-    telemetry.reset_metrics()
 
 
-class TestTraceContext:
-    def test_stack_push_pop_truncates(self):
-        assert tracectx.current() is None
-        outer = tracectx.TraceContext(tracectx.new_trace_id(), "")
-        token = tracectx.push(outer)
-        inner = tracectx.TraceContext(outer.trace_id, tracectx.new_span_id())
-        tracectx.push(inner)  # leaked on purpose
-        tracectx.pop(token)   # truncation heals the leak
-        assert tracectx.current() is None
-
-    def test_activate_none_is_noop(self):
-        with tracectx.activate(None) as ctx:
-            assert ctx is None
-            assert tracectx.current() is None
-
-    def test_wire_roundtrip(self):
-        ctx = tracectx.TraceContext(tracectx.new_trace_id(),
-                                    tracectx.new_span_id())
-        assert tracectx.from_wire(tracectx.to_wire(ctx)) == ctx
-        root = tracectx.TraceContext(ctx.trace_id, "")
-        assert tracectx.from_wire(tracectx.to_wire(root)) == root
-        assert tracectx.from_wire(None) is None
-        assert tracectx.from_wire({"trace_id": "nope"}) is None
-
-    def test_tracing_enabled_env(self, monkeypatch):
-        assert tracectx.tracing_enabled()
-        monkeypatch.setenv("REPRO_TRACE", "0")
-        assert not tracectx.tracing_enabled()
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        assert tracectx.tracing_enabled()
+KEYS = {"name", "start_s", "ms", "pid", "tid", "attrs", "trace_id",
+        "span_id", "ts"}
 
 
 class TestSpanIdentity:
     def test_no_context_no_trace_fields(self):
-        with span("obs/test"):
-            pass
-        record = telemetry.recorder.records("obs/test")[-1]
-        assert record.trace_id is None
-        payload = record.to_json_dict()
-        assert "trace_id" not in payload and "ts" not in payload
+        with span("obs/test") as sp:
+            assert sp is None     # outside a capture nothing records
 
     def test_nested_spans_parent_correctly(self):
-        ctx = tracectx.TraceContext(tracectx.new_trace_id(), "")
-        with tracectx.activate(ctx):
-            with span("obs/outer"):
-                with span("obs/inner"):
-                    pass
-        outer = telemetry.recorder.records("obs/outer")[-1]
-        inner = telemetry.recorder.records("obs/inner")[-1]
-        assert outer.trace_id == inner.trace_id == ctx.trace_id
-        assert outer.parent_id is None          # root ctx has no span
-        assert inner.parent_id == outer.span_id
-        payload = inner.to_json_dict()
-        assert payload["span_id"] == inner.span_id
-        assert payload["ts"] > 0
+        capture = TraceCapture.begin(None)
+        with span("obs/outer"):
+            with span("obs/inner"):
+                pass
+        capture.seal()
+        inner, outer = capture.spans   # recorded as each one closes
+        assert outer["trace_id"] == inner["trace_id"] == capture.trace_id
+        assert "parent_id" not in outer     # the sweep's root span
+        assert inner["parent_id"] == outer["span_id"]
+        assert set(outer) == KEYS
+        assert set(inner) == KEYS | {"parent_id"}
+        assert inner["ts"] > 0
 
-    def test_span_buffer_env_capacity(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPAN_BUFFER", "32")
-        assert SpanRecorder().capacity == 32
-        monkeypatch.setenv("REPRO_SPAN_BUFFER", "1")   # below floor
-        assert SpanRecorder().capacity == 16
-        monkeypatch.setenv("REPRO_SPAN_BUFFER", "bogus")
-        assert SpanRecorder().capacity == 4096
-
-    def test_raising_subscriber_dropped(self):
-        recorder = SpanRecorder()
-
-        def boom(_span):
-            raise RuntimeError("subscriber bug")
-
-        recorder.subscribe(boom)
-        recorder.record(Span("obs/x", {}))
-        assert recorder.subscriber_count() == 0
+    def test_joined_capture_restores_the_submitters(self):
+        """A pool job's capture joins the submitter's trace under its
+        open span; sealing it hands spans back to the submitter."""
+        outer = TraceCapture.begin(None)
+        with span("obs/run") as run:
+            inner = TraceCapture(None, outer.trace_id, run.span_id)
+            with span("obs/job"):
+                pass
+            inner.seal()
+            with span("obs/after"):
+                pass
+        outer.seal()
+        job, = inner.spans
+        assert job["parent_id"] == run.span_id
+        assert job["trace_id"] == outer.trace_id
+        assert [s["name"] for s in outer.spans] == ["obs/after", "obs/run"]
+        with span("obs/outside") as sp:
+            assert sp is None
 
 
 class TestTraceStore:
@@ -134,15 +95,15 @@ class TestTraceStore:
 
     def test_append_load_roundtrip_sorted(self, tmp_path):
         store = TraceStore(tmp_path)
-        trace_id = tracectx.new_trace_id()
+        trace_id = uuid.uuid4().hex
         spans = self._spans(trace_id)
         assert store.append(trace_id, reversed(spans)) == 3
         assert store.load(trace_id) == spans   # re-sorted by ts
 
     def test_garbage_and_foreign_spans_filtered(self, tmp_path):
         store = TraceStore(tmp_path)
-        trace_id = tracectx.new_trace_id()
-        other = tracectx.new_trace_id()
+        trace_id = uuid.uuid4().hex
+        other = uuid.uuid4().hex
         batch = [None, 42, "nope",
                  {"name": "foreign", "trace_id": other},
                  {"name": "ok", "trace_id": trace_id}]
@@ -152,7 +113,7 @@ class TestTraceStore:
     def test_torn_line_never_corrupts_merged_trace(self, tmp_path):
         """A SIGKILLed writer's partial line is skipped on load."""
         store = TraceStore(tmp_path)
-        trace_id = tracectx.new_trace_id()
+        trace_id = uuid.uuid4().hex
         store.append(trace_id, self._spans(trace_id, 2))
         with open(store.path(trace_id), "a") as handle:
             handle.write('{"name": "torn", "trace_id": "' + trace_id)
@@ -171,7 +132,7 @@ class TestTraceStore:
 
     def test_profile_roundtrip(self, tmp_path):
         store = TraceStore(tmp_path)
-        trace_id = tracectx.new_trace_id()
+        trace_id = uuid.uuid4().hex
         assert store.load_profile(trace_id) is None
         assert store.write_profile(trace_id, "a;b 3\n")
         assert store.load_profile(trace_id) == "a;b 3\n"
@@ -179,22 +140,12 @@ class TestTraceStore:
 
 class TestCapture:
     def test_begin_none_when_tracing_off(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "0")
+        telemetry.set_enabled(None)
+        monkeypatch.setenv("REPRO_TELEMETRY", "0")
         assert TraceCapture.begin(TraceStore(tmp_path)) is None
-        monkeypatch.delenv("REPRO_TRACE")
+        monkeypatch.delenv("REPRO_TELEMETRY")
         telemetry.set_enabled(False)
         assert TraceCapture.begin(TraceStore(tmp_path)) is None
-
-    def test_duplicate_span_ids_merged_once(self, tmp_path):
-        store = TraceStore(tmp_path)
-        capture = TraceCapture.begin(store)
-        assert capture is not None
-        item = {"name": "dup", "trace_id": capture.trace_id,
-                "span_id": "ab" * 8, "ts": 1.0, "ms": 1.0}
-        assert capture.add_spans([item]) == 1
-        assert capture.add_spans([item]) == 0   # a repeated batch
-        capture.close()
-        assert len(store.load(capture.trace_id)) == 1
 
     def test_seal_stops_collection_close_persists(self, tmp_path):
         store = TraceStore(tmp_path)
@@ -297,13 +248,19 @@ class TestDeterminism:
 
     def test_bit_identical_with_tracing_on_and_off(self, tmp_path,
                                                    monkeypatch):
+        monkeypatch.delenv("REPRO_PROFILE", raising=False)
         rows_on, entry_on = self._run(tmp_path, "on")
-        assert entry_on.get("trace_id")
-        monkeypatch.setenv("REPRO_TRACE", "0")
+        assert entry_on.get("trace_id") and "profile" not in entry_on
+        telemetry.set_enabled(False)
         rows_off, entry_off = self._run(tmp_path, "off")
-        assert "trace_id" not in entry_off
-        assert rows_on == rows_off
-        assert deterministic_view(entry_on) == deterministic_view(entry_off)
+        assert entry_off is None
+        telemetry.set_enabled(True)
+        monkeypatch.setenv("REPRO_PROFILE", "1")
+        rows_profiled, entry_profiled = self._run(tmp_path, "profiled")
+        assert entry_profiled["trace_id"] != entry_on["trace_id"]
+        assert rows_on == rows_off == rows_profiled
+        assert (deterministic_view(entry_on)
+                == deterministic_view(entry_profiled))
 
     def test_trace_persisted_next_to_ledger(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -334,6 +291,8 @@ class TestDeterminism:
         # when the pool actually forked (pids may collapse on reuse)
         assert {s["trace_id"] for s in spans} == {executor.last_trace_id}
         assert len(spans) == len({s["span_id"] for s in spans})
+        run, = [s for s in spans if s["name"] == "sweep/run"]
+        assert all(s["parent_id"] == run["span_id"] for s in job_spans)
 
 
 class TestTraceCli:
@@ -351,8 +310,14 @@ class TestTraceCli:
         assert cli_main(["trace", "show", trace_id]) == 0
         out = capsys.readouterr().out
         assert "sweep/run" in out and trace_id in out
-        assert cli_main(["trace", "critical-path", "-1"]) == 0
-        assert "100.0%" in capsys.readouterr().out or True
+        path_json = tmp_path / "cp.json"
+        assert cli_main(["trace", "critical-path", "-1",
+                         "--json", str(path_json)]) == 0
+        capsys.readouterr()
+        info = json.loads(path_json.read_text())
+        assert info["trace_id"] == trace_id
+        assert info["path"][0]["name"] == "sweep/run"
+        assert info["coverage"] >= 0.95
         out_path = tmp_path / "chrome.json"
         assert cli_main(["trace", "export", trace_id,
                          "--out", str(out_path)]) == 0
@@ -364,3 +329,24 @@ class TestTraceCli:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         assert cli_main(["trace", "show", "ffff" * 8]) == 1
         assert "no trace" in capsys.readouterr().err
+
+    def test_list_with_the_cache_off(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "empty"))
+        assert cli_main(["trace", "list"]) == 1
+        assert "no traces recorded" in capsys.readouterr().err
+
+    def test_profiled_sweep_renders_flame(self, tmp_path, monkeypatch,
+                                          capsys):
+        """The profiler runs through the capture: the summary rides on
+        the ledger entry, the collapsed stacks land beside the trace."""
+        monkeypatch.setenv("REPRO_PROFILE", "1")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        executor = SweepExecutor(jobs=1, cache=ResultCache.default())
+        # a cycle job runs long enough (>100 ms) for the 5 ms sampler
+        executor.run([ExperimentJob(SPEC, baseline_config(), "cycle")])
+        assert executor.last_entry["profile"]["samples"] > 0
+        prof = tmp_path / "cache" / "traces" / f"{executor.last_trace_id}.prof"
+        assert prof.read_text().strip()
+        assert cli_main(["trace", "flame", "-1"]) == 0
+        assert executor.last_trace_id in capsys.readouterr().out

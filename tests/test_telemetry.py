@@ -20,6 +20,8 @@ from repro.core import ExperimentJob, JobResult, ResultCache, SweepExecutor
 from repro.core.experiment import WorkloadSpec
 from repro.core.sweep import stack_depth_sweep
 from repro.errors import TelemetryError
+from repro.obs.capture import TraceCapture, span
+from repro.obs.store import TraceStore
 from repro.telemetry import (
     MetricsRegistry,
     RunLedger,
@@ -27,9 +29,7 @@ from repro.telemetry import (
     deterministic_view,
     entry_digest,
     metric_key,
-    span,
 )
-from repro.telemetry.spans import Span, SpanRecorder
 
 SPEC = WorkloadSpec("li", seed=1, scale=0.05)
 SIZES = (1, 4, 16)
@@ -43,15 +43,10 @@ def _jobs(sizes=SIZES, engine="fast"):
 
 @pytest.fixture(autouse=True)
 def fresh_telemetry():
-    """Force telemetry on and isolate global recorder/registry state."""
+    """Force telemetry on; hand control back to the env afterwards."""
     telemetry.set_enabled(True)
-    telemetry.recorder.clear()
-    telemetry.reset_metrics()
     yield
     telemetry.set_enabled(None)
-    telemetry.recorder.configure_sink(None)
-    telemetry.recorder.clear()
-    telemetry.reset_metrics()
 
 
 class TestMetricsRegistry:
@@ -108,57 +103,41 @@ class TestMetricsRegistry:
 
 class TestSpans:
     def test_span_records_timing_and_attrs(self):
+        capture = TraceCapture.begin(None)
         with span("test/op", flavour="plain") as sp:
             sp.set(extra=1)
-        records = telemetry.recorder.records("test/op")
-        assert len(records) == 1
-        assert records[0].attrs == {"flavour": "plain", "extra": 1}
-        assert records[0].duration_ms >= 0.0
+        capture.seal()
+        record, = capture.spans
+        assert record["name"] == "test/op"
+        assert record["attrs"] == {"flavour": "plain", "extra": 1}
+        assert record["ms"] >= 0.0
 
     def test_disabled_spans_record_nothing(self):
         telemetry.set_enabled(False)
+        assert TraceCapture.begin(None) is None
         with span("test/op") as sp:
             assert sp is None
-        assert telemetry.recorder.records("test/op") == []
 
     def test_span_survives_exceptions(self):
+        capture = TraceCapture.begin(None)
         with pytest.raises(ValueError):
             with span("test/fail"):
                 raise ValueError("boom")
-        assert len(telemetry.recorder.records("test/fail")) == 1
+        capture.seal()
+        assert [s["name"] for s in capture.spans] == ["test/fail"]
 
     def test_jsonl_sink(self, tmp_path):
-        sink = tmp_path / "spans.jsonl"
-        telemetry.recorder.configure_sink(str(sink))
+        store = TraceStore(tmp_path)
+        capture = TraceCapture.begin(store)
         with span("test/sink", n=2):
             pass
-        telemetry.recorder.configure_sink(None)
+        capture.close()
         lines = [json.loads(line) for line in
-                 sink.read_text().splitlines() if line]
+                 store.path(capture.trace_id).read_text().splitlines()
+                 if line]
         assert lines and lines[-1]["name"] == "test/sink"
         assert lines[-1]["attrs"] == {"n": 2}
         assert "ms" in lines[-1] and "pid" in lines[-1]
-
-    def test_subscriber_sees_spans_and_unsubscribes(self):
-        recorder = SpanRecorder()
-        seen = []
-        token = recorder.subscribe(seen.append)
-        recorder.record(Span("sweep/job", {"n": 1}))
-        recorder.unsubscribe(token)
-        recorder.record(Span("sweep/job", {"n": 2}))
-        assert [item.attrs["n"] for item in seen] == [1]
-
-    def test_raising_subscriber_is_dropped_not_fatal(self):
-        recorder = SpanRecorder()
-
-        def explode(item):
-            raise RuntimeError("boom")
-
-        recorder.subscribe(explode)
-        recorder.record(Span("sweep/job", {}))  # must not raise
-        recorder.record(Span("sweep/job", {}))
-        assert len(recorder.records()) == 2
-        assert recorder.subscriber_count() == 0
 
 
 class TestJobResultProvenance:
@@ -324,16 +303,21 @@ class TestSweepLedger:
                                  telemetry_enabled=False)
         executor.run(_jobs(sizes=(4,)))
         assert RunLedger.at_root(tmp_path).entries() == []
-        assert telemetry.recorder.records("sweep/run") == []
+        assert executor.last_trace_id is None
+        assert TraceStore.at_cache_root(tmp_path).trace_ids() == []
         assert telemetry.enabled()  # global switch untouched
 
     def test_spans_and_global_metrics_flow(self, tmp_path):
-        SweepExecutor(jobs=1, cache=ResultCache(tmp_path)).run(_jobs())
-        assert len(telemetry.recorder.records("sweep/run")) == 1
-        assert len(telemetry.recorder.records("sweep/job")) == len(SIZES)
-        snap = telemetry.metrics().snapshot()
-        assert snap["counters"]["cache.get{outcome=miss}"] == len(SIZES)
-        assert snap["counters"]["cache.put"] == len(SIZES)
+        executor = SweepExecutor(jobs=1, cache=ResultCache(tmp_path))
+        executor.run(_jobs())
+        spans = TraceStore.at_cache_root(tmp_path).load(
+            executor.last_trace_id)
+        names = [s["name"] for s in spans]
+        assert names.count("sweep/run") == 1
+        assert names.count("sweep/job") == len(SIZES)
+        assert names.count("cache/put") == len(SIZES)
+        probes = [s["attrs"] for s in spans if s["name"] == "cache/get"]
+        assert probes == [{"outcome": "miss"}] * len(SIZES)
 
 
 class TestCompare:
@@ -488,12 +472,11 @@ class TestLegacyLedger:
 class TestOverheadBudget:
     def test_overhead_under_three_percent_on_smoke_sweep(self, tmp_path):
         """The acceptance budget: telemetry on (spans + metrics + ledger,
-        and trace capture — tracing defaults on) costs <3% wall time on
-        the scale-0.05 smoke sweep."""
-        from repro.obs import context as tracectx
-        assert tracectx.tracing_enabled()
+        and trace capture) costs <3% wall time on the scale-0.05 smoke
+        sweep."""
         sizes = (1, 2, 4, 8, 16, 32)
         ledger_path = tmp_path / "ledger.jsonl"
+        traced = []
 
         def timed(telemetry_on: bool) -> float:
             telemetry.set_enabled(telemetry_on)
@@ -502,7 +485,9 @@ class TestOverheadBudget:
                 ledger=ledger_path if telemetry_on else None)
             started = time.perf_counter()
             stack_depth_sweep(SPEC, sizes, executor=executor)
-            return time.perf_counter() - started
+            elapsed = time.perf_counter() - started
+            traced.append(executor.last_trace_id is not None)
+            return elapsed
 
         timed(False)  # warm the program build memo before timing
         timed(True)
@@ -518,5 +503,6 @@ class TestOverheadBudget:
         assert best_on <= budget, (
             f"telemetry overhead {(best_on / best_off - 1) * 100:.2f}% "
             f"exceeds the 3% budget ({best_on:.4f}s vs {best_off:.4f}s)")
-        # the instrumented runs really did ledger their sweeps
+        # the instrumented runs really did trace and ledger their sweeps
+        assert traced == [False, True] * 4
         assert len(RunLedger(ledger_path).entries()) >= 4
