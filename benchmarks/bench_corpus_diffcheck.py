@@ -11,7 +11,7 @@ acceptance bar: zero divergences on every shard.
 import itertools
 import pathlib
 
-from repro.core.executor import SweepExecutor, default_jobs
+from repro.core.executor import SweepExecutor
 from repro.corpus import CorpusStore, diff_corpus
 
 _SAMPLE = (pathlib.Path(__file__).resolve().parents[1]
@@ -23,7 +23,7 @@ def test_bench_corpus_diffcheck(benchmark, emit, tmp_path):
     def import_and_diff():
         store = CorpusStore.create(tmp_path / f"corpus{next(_ROUND)}")
         store.import_champsim(_SAMPLE, name="sample")
-        executor = SweepExecutor(jobs=default_jobs(), cache=None)
+        executor = SweepExecutor(cache=None)
         reports = diff_corpus(store, executor=executor)
         headers = ["shard", "events", "returns", "ours hits",
                    "reference hits", "divergences"]

@@ -28,7 +28,7 @@ import time
 from repro.config.defaults import baseline_config
 from repro.config.options import StackOrganization
 from repro.core.experiment import multipath_machine, run_cycle, run_multipath
-from repro.fastsim.cycle import cycle_backend, run_cycle_fast
+from repro.fastsim.cycle import run_cycle_fast
 from repro.fastsim.multipath import run_multipath_fast
 from repro.fastsim.parity import flatten_group
 from repro.workloads.generator import build_workload
@@ -80,7 +80,7 @@ def _measure(programs, single_config, multi_config, rounds):
     rows = [
         ["cycle", "reference", len(programs), instructions,
          round(ref_wall, 4), 1.0],
-        ["cycle-fast", cycle_backend(), len(programs), instructions,
+        ["cycle-fast", "python", len(programs), instructions,
          round(fast_wall, 4), cycle_speedup],
         ["multipath", "reference", len(programs), instructions,
          round(ref_mp_wall, 4), 1.0],

@@ -9,7 +9,7 @@ run.
 
 import itertools
 
-from repro.core.executor import SweepExecutor, default_jobs
+from repro.core.executor import SweepExecutor
 from repro.core.experiment import WorkloadSpec
 from repro.corpus import CorpusStore, corpus_depth_sweep
 
@@ -24,7 +24,7 @@ def test_bench_trace_corpus(benchmark, emit, bench_seed, bench_scale,
         store = CorpusStore.create(tmp_path / f"corpus{next(_ROUND)}")
         store.build_from_specs(
             [WorkloadSpec(name, bench_seed, bench_scale) for name in _NAMES])
-        executor = SweepExecutor(jobs=default_jobs(), cache=None)
+        executor = SweepExecutor(cache=None)
         return corpus_depth_sweep(store, _SIZES, executor=executor)
 
     table = benchmark.pedantic(build_and_replay, rounds=1, iterations=1)

@@ -37,18 +37,18 @@ import sys
 from typing import List, Optional
 
 from repro import telemetry
+from repro.config import env
 from repro.config.defaults import baseline_config
 from repro.config.options import RepairMechanism, StackOrganization
 from repro.core import tables as table_builders
-from repro.core.executor import ResultCache, SweepExecutor, default_jobs
+from repro.core.executor import ResultCache, SweepExecutor
 from repro.core.experiment import (
     WorkloadSpec,
-    default_scale,
-    default_seed,
     multipath_machine,
     run_cycle,
     run_multipath,
 )
+from repro.errors import ConfigError
 from repro.stats.tables import format_table
 from repro.telemetry import RunLedger, compare_entries
 from repro.workloads.characterize import table2 as build_table2
@@ -83,13 +83,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, names_default=None) -> None:
-        p.add_argument("--names", nargs="*",
-                       default=names_default,
+    # Each command takes only the shared flags it reads.
+    def seed_scale_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--seed", type=int, default=None,
+                       help="workload seed (default: $REPRO_SEED or 1)")
+        p.add_argument("--scale", type=float, default=None,
+                       help="workload size (default: $REPRO_SCALE or 0.25)")
+
+    def workload_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--names", nargs="*", default=None,
                        choices=BENCHMARK_NAMES,
-                       help="benchmarks to run (default: varies)")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--scale", type=float, default=None)
+                       help="benchmarks to run (default: all)")
+        seed_scale_flags(p)
+
+    def executor_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--jobs", type=int, default=None,
                        help="worker processes for independent simulations "
                             "(default: $REPRO_JOBS or 1)")
@@ -99,33 +106,36 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-telemetry", action="store_true",
                        help="disable metrics, spans, and the run ledger "
                             "(see docs/observability.md)")
+
+    def sweep_flags(p: argparse.ArgumentParser) -> None:
+        executor_flags(p)
         p.add_argument("--json", metavar="OUT", default=None,
-                       help="also write the table as JSON to OUT "
-                            "(table commands only)")
+                       help="also write the table as JSON to OUT")
 
     for name in TABLES:
         p = sub.add_parser(name, help=f"print {name}")
-        common(p)
+        workload_flags(p)
+        sweep_flags(p)
 
     p = sub.add_parser("table2", help="workload characterisation")
-    common(p)
+    workload_flags(p)
 
     p = sub.add_parser("corruption",
                        help="classify return mispredictions by cause")
-    common(p)
+    workload_flags(p)
 
     p = sub.add_parser("return-predictors",
                        help="RAS vs BTB vs target caches on returns")
-    common(p)
+    workload_flags(p)
 
     p = sub.add_parser("smt",
                        help="SMT threads: shared vs per-thread stacks")
-    common(p)
+    seed_scale_flags(p)
     p.add_argument("--benchmark", default="li", choices=BENCHMARK_NAMES)
     p.add_argument("--threads", type=int, default=2)
 
     p = sub.add_parser("run", help="simulate one benchmark")
-    common(p)
+    seed_scale_flags(p)
     p.add_argument("--benchmark", required=True, choices=BENCHMARK_NAMES)
     p.add_argument("--mechanism", default="tos-pointer-contents",
                    choices=[m.value for m in RepairMechanism])
@@ -142,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "(bit-identical counters; see docs/engines.md)")
 
     p = sub.add_parser("disasm", help="disassemble a generated benchmark")
-    common(p)
+    seed_scale_flags(p)
     p.add_argument("--benchmark", required=True, choices=BENCHMARK_NAMES)
     p.add_argument("--count", type=int, default=40)
 
@@ -153,11 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c = csub.add_parser("build",
                         help="record workload shards into a corpus")
     c.add_argument("corpus", help="corpus directory (created if needed)")
-    c.add_argument("--names", nargs="*", default=None,
-                   choices=BENCHMARK_NAMES,
-                   help="benchmarks to record (default: all)")
-    c.add_argument("--seed", type=int, default=None)
-    c.add_argument("--scale", type=float, default=None)
+    workload_flags(c)
     c.add_argument("--max-instructions", type=int, default=50_000_000)
 
     c = csub.add_parser("import",
@@ -189,23 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "several times faster; docs/performance.md)")
     c.add_argument("--shards", nargs="*", default=None,
                    help="restrict to these shard names")
-    c.add_argument("--jobs", type=int, default=None)
-    c.add_argument("--no-cache", action="store_true",
-                   help="ignore and don't update the on-disk result cache")
-    c.add_argument("--no-telemetry", action="store_true",
-                   help="disable metrics, spans, and the run ledger")
-    c.add_argument("--json", metavar="OUT", default=None,
-                   help="also write the table as JSON to OUT")
-
-    def corpus_executor_opts(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--jobs", type=int, default=None)
-        sp.add_argument("--no-cache", action="store_true",
-                        help="ignore and don't update the on-disk result "
-                             "cache")
-        sp.add_argument("--no-telemetry", action="store_true",
-                        help="disable metrics, spans, and the run ledger")
-        sp.add_argument("--json", metavar="OUT", default=None,
-                        help="also write the table as JSON to OUT")
+    sweep_flags(c)
 
     c = csub.add_parser(
         "fetch",
@@ -243,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--report", metavar="OUT", default=None,
                    help="write the full DiffReport list as JSON to OUT "
                         "(the CI artifact)")
-    corpus_executor_opts(c)
+    sweep_flags(c)
 
     c = csub.add_parser(
         "report",
@@ -256,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "several times faster)")
     c.add_argument("--shards", nargs="*", default=None,
                    help="restrict to these shard names")
-    corpus_executor_opts(c)
+    sweep_flags(c)
 
     p = sub.add_parser("runs",
                        help="inspect the persistent run ledger "
@@ -364,11 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parity",
                        help="prove fast-engine counters bit-identical to "
                             "the reference engines (docs/engines.md)")
-    common(p)
-    p.add_argument("--array-backend", default=None,
-                   choices=["python", "numpy"],
-                   help="force the columnar array backend for the sweep "
-                        "(default: $REPRO_CYCLE_BACKEND resolution)")
+    workload_flags(p)
     p.add_argument("--ras-entries", nargs="+", type=int, default=(8, 32),
                    help="RAS sizes for the single-path cells")
     p.add_argument("--paths", nargs="+", type=int, default=(2,),
@@ -378,7 +364,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report",
                        help="regenerate every table/figure in one pass")
-    common(p)
+    workload_flags(p)
+    executor_flags(p)
     p.add_argument("--out", default=None,
                    help="write the report here instead of stdout")
     p.add_argument("--full", action="store_true",
@@ -387,12 +374,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_defaults(args: argparse.Namespace) -> None:
-    """Fill in the defaults read from the environment, per call: the
+    """Fill in the flags left unset from the environment, per call: the
     parser is built once, but ``REPRO_SEED`` etc. may change between."""
-    if getattr(args, "names", None) in (None, []):
+    if getattr(args, "names", 0) in (None, []):
         args.names = list(BENCHMARK_NAMES)
-    for name, default in (("seed", default_seed), ("scale", default_scale),
-                          ("jobs", default_jobs)):
+    for name, default in (("seed", env.seed), ("scale", env.scale),
+                          ("jobs", env.jobs)):
         if getattr(args, name, 0) is None:
             setattr(args, name, default())
 
@@ -432,7 +419,7 @@ def _parity_command(args: argparse.Namespace) -> int:
     reports = parity_sweep(
         args.names, seed=args.seed, scale=args.scale,
         ras_entries=tuple(args.ras_entries), paths=tuple(args.paths),
-        backend=args.array_backend, include_multipath=not args.no_multipath)
+        include_multipath=not args.no_multipath)
     rows = [[r.label, len(r.reference), "ok" if r.matches
              else f"{len(r.mismatches)} DIVERGING"] for r in reports]
     print(format_table(["cell", "stats compared", "verdict"], rows,
@@ -514,6 +501,8 @@ def _corpus_command(args: argparse.Namespace) -> int:
         if args.json:
             return _write_json(args, title, headers, rows, executor)
         return 0
+    except ConfigError:
+        raise  # a malformed REPRO_* value: main() reports it
     except ReproError as error:
         print(f"repro-sim corpus: {error}", file=sys.stderr)
         return 1
@@ -600,8 +589,8 @@ def _corpus_diffcheck(args: argparse.Namespace, store) -> int:
 
 
 def _make_executor(args: argparse.Namespace) -> SweepExecutor:
-    cache = None if getattr(args, "no_cache", False) else ResultCache.default()
-    return SweepExecutor(jobs=getattr(args, "jobs", None), cache=cache)
+    cache = None if args.no_cache else ResultCache.default()
+    return SweepExecutor(jobs=args.jobs, cache=cache)
 
 
 def _print_sweep_summary(executor: Optional[SweepExecutor]) -> None:
@@ -720,7 +709,7 @@ def _trace_command(args: argparse.Namespace) -> int:
     from repro.obs import analysis
     from repro.obs.store import TraceStore
 
-    store = TraceStore.at_cache_root(ResultCache.default_root())
+    store = TraceStore.at_cache_root(env.cache_root())
     if args.trace_command == "list":
         rows = []
         for trace_id in store.trace_ids()[:max(1, args.limit)]:
@@ -910,13 +899,17 @@ def _runs_command(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    _resolve_defaults(args)
-    if getattr(args, "no_telemetry", False):
-        # scope the opt-out to this invocation: main() is re-entrant in
-        # tests and long-lived embedding processes
-        with telemetry.disabled():
-            return _dispatch(args)
-    return _dispatch(args)
+    try:
+        _resolve_defaults(args)
+        if getattr(args, "no_telemetry", False):
+            # scope the opt-out to this invocation: main() is re-entrant
+            # in tests and long-lived embedding processes
+            with telemetry.disabled():
+                return _dispatch(args)
+        return _dispatch(args)
+    except ConfigError as error:
+        print(f"repro-sim: {error}", file=sys.stderr)
+        return 2
 
 
 def _table_command(args: argparse.Namespace) -> int:

@@ -31,12 +31,9 @@ results (in submission order, so parallel == serial bit-for-bit) and
 appends one entry to the run ledger under the cache root.
 ``--no-telemetry`` or ``REPRO_TELEMETRY=0`` turns all of it off.
 
-Environment knobs (see docs/performance.md):
-
-* ``REPRO_JOBS`` — default worker count (default 1).
-* ``REPRO_CACHE_DIR`` — cache root (default ``~/.cache/repro-sim``).
-* ``REPRO_CACHE=0`` — disable the default cache entirely.
-* ``REPRO_TELEMETRY=0`` — disable metrics, traces, and the run ledger.
+The defaults for the worker count (``REPRO_JOBS``), the cache root
+(``REPRO_CACHE_DIR``) and the cache itself (``REPRO_CACHE``) come from
+:mod:`repro.config.env`, read when an executor or cache is made.
 """
 
 from __future__ import annotations
@@ -54,6 +51,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Union
 
 import repro
+from repro.config import env
 from repro.config.machine import MachineConfig
 from repro.core.experiment import (
     WorkloadSpec,
@@ -103,11 +101,6 @@ SIMULATION_CALLS = 0
 def simulation_calls() -> int:
     """Simulator invocations made by *this* process so far."""
     return SIMULATION_CALLS
-
-
-def default_jobs() -> int:
-    """Default worker count, overridable via REPRO_JOBS."""
-    return max(1, int(os.environ.get("REPRO_JOBS", "1")))
 
 
 @functools.lru_cache(maxsize=1)
@@ -467,19 +460,12 @@ class ResultCache:
         self.base_root = pathlib.Path(root)
         self.root = self.base_root / f"v{CACHE_SCHEMA}"
 
-    @staticmethod
-    def default_root() -> pathlib.Path:
-        env = os.environ.get("REPRO_CACHE_DIR")
-        if env:
-            return pathlib.Path(env)
-        return pathlib.Path.home() / ".cache" / "repro-sim"
-
     @classmethod
     def default(cls) -> Optional["ResultCache"]:
         """The process-default cache, or ``None`` when REPRO_CACHE=0."""
-        if os.environ.get("REPRO_CACHE", "1") == "0":
+        if not env.cache_enabled():
             return None
-        return cls(cls.default_root())
+        return cls(env.cache_root())
 
     @classmethod
     def default_ledger_path(cls) -> pathlib.Path:
@@ -490,7 +476,7 @@ class ResultCache:
         joining private path pieces themselves.
         """
         from repro.telemetry import LEDGER_FILENAME
-        return cls.default_root() / LEDGER_FILENAME
+        return env.cache_root() / LEDGER_FILENAME
 
     @property
     def ledger_path(self) -> pathlib.Path:
@@ -583,19 +569,15 @@ class SweepExecutor:
         self,
         jobs: Optional[int] = None,
         cache: Union[ResultCache, None, str] = "default",
-        telemetry_enabled: Optional[bool] = None,
         ledger: Union[RunLedger, str, os.PathLike, None] = "auto",
     ) -> None:
-        self.jobs = default_jobs() if jobs is None else max(1, int(jobs))
+        self.jobs = env.jobs() if jobs is None else max(1, int(jobs))
         if cache == "default":
             self.cache: Optional[ResultCache] = ResultCache.default()
         else:
             self.cache = cache  # type: ignore[assignment]
         self.cache_hits = 0
         self.cache_misses = 0
-        #: Per-executor telemetry override; ``None`` follows the global
-        #: switch (REPRO_TELEMETRY / --no-telemetry).
-        self.telemetry_enabled = telemetry_enabled
         if isinstance(ledger, RunLedger) or ledger is None:
             self.ledger: Optional[RunLedger] = ledger
         elif ledger == "auto":
@@ -617,21 +599,6 @@ class SweepExecutor:
         self._capture: Optional[TraceCapture] = None
         self.last_trace_id: Optional[str] = None
 
-    def _telemetry_on(self) -> bool:
-        if self.telemetry_enabled is not None:
-            return self.telemetry_enabled
-        return telemetry_state.enabled()
-
-    def run(self, jobs: Sequence[ExperimentJob]) -> List[JobResult]:
-        """Run every job, returning results in submission order."""
-        jobs = list(jobs)
-        if not self._telemetry_on() and telemetry_state.enabled():
-            # executor-local opt-out: silence spans/metrics for the
-            # whole sweep, including serial in-process job runs
-            with telemetry_state.disabled():
-                return self._run_all(jobs)
-        return self._run_all(jobs)
-
     def _trace_store(self) -> Optional[TraceStore]:
         """Where this executor persists merged traces (beside the
         ledger), or ``None`` without a durable cache root."""
@@ -639,7 +606,9 @@ class SweepExecutor:
             return None
         return TraceStore.at_cache_root(self.cache.base_root)
 
-    def _run_all(self, jobs: List[ExperimentJob]) -> List[JobResult]:
+    def run(self, jobs: Sequence[ExperimentJob]) -> List[JobResult]:
+        """Run every job, returning results in submission order."""
+        jobs = list(jobs)
         started = time.perf_counter()
         hits_before, misses_before = self.cache_hits, self.cache_misses
         capture = TraceCapture.begin(self._trace_store())

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import os
 from typing import Optional, Tuple
 
 from repro.config.machine import MachineConfig
@@ -15,20 +14,6 @@ from repro.multipath.cpu import MultipathCPU
 from repro.pipeline.cpu import SinglePathCPU
 from repro.pipeline.results import SimResult
 from repro.workloads.generator import build_workload
-
-
-def default_scale() -> float:
-    """Experiment scale, overridable via REPRO_SCALE.
-
-    1.0 runs ~50-150k instructions per workload; the benchmark defaults
-    use a smaller scale so the whole harness finishes in minutes on a
-    laptop. Raise it for tighter statistics.
-    """
-    return float(os.environ.get("REPRO_SCALE", "0.25"))
-
-
-def default_seed() -> int:
-    return int(os.environ.get("REPRO_SEED", "1"))
 
 
 @dataclasses.dataclass(frozen=True)

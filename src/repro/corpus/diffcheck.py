@@ -30,13 +30,12 @@ divergences on every shard**; other mechanisms diverge wherever their
 organisation genuinely differs (informative, not an error, unless you
 ``ensure()``).
 
-Fault injection: set ``REPRO_DIFF_CORRUPT_EVENT=<index>`` to perturb
-the target of the <index>-th return event *as seen by our lane only*.
-The reference still sees the pristine trace, so the gate must go red —
-the corpus-smoke CI job and ``tests/test_diffcheck.py`` both prove the
-alarm actually fires. The knob bypasses
-the result cache: a corrupted run is never served from, or written to,
-cached entries.
+Fault injection is a test seam, not a knob: ``tests/test_diffcheck.py``
+and the corpus-smoke CI job replace this module's ``_Lane`` with a
+subclass that mispredicts one return. The reference still replays the
+real trace, so the gate must go red. A swapped lane would write wrong
+counts under the shard's real cache key, so such a run must not use
+the result cache (``cache=None``, or ``--no-cache`` on the CLI).
 """
 
 from __future__ import annotations
@@ -58,10 +57,6 @@ DIFF_SCHEMA = 1
 
 #: How many preceding events the first-divergence context ring keeps.
 CONTEXT_EVENTS = 8
-
-#: Environment knob: corrupt the target of this return (0-based, as
-#: seen by our lane only) to prove the gate fires. See module docstring.
-CORRUPT_ENV = "REPRO_DIFF_CORRUPT_EVENT"
 
 
 class ReferenceReturnStack:
@@ -182,17 +177,6 @@ class DiffReport:
         )
 
 
-def corrupt_event_index() -> Optional[int]:
-    """The injected-corruption return index, or ``None`` when unset."""
-    raw = os.environ.get(CORRUPT_ENV)
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        return None
-
-
 def _event_summary(event: ControlFlowEvent, index: int) -> Dict[str, object]:
     return {
         "event": index,
@@ -221,7 +205,6 @@ def diff_events(
     reference = ReferenceReturnStack(max_size=ras_entries)
     ring: Deque[Dict[str, object]] = collections.deque(
         maxlen=max(1, context_events))
-    corrupt_at = corrupt_event_index()
     total = returns = ours_hits = reference_hits = divergences = 0
     first: Optional[Dict[str, object]] = None
     for index, event in enumerate(events):
@@ -229,24 +212,13 @@ def diff_events(
         if control is ControlClass.RETURN:
             reference_predicted = reference.prediction()
             reference.calibrate_call_size(event.next_pc)
-            ours_event = event
-            if corrupt_at is not None and returns == corrupt_at:
-                # our lane alone sees a perturbed target: the reference
-                # keeps the pristine trace, so the gate must trip
-                ours_event = ControlFlowEvent(
-                    event.control, event.pc, event.next_pc ^ 0x40,
-                    event.gap)
-            ours_predicted = lane.step(ours_event)
+            ours_predicted = lane.step(event)
             returns += 1
-            # each side is judged against the target *it* replayed, so
-            # a corrupted our-side event shows up as a hit-pair
-            # disagreement even when the predictions still coincide
-            ours_hit = ours_predicted == ours_event.next_pc
+            ours_hit = ours_predicted == event.next_pc
             reference_hit = reference_predicted == event.next_pc
             ours_hits += ours_hit
             reference_hits += reference_hit
-            if ours_predicted != reference_predicted \
-                    or ours_hit != reference_hit:
+            if ours_predicted != reference_predicted:
                 divergences += 1
                 if first is None:
                     first = {
@@ -312,16 +284,11 @@ def diff_corpus(
     (parallel, cached by shard checksum); only shards whose cached
     counts show divergences are re-replayed directly, to recover the
     full first-divergence context the cached counters cannot carry.
-    With the corruption knob set the executor path is bypassed
-    entirely so cached entries are neither trusted nor poisoned.
     """
     from repro.config.defaults import baseline_config
     from repro.core.executor import ExperimentJob, SweepExecutor
 
     specs = [store.spec(record) for record in store.records(names=names)]
-    if corrupt_event_index() is not None:
-        return [diff_shard(spec, ras_entries=ras_entries,
-                           mechanism=mechanism) for spec in specs]
     if executor is None:
         executor = SweepExecutor()
     config = baseline_config().with_repair(mechanism) \

@@ -9,7 +9,7 @@ replays the same shards block-at-a-time instead:
 
 1. **Decode** — each zlib block of a v2 shard (or a pseudo-block slice
    of a v1 body) is decoded straight into flat columns via numpy when
-   available, or ``struct``/regex scans otherwise. No per-event
+   it imports, or ``struct``/regex scans otherwise. No per-event
    objects are built, and every integrity check of the streaming
    reader still runs (the block walk *is* the streaming reader's, see
    :meth:`~repro.trace.format.TraceReader.iter_raw_blocks`), so a
@@ -36,8 +36,9 @@ checked-in sample corpus to hold that line. Throughput is tracked by
 ``benchmarks/bench_replay_throughput.py`` and gated in CI (see
 docs/performance.md).
 
-Set ``REPRO_BATCH_DECODER=python`` to force the stdlib decode path
-even when numpy is installed (the parity suite exercises both).
+The platform alone picks the decoder: numpy when it imports, the
+stdlib path otherwise. The parity suite runs both, forcing the stdlib
+path by setting this module's ``_np`` to ``None``.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from repro.trace.replay import (TraceRasResult, TraceShardSpec, _Lane,
 
 try:  # optional accelerator; the stdlib path is always available
     import numpy as _np
-except ImportError:  # pragma: no cover - exercised via REPRO_BATCH_DECODER
+except ImportError:  # pragma: no cover - the stdlib path is tested anyway
     _np = None
 
 from repro.isa.opcodes import ControlClass
@@ -95,10 +96,9 @@ if _np is not None:
 
 
 def decoder_backend() -> str:
-    """Which block decoder runs: ``"numpy"`` or ``"python"``."""
-    if _np is None or os.environ.get("REPRO_BATCH_DECODER") == "python":
-        return "python"
-    return "numpy"
+    """Which block decoder runs: ``"numpy"`` when numpy imports,
+    ``"python"`` otherwise."""
+    return "python" if _np is None else "numpy"
 
 
 class EventBatch:

@@ -9,12 +9,12 @@ and every counter bump crosses a method call. This engine re-expresses
 the *same machine* in a shape the interpreter executes quickly:
 
 * **Columnar window state.** The IFQ and RUU are fixed-capacity ring
-  buffers of index-parallel columns — numpy *structured arrays* when
-  numpy is available, plain Python lists otherwise — so in-flight
-  instructions are rows, not objects, and slots are reused instead of
-  allocated. Prediction/undo references (Python objects) ride in
-  parallel object columns. ``REPRO_CYCLE_BACKEND=python`` forces the
-  stdlib backend (both are bit-identical; the parity suite runs both).
+  buffers of index-parallel Python lists, so in-flight instructions are
+  rows, not objects, and slots are reused instead of allocated; the
+  prediction and undo-log references ride in the same kind of column.
+  Lists, not numpy arrays: this is a scalar event loop, and CPython
+  list indexing beats numpy scalar access for one-at-a-time reads and
+  writes (docs/performance.md §6).
 * **Hoisted dispatch.** All static per-instruction facts and the
   instruction semantics themselves come from the precomputed function
   tables of :mod:`repro.fastsim.decode`; RAS repair and shadow-slot
@@ -44,7 +44,6 @@ in CI; see docs/engines.md and docs/performance.md).
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Tuple
 
 from repro.bpred.predictor import FrontEndPredictor
@@ -57,56 +56,12 @@ from repro.isa.program import Program
 from repro.pipeline.results import SimResult
 from repro.stats import StatGroup
 
-try:  # optional accelerator; the stdlib backend is always available
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via REPRO_CYCLE_BACKEND
-    _np = None
-
 #: Mirrors repro.pipeline.cpu._DEADLOCK_LIMIT (same wedge semantics).
 _DEADLOCK_LIMIT = 20_000
 
 #: Stall-attribution bucket indices (see _finalize for the names).
 _STALL_FRONTEND, _STALL_MEMORY, _STALL_EXECUTE = 0, 1, 2
 _STALL_DEPENDENCY, _STALL_ISSUE = 3, 4
-
-
-def cycle_backend() -> str:
-    """Which window-state backend runs: ``"python"`` or ``"numpy"``.
-
-    Unlike the batch replay decoder (where ``REPRO_BATCH_DECODER``
-    defaults to numpy), the *default here is the stdlib list backend*:
-    the cycle engine is a scalar event loop, and CPython list indexing
-    beats numpy scalar access (even through memoryviews) for one-at-a-
-    time reads and writes — measured ~3.2x vs ~2.4x over the reference
-    engine on the Table 1 machine. ``REPRO_CYCLE_BACKEND=numpy`` opts
-    into the ndarray-backed columns, which are bit-identical and exist
-    as the cross-checking twin and the substrate for future vectorised
-    stages. The two backends are interchangeable for every counter the
-    parity harness compares, so this is a performance/debugging switch,
-    not a behaviour switch.
-    """
-    choice = os.environ.get("REPRO_CYCLE_BACKEND", "python")
-    if choice == "numpy" and _np is None:
-        return "python"
-    return choice
-
-
-if _np is not None:
-    #: One RUU row. Unsigned 64-bit fields (next_pc, mem) may hold any
-    #: architectural word; signed fields are small bookkeeping values.
-    _RUU_DTYPE = _np.dtype([
-        ("seq", "<i8"), ("pc", "<i8"), ("inst", "<i8"),
-        ("next_pc", "<u8"), ("mem", "<u8"),
-        ("dispatched", "<i8"), ("complete", "<i8"),
-        ("dep1", "<i8"), ("dep1_seq", "<i8"),
-        ("dep2", "<i8"), ("dep2_seq", "<i8"),
-        # Flags are full words, not "?": sub-word memoryview reads box
-        # through struct format '?' and cost ~30% more per access than
-        # 'q' in the scalar hot loop, and the window is tiny anyway.
-        ("issued", "<i8"), ("completed", "<i8"), ("taken", "<i8"),
-        ("misp", "<i8"), ("halt", "<i8"), ("mem_valid", "<i8"),
-    ])
-    _IFQ_DTYPE = _np.dtype([("pc", "<i8"), ("inst", "<i8"), ("ready", "<i8")])
 
 
 class ColumnarCycleCPU:
@@ -124,17 +79,11 @@ class ColumnarCycleCPU:
         config: Optional[MachineConfig] = None,
         max_instructions: Optional[int] = None,
         max_cycles: Optional[int] = None,
-        backend: Optional[str] = None,
     ) -> None:
         self.program = program
         self.config = config or MachineConfig()
         self.max_instructions = max_instructions
         self.max_cycles = max_cycles
-        self.backend = backend or cycle_backend()
-        if self.backend not in ("numpy", "python"):
-            raise ValueError(f"unknown cycle backend {self.backend!r}")
-        if self.backend == "numpy" and _np is None:
-            raise ValueError("numpy backend requested but numpy is missing")
 
         self.frontend = FrontEndPredictor(self.config.predictor)
         self.memory = MemoryHierarchy(self.config.memory)
@@ -173,37 +122,17 @@ class ColumnarCycleCPU:
 
     def _alloc_columns(self) -> None:
         ruu_cap, ifq_cap = self._ruu_cap, self._ifq_cap
-        if self.backend == "numpy":
-            # One contiguous ndarray per _RUU_DTYPE field (a decomposed
-            # structured array: same schema, column-major layout). The
-            # hot loop indexes them through memoryviews, which return
-            # native Python ints/bools — scalar reads as cheap as list
-            # indexing, with no np.int64 boxing to leak into dict keys
-            # or JSON-bound results.
-            self._ruu = {name: _np.zeros(ruu_cap, dtype=_RUU_DTYPE[name])
-                         for name in _RUU_DTYPE.names}
-            self._ifq = {name: _np.zeros(ifq_cap, dtype=_IFQ_DTYPE[name])
-                         for name in _IFQ_DTYPE.names}
-            self._cols = {name: memoryview(arr)
-                          for name, arr in self._ruu.items()}
-            self._ifq_cols = {name: memoryview(arr)
-                              for name, arr in self._ifq.items()}
-        else:
-            self._ruu = None
-            self._ifq = None
-            self._cols = {
-                name: [0] * ruu_cap
-                for name in ("seq", "pc", "inst", "next_pc", "mem",
-                             "dispatched", "complete", "dep1", "dep1_seq",
-                             "dep2", "dep2_seq")
-            }
-            for name in ("issued", "completed", "taken", "misp", "halt",
-                         "mem_valid"):
-                self._cols[name] = [False] * ruu_cap
-            self._ifq_cols = {name: [0] * ifq_cap
-                              for name in ("pc", "inst", "ready")}
-        # Object columns are Python lists under both backends: they hold
-        # Prediction references and undo logs, which arrays cannot.
+        self._cols = {
+            name: [0] * ruu_cap
+            for name in ("seq", "pc", "inst", "next_pc", "mem",
+                         "dispatched", "complete", "dep1", "dep1_seq",
+                         "dep2", "dep2_seq")
+        }
+        for name in ("issued", "completed", "taken", "misp", "halt",
+                     "mem_valid"):
+            self._cols[name] = [False] * ruu_cap
+        self._ifq_cols = {name: [0] * ifq_cap
+                          for name in ("pc", "inst", "ready")}
         self._ruu_pred = [None] * ruu_cap
         self._ruu_undo = [None] * ruu_cap
         self._ifq_pred = [None] * ifq_cap
@@ -348,10 +277,10 @@ class ColumnarCycleCPU:
                 slot = ruu_head
                 ruu_head = ruu_head + 1 if ruu_head + 1 < ruu_cap else 0
                 ruu_count -= 1
-                ii = int(r_inst[slot])
+                ii = r_inst[slot]
                 if d_control[ii]:
-                    train(int(r_pc[slot]), text[ii], bool(r_taken[slot]),
-                          int(r_next[slot]), r_pred[slot])
+                    train(r_pc[slot], text[ii], r_taken[slot],
+                          r_next[slot], r_pred[slot])
                 dest = d_dest[ii]
                 if (dest >= 0 and writer_slot[dest] == slot
                         and writer_seq[dest] == r_seq[slot]):
@@ -377,7 +306,7 @@ class ColumnarCycleCPU:
                     head = ruu_head
                     if r_issued[head]:
                         stall_bucket = (_STALL_MEMORY
-                                        if d_memory[int(r_inst[head])]
+                                        if d_memory[r_inst[head]]
                                         else _STALL_EXECUTE)
                     else:
                         d1, d2 = r_dep1[head], r_dep2[head]
@@ -416,7 +345,7 @@ class ColumnarCycleCPU:
                             continue
                         if r_misp[slot]:
                             mispredictions += 1
-                            cclass = d_class[int(r_inst[slot])]
+                            cclass = d_class[r_inst[slot]]
                             if cclass is COND:
                                 mispred_cond += 1
                             elif cclass is RET:
@@ -452,21 +381,20 @@ class ColumnarCycleCPU:
                                 fp = r_pred[last]
                                 if fp is not None:
                                     release(fp)
-                                li = int(r_inst[last])
-                                if d_memory[li]:
+                                if d_memory[r_inst[last]]:
                                     lsq_count -= 1
                                 squashed += 1
                             for reg in range(32):
                                 writer_slot[reg] = -1
                             wslot = ruu_head
                             for _ in range(ruu_count):
-                                dest = d_dest[int(r_inst[wslot])]
+                                dest = d_dest[r_inst[wslot]]
                                 if dest >= 0:
                                     writer_slot[dest] = wslot
                                     writer_seq[dest] = r_seq[wslot]
                                 wslot = (wslot + 1 if wslot + 1 < ruu_cap
                                          else 0)
-                            fetch_pc = int(r_next[slot])
+                            fetch_pc = r_next[slot]
                             fetch_halted = False
                             fetch_stall = cycle + 1
                             last_line = -1
@@ -518,7 +446,7 @@ class ColumnarCycleCPU:
                     if d2 >= 0 and r_seq[d2] == r_dep2s[cur] and not r_done[d2]:
                         hold(item)
                         continue
-                    ii = int(r_inst[cur])
+                    ii = r_inst[cur]
                     if d_load[ii]:
                         if ports == 0:
                             hold(item)
@@ -526,7 +454,7 @@ class ColumnarCycleCPU:
                         # Nearest older in-flight store to the same
                         # address, via the forwarding index (youngest
                         # first; dead entries pruned on the way).
-                        addr = int(r_mem[cur])
+                        addr = r_mem[cur]
                         store = -1
                         lst = store_map.get(addr)
                         if lst:
@@ -553,7 +481,7 @@ class ColumnarCycleCPU:
                         if ports == 0:
                             hold(item)
                             continue
-                        access_data(int(r_mem[cur]), is_store=True)
+                        access_data(r_mem[cur], is_store=True)
                         latency = 1
                         ports -= 1
                     elif d_mul[ii]:
@@ -584,10 +512,10 @@ class ColumnarCycleCPU:
             while budget and ifq_count and i_ready[ifq_head] <= cycle:
                 if ruu_count >= ruu_cap:
                     break
-                ii = int(i_inst[ifq_head])
+                ii = i_inst[ifq_head]
                 if d_memory[ii] and lsq_count >= lsq_cap:
                     break
-                pc = int(i_pc[ifq_head])
+                pc = i_pc[ifq_head]
                 pred = i_pred[ifq_head]
                 i_pred[ifq_head] = None
                 ifq_head = ifq_head + 1 if ifq_head + 1 < ifq_cap else 0
@@ -742,8 +670,8 @@ class ColumnarCycleCPU:
                 if target > cycle:
                     # Each skipped cycle would have attributed the same
                     # stall bucket and changed nothing else.
-                    stalls[stall_bucket] += int(target) - cycle
-                    cycle = int(target)
+                    stalls[stall_bucket] += target - cycle
+                    cycle = target
                 if cycle == deadline:
                     self._store_counts(
                         cycle, committed, fetched, dispatched, squashed,
@@ -766,9 +694,8 @@ class ColumnarCycleCPU:
             "fetch_halted": fetch_halted, "ifq": ifq_count,
             "ruu": ruu_count, "seq": seq, "lsq": lsq_count,
             "ruu_rows": [
-                (int(r_seq[s]), int(r_pc[s]), bool(r_issued[s]),
-                 bool(r_done[s]),
-                 int(r_comp[s]) if r_issued[s] else -1)
+                (r_seq[s], r_pc[s], r_issued[s], r_done[s],
+                 r_comp[s] if r_issued[s] else -1)
                 for s in ((ruu_head + j) % ruu_cap
                           for j in range(ruu_count))
             ],
@@ -831,13 +758,11 @@ def run_cycle_fast(
     program: Program,
     config: Optional[MachineConfig] = None,
     max_instructions: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> Tuple[SimResult, ColumnarCycleCPU]:
     """Run the columnar single-path engine; returns ``(result, cpu)``.
 
     Mirrors :func:`repro.core.experiment.run_cycle` — same result type,
     bit-identical counters — at several times the throughput.
     """
-    cpu = ColumnarCycleCPU(program, config, max_instructions=max_instructions,
-                           backend=backend)
+    cpu = ColumnarCycleCPU(program, config, max_instructions=max_instructions)
     return cpu.run(), cpu

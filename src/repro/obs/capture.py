@@ -8,7 +8,7 @@ one job, a cache probe, a shard replay. Usage::
         if sp is not None:
             sp.set(outcome="hit")      # attach attrs mid-flight
 
-``SweepExecutor._run_all`` opens a :class:`TraceCapture` around each
+``SweepExecutor.run`` opens a :class:`TraceCapture` around each
 sweep. Creating a capture makes it the active one on its thread, and
 the capture owns the stack of open span ids: every ``span()`` on that
 thread appends one dict to ``capture.spans``, parented under the
@@ -38,6 +38,7 @@ import uuid
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional
 
+from repro.config import env
 from repro.obs import profile as profiling
 from repro.obs.store import TraceStore
 from repro.telemetry import state
@@ -141,7 +142,7 @@ class TraceCapture:
         if not state.enabled():
             return None
         capture = cls(store, uuid.uuid4().hex)
-        if profiling.profiling_enabled():
+        if env.profiling_enabled():
             capture._profiler = profiling.SamplingProfiler().start()
         return capture
 

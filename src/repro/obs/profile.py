@@ -1,9 +1,9 @@
 """Opt-in sampling profiler: signal-free, stdlib-only, thread-based.
 
-Set ``REPRO_PROFILE=1`` and every sweep attaches a collapsed-stack
-profile of its submitting thread to the ledger entry (under the
-nondeterministic ``profile`` key) and to the trace store, powering
-``repro-sim trace flame``.
+Set ``REPRO_PROFILE=1`` (:func:`repro.config.env.profiling_enabled`)
+and every sweep attaches a collapsed-stack profile of its submitting
+thread to the ledger entry (under the nondeterministic ``profile``
+key) and to the trace store, powering ``repro-sim trace flame``.
 
 The sampler is a daemon thread polling ``sys._current_frames()`` every
 few milliseconds — no signals (safe inside threads and pool
@@ -16,24 +16,15 @@ format (Brendan Gregg's flamegraph.pl / speedscope both eat it).
 
 from __future__ import annotations
 
-import os
 import sys
 import threading
 import time
 from typing import Dict, List, Optional
 
-ENV_PROFILE = "REPRO_PROFILE"
-
 DEFAULT_INTERVAL_S = 0.005
 #: Hard cap on distinct stacks kept — a pathological workload cannot
 #: balloon the ledger entry.
 MAX_STACKS = 4096
-
-
-def profiling_enabled() -> bool:
-    return os.environ.get(ENV_PROFILE, "").strip().lower() in (
-        "1", "true", "on", "yes",
-    )
 
 
 def _frame_label(frame) -> str:

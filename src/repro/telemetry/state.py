@@ -5,10 +5,12 @@ handful of monotonic-clock reads and dict updates per *sweep* (never
 per simulated instruction), budgeted and asserted at <3% overhead in
 the tests. It can be turned off two ways:
 
-* ``REPRO_TELEMETRY=0`` in the environment (picked up lazily, so it
-  also governs executor worker processes), or
-* :func:`set_enabled`/:func:`disabled` in code — the CLI's
-  ``--no-telemetry`` flag routes through :func:`disabled`.
+* ``REPRO_TELEMETRY=0`` (or ``false``/``off``/``no``) in the
+  environment, read through :func:`repro.config.env.telemetry_enabled`
+  on every call, so it also governs executor worker processes; or
+* :func:`set_enabled`/:func:`disabled` in code, which win over the
+  environment — the CLI's ``--no-telemetry`` flag routes through
+  :func:`disabled`.
 
 This lives in its own module so every telemetry layer (and the
 instrumented subsystems) can import the switch without cycles.
@@ -16,11 +18,10 @@ instrumented subsystems) can import the switch without cycles.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
-ENV_VAR = "REPRO_TELEMETRY"
+from repro.config import env
 
 #: Programmatic override: ``None`` defers to the environment.
 _OVERRIDE: Optional[bool] = None
@@ -30,7 +31,7 @@ def enabled() -> bool:
     """Is telemetry currently on? (override first, then the env)."""
     if _OVERRIDE is not None:
         return _OVERRIDE
-    return os.environ.get(ENV_VAR, "1") != "0"
+    return env.telemetry_enabled()
 
 
 def set_enabled(value: Optional[bool]) -> None:

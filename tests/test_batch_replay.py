@@ -6,8 +6,8 @@ its contract is bit-identical counters versus the streaming reference
 every stack size, and the same typed errors on malformed input. These
 tests hold that contract with randomized workloads (property-style
 over seeds and structured random traces), the checked-in ChampSim
-sample corpus, and both block decoders (numpy and stdlib, forced via
-``REPRO_BATCH_DECODER=python``).
+sample corpus, and both block decoders (numpy and stdlib, the latter
+forced by hiding numpy from :mod:`repro.fastsim.batch`).
 """
 
 import io
@@ -16,6 +16,7 @@ import random
 
 import pytest
 
+import repro.fastsim.batch
 from repro.config.options import RepairMechanism
 from repro.core import WorkloadSpec, build_program, trace_depth_sweep
 from repro.core.executor import ExperimentJob, ResultCache, SweepExecutor
@@ -103,19 +104,14 @@ def trace_bytes(events, version=2, block_events=64):
 @pytest.fixture(params=["numpy", "python"])
 def decoder(request, monkeypatch):
     if request.param == "python":
-        monkeypatch.setenv("REPRO_BATCH_DECODER", "python")
-    else:
-        monkeypatch.delenv("REPRO_BATCH_DECODER", raising=False)
-        if decoder_backend() != "numpy":
-            pytest.skip("numpy not available")
+        monkeypatch.setattr(repro.fastsim.batch, "_np", None)
+    elif repro.fastsim.batch._np is None:
+        pytest.skip("numpy not available")
+    assert decoder_backend() == request.param
     return request.param
 
 
 class TestBatchDecode:
-    def test_decoder_backend_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_DECODER", "python")
-        assert decoder_backend() == "python"
-
     @pytest.mark.parametrize("version", [1, 2])
     def test_batches_carry_exactly_the_stack_events(self, decoder, version):
         events = random_trace(seed=7)

@@ -1,9 +1,12 @@
-"""Unit tests for machine configuration."""
+"""Unit tests for machine configuration and the environment knobs."""
 
 import dataclasses
+import pathlib
 
 import pytest
 
+from repro import telemetry
+from repro.cli import main as cli_main
 from repro.config import (
     BranchPredictorConfig,
     CacheConfig,
@@ -15,7 +18,9 @@ from repro.config import (
     baseline_config,
     table1_rows,
 )
+from repro.config import env
 from repro.config.options import PRIMARY_MECHANISMS
+from repro.core.executor import ResultCache
 from repro.errors import ConfigError
 
 
@@ -112,3 +117,55 @@ class TestMechanismEnum:
         # benchmark scripts key off these strings; they must not change.
         assert str(RepairMechanism.TOS_POINTER_AND_CONTENTS) == "tos-pointer-contents"
         assert str(StackOrganization.PER_PATH) == "per-path"
+
+
+class TestEnvKnobs:
+    """repro.config.env: one reader, one rule for every REPRO_* value."""
+
+    KNOBS = ("REPRO_SCALE", "REPRO_SEED", "REPRO_JOBS", "REPRO_CACHE_DIR",
+             "REPRO_CACHE", "REPRO_TELEMETRY", "REPRO_PROFILE")
+    SWITCHES = (env.cache_enabled, env.telemetry_enabled,
+                env.profiling_enabled)
+
+    @pytest.mark.parametrize("value", [None, ""])
+    def test_unset_or_empty_means_default(self, monkeypatch, value):
+        for name in self.KNOBS:
+            if value is None:
+                monkeypatch.delenv(name, raising=False)
+            else:
+                monkeypatch.setenv(name, value)
+        assert (env.scale(), env.seed(), env.jobs()) == (0.25, 1, 1)
+        assert env.cache_root() == (
+            pathlib.Path.home() / ".cache" / "repro-sim")
+        assert [read() for read in self.SWITCHES] == [True, True, False]
+
+    @pytest.mark.parametrize("raw, expected", [
+        ("1", True), ("TRUE", True), ("on", True), ("Yes", True),
+        ("0", False), ("false", False), ("OFF", False), ("no", False),
+    ])
+    def test_every_switch_reads_the_same_spellings(self, monkeypatch, raw,
+                                                   expected):
+        for name in ("REPRO_CACHE", "REPRO_TELEMETRY", "REPRO_PROFILE"):
+            monkeypatch.setenv(name, raw)
+        assert [read() for read in self.SWITCHES] == [expected] * 3
+
+    def test_telemetry_false_turns_telemetry_off(self, monkeypatch):
+        telemetry.set_enabled(None)  # no override: the env decides
+        monkeypatch.setenv("REPRO_TELEMETRY", "false")
+        assert not telemetry.enabled()
+
+    def test_malformed_switch_is_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE", "maybe")
+        with pytest.raises(ConfigError, match="REPRO_CACHE='maybe'"):
+            ResultCache.default()
+
+    def test_malformed_number_exits_2_with_one_line(self, monkeypatch,
+                                                    capsys):
+        monkeypatch.setenv("REPRO_JOBS", "abc")
+        assert cli_main(["table1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "repro-sim: REPRO_JOBS='abc' is not an integer\n"
+        monkeypatch.delenv("REPRO_JOBS")
+        monkeypatch.setenv("REPRO_SCALE", "abc")
+        with pytest.raises(ConfigError, match="REPRO_SCALE"):
+            env.scale()

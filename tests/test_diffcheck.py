@@ -4,7 +4,7 @@ Three layers: :func:`diff_events` on synthetic streams (including the
 calibration-win divergence that separates ``none`` from the reference),
 the executor-routed :func:`diff_corpus` path with its cached counters,
 and the CLI gate — which must exit non-zero, and record context in its
-JSON artifact, when ``REPRO_DIFF_CORRUPT_EVENT`` perturbs one event.
+JSON artifact, when a swapped-in lane mispredicts one return.
 """
 
 import json
@@ -23,7 +23,8 @@ from repro.corpus import (
     diff_events,
     diff_shard,
 )
-from repro.corpus.diffcheck import CORRUPT_ENV, DIFF_SCHEMA
+from repro.corpus import diffcheck
+from repro.corpus.diffcheck import DIFF_SCHEMA
 from repro.isa.opcodes import ControlClass
 from repro.trace.format import ControlFlowEvent
 
@@ -35,6 +36,23 @@ def _sample_store(tmp_path):
     store = CorpusStore.create(tmp_path / "corpus")
     store.import_champsim(SAMPLE_CHAMPSIM, name="sample")
     return store
+
+
+def _mispredict_return(monkeypatch, index):
+    """Swap diffcheck's lane for one whose prediction for the
+    ``index``-th return (0-based) is wrong. The reference still replays
+    the real trace, so the gate must go red. Counts from a swapped lane
+    are wrong, so callers must keep them out of the result cache."""
+
+    class Mispredicting(diffcheck._Lane):
+        def step(self, event):
+            predicted = super().step(event)
+            if (event.control is ControlClass.RETURN
+                    and self.returns == index + 1):
+                return event.next_pc ^ 0x40
+            return predicted
+
+    monkeypatch.setattr(diffcheck, "_Lane", Mispredicting)
 
 
 def _calibration_events():
@@ -120,23 +138,6 @@ class TestDiffCorpus:
         assert result.counter("returns") == 93
         assert result.rates["agreement"] == 1.0
 
-    def test_corruption_knob_bypasses_the_cache(self, tmp_path,
-                                                monkeypatch):
-        """A corrupted run must neither read nor poison cached
-        entries: the clean report stays reproducible afterwards."""
-        store = _sample_store(tmp_path)
-        cache = ResultCache(tmp_path / "cache")
-        clean = diff_corpus(store,
-                            executor=SweepExecutor(jobs=1, cache=cache))
-        monkeypatch.setenv(CORRUPT_ENV, "0")
-        corrupted = diff_corpus(
-            store, executor=SweepExecutor(jobs=1, cache=cache))
-        assert corrupted[0].divergences == 1
-        monkeypatch.delenv(CORRUPT_ENV)
-        again = diff_corpus(store,
-                            executor=SweepExecutor(jobs=1, cache=cache))
-        assert again == clean
-
 
 class TestCliGate:
     def test_clean_run_exits_zero_and_writes_report(self, tmp_path):
@@ -151,12 +152,13 @@ class TestCliGate:
 
     def test_injected_divergence_turns_the_gate_red(self, tmp_path,
                                                     monkeypatch):
-        """The corpus-smoke CI negative check, as a unit test: corrupt
-        one event, and the exact same invocation must exit 1 with the
-        divergence (and its context) recorded in the artifact."""
+        """The corpus-smoke CI negative check, as a unit test: our lane
+        mispredicts one return, and the exact same invocation must exit
+        1 with the divergence (and its context) recorded in the
+        artifact."""
         store = _sample_store(tmp_path)
         out = tmp_path / "corrupted.json"
-        monkeypatch.setenv(CORRUPT_ENV, "7")
+        _mispredict_return(monkeypatch, 7)
         rc = main(["corpus", "diffcheck", str(store.root),
                    "--report", str(out), "--no-cache", "--no-telemetry"])
         assert rc == 1

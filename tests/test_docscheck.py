@@ -156,3 +156,14 @@ class TestKnobInventory:
         section = text.split("\n## 3. ", 1)[1].split("\n## ", 1)[0]
         rows = set(re.findall(r"^\| *`(REPRO_[A-Z_]+)`", section, re.M))
         assert used == rows
+
+    def test_only_the_env_module_reads_the_environment(self):
+        """Production code never reads a switch from the environment
+        on its own: every ``REPRO_*`` read goes through
+        repro/config/env.py, the one place that parses them."""
+        package = Path(__file__).resolve().parent.parent / "src" / "repro"
+        readers = sorted(
+            str(path.relative_to(package))
+            for path in package.rglob("*.py")
+            if re.search(r"os\.environ|os\.getenv", path.read_text()))
+        assert readers == ["config/env.py"]

@@ -16,6 +16,7 @@ from repro.core import executor as executor_module
 from repro.core.experiment import WorkloadSpec, build_program
 from repro.core.sweep import mechanism_sweep, stack_depth_sweep
 from repro.core.tables import fig_speedup, table3_baseline
+from repro.telemetry import RunLedger
 
 SPEC = WorkloadSpec("li", seed=1, scale=0.05)
 MECHANISMS = (RepairMechanism.NONE, RepairMechanism.TOS_POINTER_AND_CONTENTS)
@@ -225,16 +226,35 @@ class TestCliParser:
             gc.enable()
 
     def test_env_defaults_read_per_call(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         out = tmp_path / "table1.json"
+        roots = [tmp_path / "cache1", tmp_path / "cache2"]
         seen = []
-        for seed, scale in (("3", "0.5"), ("7", "0.125")):
+        for seed, scale, root in (("3", "0.5", roots[0]),
+                                  ("7", "0.125", roots[1])):
             monkeypatch.setenv("REPRO_SEED", seed)
             monkeypatch.setenv("REPRO_SCALE", scale)
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
             assert cli_main(["table1", "--json", str(out)]) == 0
             payload = json.loads(out.read_text())
             seen.append((payload["seed"], payload["scale"]))
+            assert cli_main(["stack-depth", "--names", "li",
+                             "--scale", "0.02"]) == 0
         assert seen == [(3, 0.5), (7, 0.125)]
+        # each sweep wrote to the cache root of its own call
+        assert [len(RunLedger.at_root(root).entries())
+                for root in roots] == [1, 1]
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--benchmark", "li", "--json", "x.json"],
+        ["disasm", "--benchmark", "li", "--jobs", "2"],
+        ["smt", "--names", "li"],
+        ["report", "--json", "x.json"],
+    ])
+    def test_commands_reject_flags_they_would_ignore(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestLedgerPaths:

@@ -1,7 +1,7 @@
 """Tests for the columnar cycle engines and their executor wiring.
 
-The deep parity matrix (every repair mechanism and stack size, both
-array backends) lives here; the harness that performs the comparison
+The deep parity matrix (every repair mechanism and stack size) lives
+here; the harness that performs the comparison
 is itself tested in ``tests/test_parity_harness.py``.
 """
 
@@ -18,8 +18,7 @@ from repro.core.experiment import (
     run_cycle,
     run_multipath,
 )
-from repro.fastsim import cycle as cycle_module
-from repro.fastsim.cycle import cycle_backend, run_cycle_fast
+from repro.fastsim.cycle import run_cycle_fast
 from repro.fastsim.multipath import run_multipath_fast
 from repro.fastsim.parity import flatten_group
 from repro.workloads.generator import build_workload
@@ -75,32 +74,6 @@ class TestMultipathParity:
         reference, _ = run_multipath(program, config)
         fast, _ = run_multipath_fast(program, config)
         assert flatten_group(reference.group) == flatten_group(fast.group)
-
-
-class TestBackends:
-    def test_default_is_stdlib(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CYCLE_BACKEND", raising=False)
-        assert cycle_backend() == "python"
-
-    def test_numpy_opt_in(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CYCLE_BACKEND", "numpy")
-        expected = "python" if cycle_module._np is None else "numpy"
-        assert cycle_backend() == expected
-
-    def test_explicit_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            run_cycle_fast(_program(), baseline_config(), backend="rust")
-
-    def test_backends_bit_identical(self):
-        if cycle_module._np is None:
-            pytest.skip("numpy unavailable; only the stdlib backend runs")
-        program = _program()
-        via_python, _ = run_cycle_fast(program, baseline_config(),
-                                       backend="python")
-        via_numpy, _ = run_cycle_fast(program, baseline_config(),
-                                      backend="numpy")
-        assert flatten_group(via_python.group) == \
-            flatten_group(via_numpy.group)
 
 
 class TestExecutorWiring:

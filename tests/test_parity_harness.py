@@ -100,12 +100,6 @@ class TestRealCells:
         for report in reports:
             report.ensure()
 
-    def test_backends_agree(self):
-        check_cycle_parity(_program(), backend="python").ensure()
-        if cycle_module._np is None:
-            pytest.skip("numpy unavailable; stdlib fallback already covered")
-        check_cycle_parity(_program(), backend="numpy").ensure()
-
 
 class TestCorruptionInjection:
     """A tampered fast engine must be detected, never silently passed."""
@@ -113,11 +107,9 @@ class TestCorruptionInjection:
     def test_corrupted_cycle_counter_detected(self, monkeypatch):
         real = cycle_module.run_cycle_fast
 
-        def tampered(program, config=None, max_instructions=None,
-                     backend=None):
+        def tampered(program, config=None, max_instructions=None):
             result, cpu = real(program, config,
-                               max_instructions=max_instructions,
-                               backend=backend)
+                               max_instructions=max_instructions)
             result.group["ras_pushes"].value += 1
             return result, cpu
 
@@ -146,10 +138,9 @@ class TestCorruptionInjection:
     def test_dropped_counter_detected(self, monkeypatch):
         real = cycle_module.run_cycle_fast
 
-        def lossy(program, config=None, max_instructions=None, backend=None):
+        def lossy(program, config=None, max_instructions=None):
             result, cpu = real(program, config,
-                               max_instructions=max_instructions,
-                               backend=backend)
+                               max_instructions=max_instructions)
             del result.group._stats["squashed"]
             return result, cpu
 
@@ -170,11 +161,9 @@ class TestCli:
     def test_parity_command_fails_on_divergence(self, monkeypatch, capsys):
         real = cycle_module.run_cycle_fast
 
-        def tampered(program, config=None, max_instructions=None,
-                     backend=None):
+        def tampered(program, config=None, max_instructions=None):
             result, cpu = real(program, config,
-                               max_instructions=max_instructions,
-                               backend=backend)
+                               max_instructions=max_instructions)
             result.group["cycles"].value += 1
             return result, cpu
 

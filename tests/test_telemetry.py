@@ -299,13 +299,13 @@ class TestSweepLedger:
         assert len(RunLedger(path).entries()) == 1
 
     def test_executor_opt_out_suppresses_everything(self, tmp_path):
-        executor = SweepExecutor(jobs=1, cache=ResultCache(tmp_path),
-                                 telemetry_enabled=False)
-        executor.run(_jobs(sizes=(4,)))
+        executor = SweepExecutor(jobs=1, cache=ResultCache(tmp_path))
+        with telemetry.disabled():
+            executor.run(_jobs(sizes=(4,)))
         assert RunLedger.at_root(tmp_path).entries() == []
         assert executor.last_trace_id is None
         assert TraceStore.at_cache_root(tmp_path).trace_ids() == []
-        assert telemetry.enabled()  # global switch untouched
+        assert telemetry.enabled()  # the switch is restored on exit
 
     def test_spans_and_global_metrics_flow(self, tmp_path):
         executor = SweepExecutor(jobs=1, cache=ResultCache(tmp_path))
