@@ -7,36 +7,15 @@ within a point or two of a full checkpoint that would cost >2000 bits
 per branch.
 """
 
-from repro.analysis import mechanism_costs
-from repro.config import RepairMechanism, baseline_config
-from repro.core.experiment import run_cycle
-from repro.workloads import build_workload
+from repro.core.tables import ablation_hardware_cost
 
 
 def test_hardware_cost_benefit(benchmark, emit, bench_scale, bench_seed):
-    def build():
-        program = build_workload("li", seed=bench_seed, scale=bench_scale)
-        accuracy = {}
-        for mechanism in RepairMechanism:
-            config = baseline_config().with_repair(mechanism)
-            result, _ = run_cycle(program, config)
-            accuracy[mechanism] = result.return_accuracy
-        rows = []
-        for cost in mechanism_costs(baseline_config().predictor):
-            acc = accuracy[cost.mechanism]
-            rows.append([
-                cost.mechanism.value,
-                cost.bits_per_checkpoint,
-                cost.extra_stack_bits,
-                cost.total_bits(20),
-                None if acc is None else round(100 * acc, 2),
-            ])
-        headers = ["mechanism", "bits/branch", "extra stack bits",
-                   "total bits (20 in flight)", "li return acc %"]
-        return ("Ablation: hardware cost vs benefit (32-entry RAS)",
-                headers, rows)
-
-    table = benchmark.pedantic(build, rounds=1, iterations=1)
+    table = benchmark.pedantic(
+        ablation_hardware_cost,
+        kwargs={"seed": bench_seed, "scale": bench_scale},
+        rounds=1, iterations=1,
+    )
     emit("ablation_hardware_cost", table)
     rows = {row[0]: row for row in table[2]}
     contents = rows["tos-pointer-contents"]

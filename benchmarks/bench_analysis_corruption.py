@@ -7,32 +7,15 @@ checkpointing one pointer and one address captures nearly all of full
 checkpointing's benefit.
 """
 
-from repro.analysis import CorruptionAnalyzer
-from repro.analysis.corruption import CATEGORIES
-from repro.config import baseline_config
-from repro.workloads import build_workload
-
-_NAMES = ("compress", "go", "li", "perl", "vortex")
+from repro.core.tables import analysis_corruption
 
 
 def test_corruption_breakdown(benchmark, emit, bench_scale, bench_seed):
-    def build():
-        rows = []
-        for name in _NAMES:
-            program = build_workload(name, seed=bench_seed, scale=bench_scale)
-            breakdown = CorruptionAnalyzer(
-                program, baseline_config().predictor).run()
-            row = [name, breakdown.returns]
-            for category in CATEGORIES:
-                fraction = breakdown.fraction(category)
-                row.append(None if fraction is None
-                           else round(100 * fraction, 2))
-            rows.append(row)
-        headers = ["benchmark", "returns"] + [f"{c} %" for c in CATEGORIES]
-        return ("Ablation: corruption-cause breakdown of returns",
-                headers, rows)
-
-    table = benchmark.pedantic(build, rounds=1, iterations=1)
+    table = benchmark.pedantic(
+        analysis_corruption,
+        kwargs={"seed": bench_seed, "scale": bench_scale},
+        rounds=1, iterations=1,
+    )
     emit("analysis_corruption", table)
     for row in table[2]:
         needs_full, unrepairable = row[-2], row[-1]

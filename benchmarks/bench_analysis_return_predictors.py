@@ -6,31 +6,15 @@ targets. These general mechanisms, however, do not achieve the
 near-100% accuracies possible with a return-address stack."
 """
 
-from repro.analysis import compare_return_predictors
-from repro.workloads import build_workload
-
-_NAMES = ("compress", "li", "perl", "vortex")
+from repro.core.tables import analysis_return_predictors
 
 
 def test_return_predictor_comparison(benchmark, emit, bench_scale, bench_seed):
-    def build():
-        rows = []
-        columns = None
-        for name in _NAMES:
-            program = build_workload(name, seed=bench_seed, scale=bench_scale)
-            comparison = compare_return_predictors(program)
-            if columns is None:
-                columns = sorted(comparison.accuracy)
-            row = [name, comparison.returns]
-            for column in columns:
-                value = comparison.accuracy[column]
-                row.append(None if value is None else round(100 * value, 2))
-            rows.append(row)
-        headers = ["benchmark", "returns"] + [f"{c} %" for c in columns]
-        return ("Ablation: return prediction — RAS vs indirect predictors",
-                headers, rows)
-
-    table = benchmark.pedantic(build, rounds=1, iterations=1)
+    table = benchmark.pedantic(
+        analysis_return_predictors,
+        kwargs={"seed": bench_seed, "scale": bench_scale},
+        rounds=1, iterations=1,
+    )
     emit("analysis_return_predictors", table)
     headers = table[1]
     ras_col = headers.index("ras %")

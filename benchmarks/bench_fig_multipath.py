@@ -7,16 +7,13 @@ stacks eliminate contention entirely (the paper reports gains of over
 stack does NOT help, because contention is not a wrong-path effect.
 """
 
-import os
-
 from repro.core import fig_multipath
 
 
 def test_fig_multipath_stack_organisations(benchmark, emit, bench_seed):
-    scale = float(os.environ.get("REPRO_MULTIPATH_SCALE", "0.15"))
     table = benchmark.pedantic(
         fig_multipath,
-        kwargs={"seed": bench_seed, "scale": scale},
+        kwargs={"seed": bench_seed},
         rounds=1, iterations=1,
     )
     emit("fig_multipath", table)

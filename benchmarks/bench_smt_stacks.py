@@ -8,39 +8,15 @@ contention; a shared stack collapses while per-thread stacks match the
 single-thread baseline.
 """
 
-from repro.config import baseline_config
-from repro.smt import SmtFrontEndSim
-from repro.workloads import build_workload
+from repro.core.tables import smt_stacks
 
 
 def test_smt_stack_organisations(benchmark, emit, bench_scale, bench_seed):
-    def build():
-        rows = []
-        for name in ("li", "vortex"):
-            for threads in (2, 4):
-                programs = [
-                    build_workload(name, seed=bench_seed + i,
-                                   scale=bench_scale)
-                    for i in range(threads)
-                ]
-                accuracy = {}
-                for per_thread in (True, False):
-                    sim = SmtFrontEndSim(
-                        programs, baseline_config().predictor,
-                        per_thread_stacks=per_thread)
-                    result = sim.run()
-                    accuracy[per_thread] = result.return_accuracy
-                rows.append([
-                    name, threads,
-                    round(100 * accuracy[False], 2),
-                    round(100 * accuracy[True], 2),
-                ])
-        headers = ["benchmark", "threads", "shared stack ret %",
-                   "per-thread stacks ret %"]
-        return ("SMT: shared vs per-thread return-address stacks",
-                headers, rows)
-
-    table = benchmark.pedantic(build, rounds=1, iterations=1)
+    table = benchmark.pedantic(
+        smt_stacks,
+        kwargs={"seed": bench_seed, "scale": bench_scale},
+        rounds=1, iterations=1,
+    )
     emit("smt_stacks", table)
     for name, threads, shared, per_thread in table[2]:
         assert per_thread > 90.0, (name, threads)

@@ -4,22 +4,16 @@ Dynamic instruction counts, call/return density and call depth for the
 eight SPECint95-inspired synthetic workloads.
 """
 
-from repro.stats.tables import format_table
-from repro.workloads.characterize import TABLE2_HEADERS, characterize
-from repro.workloads.generator import build_workload
-from repro.workloads.profiles import BENCHMARK_NAMES
+from repro.core.tables import table2_workloads
 
 
 def test_table2_workload_summary(benchmark, emit, bench_scale, bench_seed):
-    def build():
-        rows = []
-        for name in BENCHMARK_NAMES:
-            program = build_workload(name, seed=bench_seed, scale=bench_scale)
-            rows.append(characterize(program).as_row())
-        return ("Table 2: benchmark summary", TABLE2_HEADERS, rows)
-
-    table = benchmark.pedantic(build, rounds=1, iterations=1)
-    text = emit("table2_workloads", table)
+    table = benchmark.pedantic(
+        table2_workloads,
+        kwargs={"seed": bench_seed, "scale": bench_scale},
+        rounds=1, iterations=1,
+    )
+    emit("table2_workloads", table)
     # the paper's workload contrasts: li is call-dense, ijpeg is not.
     rows = {row[0]: row for row in table[2]}
     assert rows["li"][5] > rows["ijpeg"][5]

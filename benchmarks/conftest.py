@@ -7,13 +7,12 @@ pytest's capture — both as the rendered text table and as a
 machine-readable ``BENCH_<name>.json`` (rows + wall time + scale/seed
 metadata; format documented in docs/performance.md) so the perf
 trajectory can be tracked across commits. Scale and seed come from
-REPRO_SCALE / REPRO_SEED.
+REPRO_SCALE / REPRO_SEED, read through :mod:`repro.config.env`.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import time
 
@@ -63,9 +62,13 @@ def emit(bench_scale, bench_seed):
 
 @pytest.fixture(scope="session")
 def bench_scale() -> float:
-    return float(os.environ.get("REPRO_SCALE", "0.25"))
+    from repro.config import env
+
+    return env.scale()
 
 
 @pytest.fixture(scope="session")
 def bench_seed() -> int:
-    return int(os.environ.get("REPRO_SEED", "1"))
+    from repro.config import env
+
+    return env.seed()

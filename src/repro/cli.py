@@ -34,7 +34,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import List, Optional
+from typing import List, Optional, TextIO
 
 from repro import telemetry
 from repro.config import env
@@ -51,7 +51,6 @@ from repro.core.experiment import (
 from repro.errors import ConfigError
 from repro.stats.tables import format_table
 from repro.telemetry import RunLedger, compare_entries
-from repro.workloads.characterize import table2 as build_table2
 from repro.workloads.generator import build_workload
 from repro.workloads.profiles import BENCHMARK_NAMES
 
@@ -69,6 +68,15 @@ TABLES = {
     "ablation-mechanisms": "ablation_mechanisms",
     "ablation-shadow": "ablation_shadow_slots",
     "ablation-fastsim": "ablation_fastsim_crosscheck",
+}
+
+#: Table commands that run no sweep (so take no executor flags) -> the
+#: name of their builder, looked up the same way.
+ANALYSES = {
+    "table2": "table2_workloads",
+    "corruption": "analysis_corruption",
+    "return-predictors": "analysis_return_predictors",
+    "smt": "smt_stacks",
 }
 
 
@@ -577,10 +585,9 @@ def _corpus_diffcheck(args: argparse.Namespace, store) -> int:
             "ok": not diverging,
             "reports": [report.to_json_dict() for report in reports],
         }
-        with open(args.report, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        print(f"diff report written to {args.report}", file=sys.stderr)
+        if _write_file(args.report, _json_text(payload),
+                       f"diff report written to {args.report}"):
+            return 1
     if args.json:
         status = _write_json(args, title, headers, rows, executor)
         if status:
@@ -617,15 +624,26 @@ def _write_json(args: argparse.Namespace, title: str, headers, rows,
         payload["wall_time_s"] = round(executor.wall_time_s, 6)
         if executor.run_ids:
             payload["run_ids"] = list(executor.run_ids)
+    return _write_file(args.json, _json_text(payload),
+                       f"json written to {args.json}")
+
+
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2, default=str) + "\n"
+
+
+def _write_file(path: str, text: str, written: str,
+                stream: Optional[TextIO] = None) -> int:
+    """Write ``text`` to ``path`` and print ``written`` to ``stream``
+    (default stderr). A path that cannot be written prints one line
+    and returns 1, never a traceback."""
     try:
-        with open(args.json, "w") as handle:
-            json.dump(payload, handle, indent=2, default=str)
-            handle.write("\n")
+        with open(path, "w") as handle:
+            handle.write(text)
     except OSError as error:
-        print(f"repro-sim: cannot write --json {args.json}: {error}",
-              file=sys.stderr)
+        print(f"repro-sim: cannot write {path}: {error}", file=sys.stderr)
         return 1
-    print(f"json written to {args.json}", file=sys.stderr)
+    print(written, file=stream or sys.stderr)
     return 0
 
 
@@ -671,15 +689,9 @@ def _bench_command(args: argparse.Namespace) -> int:
                 "failed": failed,
                 "checks": [dataclasses.asdict(check) for check in checks],
             }
-            try:
-                with open(args.json, "w") as handle:
-                    json.dump(payload, handle, indent=2)
-                    handle.write("\n")
-            except OSError as error:
-                print(f"repro-sim: cannot write --json {args.json}: {error}",
-                      file=sys.stderr)
+            if _write_file(args.json, _json_text(payload),
+                           f"json written to {args.json}"):
                 return 1
-            print(f"json written to {args.json}", file=sys.stderr)
         return 1 if failed else 0
     except BenchGateError as error:
         print(f"repro-sim bench: {error}", file=sys.stderr)
@@ -755,30 +767,16 @@ def _trace_command(args: argparse.Namespace) -> int:
                   f"{info['duration_ms']:.1f} of {info['trace_ms']:.1f} ms "
                   f"({info['coverage']:.1%})"))
         if args.json:
-            try:
-                with open(args.json, "w") as handle:
-                    json.dump({"trace_id": trace_id, **info}, handle,
-                              indent=2, default=str)
-                    handle.write("\n")
-            except OSError as error:
-                print(f"repro-sim: cannot write --json {args.json}: "
-                      f"{error}", file=sys.stderr)
-                return 1
-            print(f"json written to {args.json}", file=sys.stderr)
+            return _write_file(args.json,
+                               _json_text({"trace_id": trace_id, **info}),
+                               f"json written to {args.json}")
         return 0
     # export
     out = args.out or f"trace-{trace_id[:12]}.json"
-    try:
-        with open(out, "w") as handle:
-            json.dump(analysis.chrome_trace(spans), handle, default=str)
-            handle.write("\n")
-    except OSError as error:
-        print(f"repro-sim trace: cannot write {out}: {error}",
-              file=sys.stderr)
-        return 1
-    print(f"chrome trace written to {out} "
-          f"({len(spans)} spans; open in Perfetto)")
-    return 0
+    return _write_file(
+        out, json.dumps(analysis.chrome_trace(spans), default=str) + "\n",
+        f"chrome trace written to {out} ({len(spans)} spans; open in "
+        f"Perfetto)", sys.stdout)
 
 
 def _runs_command(args: argparse.Namespace) -> int:
@@ -840,15 +838,8 @@ def _runs_command(args: argparse.Namespace) -> int:
                     [[name, value] for name, value in metrics.items()],
                     title="Metrics (counters)"))
             if args.json:
-                try:
-                    with open(args.json, "w") as handle:
-                        json.dump(info, handle, indent=2, default=str)
-                        handle.write("\n")
-                except OSError as error:
-                    print(f"repro-sim: cannot write --json {args.json}: "
-                          f"{error}", file=sys.stderr)
-                    return 1
-                print(f"json written to {args.json}", file=sys.stderr)
+                return _write_file(args.json, _json_text(info),
+                                   f"json written to {args.json}")
             return 0
         # compare
         diff = compare_entries(ledger.get(args.a), ledger.get(args.b))
@@ -882,15 +873,8 @@ def _runs_command(args: argparse.Namespace) -> int:
             print(format_table(["metric", "a", "b", "delta"], metric_rows,
                                title=f"{title}: metric delta"))
         if args.json:
-            try:
-                with open(args.json, "w") as handle:
-                    json.dump(diff, handle, indent=2, default=str)
-                    handle.write("\n")
-            except OSError as error:
-                print(f"repro-sim: cannot write --json {args.json}: {error}",
-                      file=sys.stderr)
-                return 1
-            print(f"json written to {args.json}", file=sys.stderr)
+            return _write_file(args.json, _json_text(diff),
+                               f"json written to {args.json}")
         return 0
     except ReproError as error:
         print(f"repro-sim runs: {error}", file=sys.stderr)
@@ -931,6 +915,19 @@ def _table_command(args: argparse.Namespace) -> int:
     return 0
 
 
+def _analysis_command(args: argparse.Namespace) -> int:
+    builder = getattr(table_builders, ANALYSES[args.command])
+    if args.command == "smt":
+        title, headers, rows = builder(
+            names=[args.benchmark], threads=[args.threads], seed=args.seed,
+            scale=args.scale)
+    else:
+        title, headers, rows = builder(names=args.names, seed=args.seed,
+                                       scale=args.scale)
+    print(format_table(headers, rows, title=title))
+    return 0
+
+
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "corpus":
         return _corpus_command(args)
@@ -942,47 +939,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _bench_command(args)
     if args.command in TABLES:
         return _table_command(args)
-    if args.command == "table2":
-        print(build_table2(args.names, seed=args.seed, scale=args.scale))
-        return 0
-    if args.command == "corruption":
-        from repro.analysis import CorruptionAnalyzer
-        from repro.analysis.corruption import CATEGORIES
-        rows = []
-        for name in args.names:
-            program = build_workload(name, seed=args.seed, scale=args.scale)
-            breakdown = CorruptionAnalyzer(
-                program, baseline_config().predictor).run()
-            row = [name, breakdown.returns]
-            for category in CATEGORIES:
-                fraction = breakdown.fraction(category)
-                row.append(None if fraction is None
-                           else round(100 * fraction, 2))
-            rows.append(row)
-        print(format_table(
-            ["benchmark", "returns"] + [f"{c} %" for c in CATEGORIES],
-            rows, title="Corruption-cause breakdown of returns"))
-        return 0
-    if args.command == "return-predictors":
-        from repro.analysis import compare_return_predictors
-        rows = []
-        columns = None
-        for name in args.names:
-            program = build_workload(name, seed=args.seed, scale=args.scale)
-            comparison = compare_return_predictors(program)
-            if columns is None:
-                columns = sorted(comparison.accuracy)
-            row = [name, comparison.returns]
-            row.extend(
-                None if comparison.accuracy[c] is None
-                else round(100 * comparison.accuracy[c], 2)
-                for c in columns
-            )
-            rows.append(row)
-        print(format_table(
-            ["benchmark", "returns"] + [f"{c} %" for c in (columns or [])],
-            rows, title="Return prediction: RAS vs indirect predictors"))
-        return 0
+    if args.command in ANALYSES:
+        return _analysis_command(args)
     if args.command == "run":
         return _run_command(args)
     if args.command == "parity":
@@ -991,31 +949,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         program = build_workload(args.benchmark, seed=args.seed,
                                  scale=args.scale)
         print(program.disassemble(count=args.count))
-        return 0
-    if args.command == "smt":
-        from repro.smt import SmtFrontEndSim
-        programs = [
-            build_workload(args.benchmark, seed=args.seed + i,
-                           scale=args.scale)
-            for i in range(args.threads)
-        ]
-        rows = []
-        for per_thread in (False, True):
-            sim = SmtFrontEndSim(
-                programs, baseline_config().predictor,
-                per_thread_stacks=per_thread)
-            result = sim.run()
-            rows.append([
-                "per-thread" if per_thread else "shared",
-                result.instructions,
-                result.returns,
-                None if result.return_accuracy is None
-                else round(100 * result.return_accuracy, 2),
-            ])
-        print(format_table(
-            ["stacks", "instructions", "returns", "return acc %"],
-            rows,
-            title=f"SMT {args.threads}x {args.benchmark}"))
         return 0
     if args.command == "report":
         from repro.core.report import build_report
@@ -1029,11 +962,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         )
         _print_sweep_summary(executor)
         if args.out:
-            with open(args.out, "w") as handle:
-                handle.write(text + "\n")
-            print(f"report written to {args.out}")
-        else:
-            print(text)
+            return _write_file(args.out, text + "\n",
+                               f"report written to {args.out}", sys.stdout)
+        print(text)
         return 0
     return 1  # pragma: no cover
 

@@ -2,9 +2,10 @@
 
 This package is the reproduction's control room. ``experiment`` holds
 the engine-agnostic runners; ``executor`` schedules independent jobs
-over worker processes with an on-disk result cache; ``tables`` builds
-the exact rows each bench target prints; ``sweep`` holds the parameter
-sweeps (stack depth, shadow slots, path counts).
+over worker processes with an on-disk result cache; ``tables`` holds
+the one builder of each EXPERIMENTS.md table, which builds the exact
+rows its bench target, its CLI command and ``report`` print; ``sweep``
+holds the parameter sweeps (stack depth, shadow slots, path counts).
 """
 
 from repro.core.executor import (

@@ -1,17 +1,19 @@
-"""Row builders for every table and figure in the evaluation.
+"""One ``(title, headers, rows)`` builder per table in EXPERIMENTS.md.
 
-Each function returns ``(title, headers, rows)`` ready for
-:func:`repro.stats.format_table`; the benchmark targets under
-``benchmarks/`` print them, and EXPERIMENTS.md records representative
-output against the paper's claims.
+The tables are ready for :func:`repro.stats.format_table`. The CLI,
+:mod:`repro.core.report` and the bench targets under ``benchmarks/``
+print them and build no rows of their own; EXPERIMENTS.md records
+representative output against the paper's claims.
 
-Every builder decomposes its grid into independent
+Every sweep builder decomposes its grid into independent
 :class:`~repro.core.executor.ExperimentJob` instances and submits them
 through a :class:`~repro.core.executor.SweepExecutor` in a single
 ``run`` call, so one ``--jobs N`` flag parallelises the whole table and
 the on-disk result cache skips any cell whose inputs are unchanged.
 Rows are assembled from the executor's order-preserving results, which
-makes parallel and serial output bit-identical.
+makes parallel and serial output bit-identical. T2, A4, A5 and A9 run
+no sweep, so they take no executor; they import their instruments when
+called, which keeps those out of ``import repro.cli``.
 """
 
 from __future__ import annotations
@@ -20,13 +22,18 @@ import dataclasses
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.config.defaults import baseline_config, table1_rows
+from repro.config.machine import MachineConfig
 from repro.config.options import (
     PRIMARY_MECHANISMS,
     RepairMechanism,
     StackOrganization,
 )
 from repro.core.executor import ExperimentJob, JobResult, SweepExecutor
-from repro.core.experiment import WorkloadSpec, multipath_machine
+from repro.core.experiment import (
+    WorkloadSpec,
+    build_program,
+    multipath_machine,
+)
 from repro.workloads.profiles import BENCHMARK_NAMES
 
 TableData = Tuple[str, List[str], List[List[object]]]
@@ -52,13 +59,44 @@ def _chunks(results: Sequence[JobResult], size: int) -> Iterator[List[JobResult]
         yield list(results[start:start + size])
 
 
+def _hit_rate_rows(
+    names: Sequence[str],
+    seed: int,
+    scale: float,
+    configs: Sequence[MachineConfig],
+    executor: Optional[SweepExecutor],
+    engine: str = "cycle",
+) -> List[List[object]]:
+    """One row per benchmark: its name, then the committed-return hit
+    rate under each of ``configs``. Jobs go out benchmark-major."""
+    specs = _specs(names, seed, scale)
+    jobs = [ExperimentJob(spec, config, engine)
+            for spec in specs for config in configs]
+    results = _executor(executor).run(jobs)
+    return [[spec.name] + [_pct(result.return_accuracy) for result in chunk]
+            for spec, chunk in zip(specs, _chunks(results, len(configs)))]
+
+
 # ----------------------------------------------------------------------
-# T1 / T3 / T4.
+# T1-T4.
 
 def table1() -> TableData:
     """T1: the baseline machine model."""
     rows = [[name, value] for name, value in table1_rows(baseline_config())]
     return ("Table 1: baseline machine model", ["parameter", "value"], rows)
+
+
+def table2_workloads(
+    names: Sequence[str] = BENCHMARK_NAMES,
+    seed: int = 1,
+    scale: float = 0.25,
+) -> TableData:
+    """T2: each workload's dynamic behaviour on the functional emulator."""
+    from repro.workloads.characterize import TABLE2_HEADERS, characterize
+
+    rows = [characterize(build_program(spec)).as_row()
+            for spec in _specs(names, seed, scale)]
+    return ("Table 2: benchmark summary", TABLE2_HEADERS, rows)
 
 
 def table3_baseline(
@@ -132,16 +170,8 @@ def fig_hit_rates(
 ) -> TableData:
     """F1: committed-return hit rate by repair mechanism."""
     mechanisms = list(mechanisms)
-    specs = _specs(names, seed, scale)
-    jobs = [
-        ExperimentJob(spec, baseline_config().with_repair(mechanism), "cycle")
-        for spec in specs for mechanism in mechanisms
-    ]
-    results = _executor(executor).run(jobs)
-    rows = []
-    for spec, chunk in zip(specs, _chunks(results, len(mechanisms))):
-        rows.append([spec.name]
-                    + [_pct(result.return_accuracy) for result in chunk])
+    configs = [baseline_config().with_repair(m) for m in mechanisms]
+    rows = _hit_rate_rows(names, seed, scale, configs, executor)
     headers = ["benchmark"] + [f"{m} %" for m in mechanisms]
     return ("Figure: return-address-stack hit rates by repair mechanism",
             headers, rows)
@@ -207,17 +237,10 @@ def fig_stack_depth(
     curves flatten once the stack covers the common call depth. Uses
     the fast model so that eight sizes x several workloads stay cheap.
     """
-    specs = _specs(names, seed, scale)
     repaired = baseline_config().with_repair(mechanism)
-    jobs = [
-        ExperimentJob(spec, repaired.with_ras_entries(size), "fast")
-        for spec in specs for size in sizes
-    ]
-    results = _executor(executor).run(jobs)
-    rows = []
-    for spec, chunk in zip(specs, _chunks(results, len(sizes))):
-        rows.append([spec.name]
-                    + [_pct(result.return_accuracy) for result in chunk])
+    configs = [repaired.with_ras_entries(size) for size in sizes]
+    rows = _hit_rate_rows(names, seed, scale, configs, executor,
+                          engine="fast")
     headers = ["benchmark"] + [f"{size}-entry %" for size in sizes]
     return (f"Figure: hit rate vs stack depth ({mechanism})", headers, rows)
 
@@ -229,14 +252,16 @@ def fig_multipath(
     names: Sequence[str] = ("li", "vortex", "compress", "go"),
     path_counts: Sequence[int] = (2, 4),
     seed: int = 1,
-    scale: float = 0.25,
+    scale: float = 0.15,
     executor: Optional[SweepExecutor] = None,
 ) -> TableData:
     """F4: relative IPC of stack organisations under multipath.
 
     As in the paper's figure, each path count is normalised to its own
     unified-stack case; per-path stacks should win by a wide margin on
-    call-dense workloads and full checkpointing should not help.
+    call-dense workloads and full checkpointing should not help. The
+    multipath model is the slowest engine, hence the smaller default
+    scale.
     """
     organizations = list(StackOrganization)
     specs = _specs(names, seed, scale)
@@ -279,16 +304,8 @@ def ablation_mechanisms(
 ) -> TableData:
     """A1: all six mechanisms, including the related-work variants."""
     mechanisms = list(RepairMechanism)
-    specs = _specs(names, seed, scale)
-    jobs = [
-        ExperimentJob(spec, baseline_config().with_repair(mechanism), "cycle")
-        for spec in specs for mechanism in mechanisms
-    ]
-    results = _executor(executor).run(jobs)
-    rows = []
-    for spec, chunk in zip(specs, _chunks(results, len(mechanisms))):
-        rows.append([spec.name]
-                    + [_pct(result.return_accuracy) for result in chunk])
+    configs = [baseline_config().with_repair(m) for m in mechanisms]
+    rows = _hit_rate_rows(names, seed, scale, configs, executor)
     headers = ["benchmark"] + [f"{m} %" for m in mechanisms]
     return ("Ablation: every repair mechanism (incl. valid bits and "
             "self-checkpointing)", headers, rows)
@@ -302,7 +319,6 @@ def ablation_shadow_slots(
     executor: Optional[SweepExecutor] = None,
 ) -> TableData:
     """A2: limited shadow-checkpoint slots (R10000=4, 21264~20)."""
-    specs = _specs(names, seed, scale)
     base = baseline_config()
     configs = [
         dataclasses.replace(
@@ -312,13 +328,7 @@ def ablation_shadow_slots(
         )
         for slots in slot_counts
     ]
-    jobs = [ExperimentJob(spec, config, "cycle")
-            for spec in specs for config in configs]
-    results = _executor(executor).run(jobs)
-    rows = []
-    for spec, chunk in zip(specs, _chunks(results, len(configs))):
-        rows.append([spec.name]
-                    + [_pct(result.return_accuracy) for result in chunk])
+    rows = _hit_rate_rows(names, seed, scale, configs, executor)
     headers = ["benchmark"] + [
         ("unlimited %" if slots is None else f"{slots} slots %")
         for slots in slot_counts
@@ -340,7 +350,6 @@ def ablation_btb_capacity(
     multiple callers keep missing. Small BTBs add conflict misses on
     top. The gap to a RAS persists at every size.
     """
-    specs = _specs(names, seed, scale)
     base = baseline_config().without_ras()
     configs = [
         dataclasses.replace(
@@ -349,13 +358,7 @@ def ablation_btb_capacity(
         )
         for sets in set_counts
     ] + [baseline_config()]
-    jobs = [ExperimentJob(spec, config, "cycle")
-            for spec in specs for config in configs]
-    results = _executor(executor).run(jobs)
-    rows = []
-    for spec, chunk in zip(specs, _chunks(results, len(configs))):
-        rows.append([spec.name]
-                    + [_pct(result.return_accuracy) for result in chunk])
+    rows = _hit_rate_rows(names, seed, scale, configs, executor)
     headers = (["benchmark"]
                + [f"btb {sets}x4 %" for sets in set_counts]
                + ["32-entry RAS %"])
@@ -377,18 +380,11 @@ def ablation_contents_depth(
     checkpoint the entire return-address stack." k=1 is the paper's
     proposal; k=32 equals full-stack checkpointing on a 32-entry stack.
     """
-    specs = _specs(names, seed, scale)
     configs = [baseline_config().with_contents_depth(depth)
                for depth in depths]
     configs.append(
         baseline_config().with_repair(RepairMechanism.FULL_STACK))
-    jobs = [ExperimentJob(spec, config, "cycle")
-            for spec in specs for config in configs]
-    results = _executor(executor).run(jobs)
-    rows = []
-    for spec, chunk in zip(specs, _chunks(results, len(configs))):
-        rows.append([spec.name]
-                    + [_pct(result.return_accuracy) for result in chunk])
+    rows = _hit_rate_rows(names, seed, scale, configs, executor)
     headers = (["benchmark"] + [f"top-{d} %" for d in depths]
                + ["full-stack %"])
     return ("Ablation: checkpointed-contents depth", headers, rows)
@@ -468,3 +464,97 @@ def ablation_fastsim_crosscheck(
         ])
     headers = ["benchmark", "mechanism", "cycle ret %", "fast ret %"]
     return ("Ablation: cycle-model vs fast-model hit rates", headers, rows)
+
+
+# ----------------------------------------------------------------------
+# A4 / A5 / A6 / A9: the analysis instruments and the SMT front end.
+
+def analysis_corruption(
+    names: Sequence[str] = ("compress", "go", "li", "perl", "vortex"),
+    seed: int = 1,
+    scale: float = 0.25,
+) -> TableData:
+    """A4: each committed return labelled by the weakest repair that
+    would have predicted it (the paper's Section 4 argument)."""
+    from repro.analysis.corruption import CATEGORIES, CorruptionAnalyzer
+
+    predictor = baseline_config().predictor
+    rows = []
+    for spec in _specs(names, seed, scale):
+        breakdown = CorruptionAnalyzer(build_program(spec), predictor).run()
+        rows.append([spec.name, breakdown.returns]
+                    + [_pct(breakdown.fraction(c)) for c in CATEGORIES])
+    headers = ["benchmark", "returns"] + [f"{c} %" for c in CATEGORIES]
+    return ("Ablation: corruption-cause breakdown of returns", headers, rows)
+
+
+def analysis_return_predictors(
+    names: Sequence[str] = ("compress", "li", "perl", "vortex"),
+    seed: int = 1,
+    scale: float = 0.25,
+) -> TableData:
+    """A5: the RAS against general indirect-branch predictors on returns.
+
+    The paper's related work: target-history mechanisms "do not achieve
+    the near-100% accuracies possible with a return-address stack".
+    """
+    from repro.analysis.returns import compare_return_predictors
+
+    specs = _specs(names, seed, scale)
+    comparisons = [compare_return_predictors(build_program(spec))
+                   for spec in specs]
+    columns = sorted(comparisons[0].accuracy) if comparisons else []
+    rows = [[spec.name, comparison.returns]
+            + [_pct(comparison.accuracy[c]) for c in columns]
+            for spec, comparison in zip(specs, comparisons)]
+    headers = ["benchmark", "returns"] + [f"{c} %" for c in columns]
+    return ("Ablation: return prediction — RAS vs indirect predictors",
+            headers, rows)
+
+
+def ablation_hardware_cost(
+    seed: int = 1,
+    scale: float = 0.25,
+    executor: Optional[SweepExecutor] = None,
+) -> TableData:
+    """A6: storage cost of each mechanism next to li's measured hit
+    rate; the paper's pointer+contents proposal sits at the knee."""
+    from repro.analysis.hardware_cost import cost_table
+
+    mechanisms = list(RepairMechanism)
+    configs = [baseline_config().with_repair(m) for m in mechanisms]
+    [li] = _hit_rate_rows(("li",), seed, scale, configs, executor)
+    hit_rate = dict(zip((m.value for m in mechanisms), li[1:]))
+    rows = [cost + [hit_rate[cost[0]]]
+            for cost in cost_table(baseline_config().predictor)]
+    headers = ["mechanism", "bits/branch", "extra stack bits",
+               "total bits (20 in flight)", "li return acc %"]
+    return ("Ablation: hardware cost vs benefit (32-entry RAS)",
+            headers, rows)
+
+
+def smt_stacks(
+    names: Sequence[str] = ("li", "vortex"),
+    threads: Sequence[int] = (2, 4),
+    seed: int = 1,
+    scale: float = 0.25,
+) -> TableData:
+    """A9: shared vs per-thread return-address stacks under SMT.
+    Thread ``i`` runs the benchmark built with seed ``seed + i``."""
+    from repro.smt import SmtFrontEndSim
+
+    predictor = baseline_config().predictor
+    rows = []
+    for name in names:
+        for count in threads:
+            programs = [build_program(WorkloadSpec(name, seed + i, scale))
+                        for i in range(count)]
+            rows.append([name, count] + [
+                _pct(SmtFrontEndSim(programs, predictor,
+                                    per_thread_stacks=private)
+                     .run().return_accuracy)
+                for private in (False, True)])
+    headers = ["benchmark", "threads", "shared stack ret %",
+               "per-thread stacks ret %"]
+    return ("SMT: shared vs per-thread return-address stacks",
+            headers, rows)

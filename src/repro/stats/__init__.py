@@ -7,7 +7,6 @@ simulation, and render them as text tables afterwards.
 
 from repro.stats.counters import Counter, Gauge, Histogram, Rate, StatGroup
 from repro.stats.tables import format_table, format_stat_group
-from repro.stats.ascii_charts import grouped_bars, hbar_chart, sparkline
 
 __all__ = [
     "Counter",
@@ -17,7 +16,4 @@ __all__ = [
     "StatGroup",
     "format_stat_group",
     "format_table",
-    "grouped_bars",
-    "hbar_chart",
-    "sparkline",
 ]

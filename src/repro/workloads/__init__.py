@@ -26,18 +26,15 @@ from repro.workloads.kernels import (
     stack_stress_kernel,
     tree_sum_kernel,
 )
-from repro.workloads.characterize import WorkloadCharacter, characterize
 
 __all__ = [
     "BENCHMARK_NAMES",
     "DeterministicRng",
-    "WorkloadCharacter",
     "WorkloadGenerator",
     "WorkloadProfile",
     "ackermann_kernel",
     "all_profiles",
     "build_workload",
-    "characterize",
     "dispatch_kernel",
     "fibonacci_kernel",
     "hanoi_kernel",

@@ -1,20 +1,18 @@
-"""Workload characterisation — the Table 2 analogue.
+"""Workload characterisation — one row of Table 2 per workload.
 
 Runs each workload on the reference emulator and summarises the dynamic
 properties that matter to the paper: instruction count, call/return
 density, conditional-branch density, and call-depth statistics.
+:func:`repro.core.tables.table2_workloads` builds the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.emu.emulator import Emulator
 from repro.isa.program import Program
-from repro.stats.tables import format_table
-from repro.workloads.generator import build_workload
-from repro.workloads.profiles import BENCHMARK_NAMES
 
 
 @dataclass(frozen=True)
@@ -82,15 +80,3 @@ def characterize(program: Program, max_instructions: int = 50_000_000) -> Worklo
         max_call_depth=stats.call_depth.max_key,
     )
 
-
-def table2(
-    names: Sequence[str] = BENCHMARK_NAMES,
-    seed: int = 1,
-    scale: float = 1.0,
-) -> str:
-    """Render the benchmark-summary table for the given workloads."""
-    rows = []
-    for name in names:
-        character = characterize(build_workload(name, seed=seed, scale=scale))
-        rows.append(character.as_row())
-    return format_table(TABLE2_HEADERS, rows, title="Table 2: benchmark summary")

@@ -5,6 +5,8 @@ import pytest
 from repro.cli import main as cli_main
 from repro.config import RepairMechanism, StackOrganization
 from repro.core import (
+    ResultCache,
+    SweepExecutor,
     WorkloadSpec,
     build_program,
     fig_hit_rates,
@@ -13,8 +15,10 @@ from repro.core import (
     run_fast,
     table1,
     table4_btb_only,
+    tables,
 )
 from repro.core.sweep import mechanism_sweep, multipath_sweep, stack_depth_sweep
+from repro.stats.tables import format_table
 
 
 class TestExperimentRunners:
@@ -57,6 +61,16 @@ class TestTableBuilders:
         title, headers, rows = table4_btb_only(
             names=("li",), seed=1, scale=0.05)
         assert rows[0][1] < rows[0][2]  # BTB-only below with-RAS
+
+    def test_hardware_cost_reruns_from_the_cache(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        first, second = (SweepExecutor(cache=cache) for _ in range(2))
+        table = tables.ablation_hardware_cost(scale=0.02, executor=first)
+        assert first.cache_stats()["misses"] == len(RepairMechanism)
+        assert tables.ablation_hardware_cost(
+            scale=0.02, executor=second) == table
+        assert second.cache_stats()["hits"] == len(RepairMechanism)
+        assert second.cache_stats()["misses"] == 0
 
 
 class TestSweeps:
@@ -130,3 +144,20 @@ class TestCli:
         ]) == 0
         out = capsys.readouterr().out
         assert "per-thread" in out and "shared" in out
+
+    @pytest.mark.parametrize("argv, builder, kwargs", [
+        (["table2", "--names", "li", "--scale", "0.05"],
+         "table2_workloads", {"names": ["li"]}),
+        (["corruption", "--names", "li", "--scale", "0.05"],
+         "analysis_corruption", {"names": ["li"]}),
+        (["return-predictors", "--names", "li", "--scale", "0.05"],
+         "analysis_return_predictors", {"names": ["li"]}),
+        (["smt", "--benchmark", "li", "--threads", "2", "--scale", "0.05"],
+         "smt_stacks", {"names": ["li"], "threads": [2]}),
+    ], ids=["table2", "corruption", "return-predictors", "smt"])
+    def test_prints_its_builders_table(self, capsys, argv, builder, kwargs):
+        assert cli_main(argv) == 0
+        title, headers, rows = getattr(tables, builder)(
+            seed=1, scale=0.05, **kwargs)
+        expected = format_table(headers, rows, title=title) + "\n"
+        assert capsys.readouterr().out == expected

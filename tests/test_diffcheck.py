@@ -150,6 +150,15 @@ class TestCliGate:
         assert payload["ok"] is True
         assert payload["reports"][0]["divergences"] == 0
 
+    def test_unwritable_report_path_fails_cleanly(self, tmp_path, capsys):
+        store = _sample_store(tmp_path)
+        out = tmp_path / "missing" / "diffreport.json"
+        rc = main(["corpus", "diffcheck", str(store.root),
+                   "--report", str(out), "--no-cache", "--no-telemetry"])
+        assert rc == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"repro-sim: cannot write {out}: ")
+
     def test_injected_divergence_turns_the_gate_red(self, tmp_path,
                                                     monkeypatch):
         """The corpus-smoke CI negative check, as a unit test: our lane

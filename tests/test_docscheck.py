@@ -167,3 +167,15 @@ class TestKnobInventory:
             for path in package.rglob("*.py")
             if re.search(r"os\.environ|os\.getenv", path.read_text()))
         assert readers == ["config/env.py"]
+
+    def test_the_bench_harness_reads_knobs_through_the_env_module(self):
+        """The bench targets get REPRO_SCALE and REPRO_SEED from
+        repro/config/env.py, so a malformed value fails as one
+        ConfigError. benchmarks/perf scrubs its children's environment
+        on purpose and is not covered."""
+        bench = Path(__file__).resolve().parent.parent / "benchmarks"
+        readers = sorted(
+            path.name
+            for path in [bench / "conftest.py", *bench.glob("bench_*.py")]
+            if re.search(r"os\.environ|os\.getenv", path.read_text()))
+        assert readers == []

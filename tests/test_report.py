@@ -1,9 +1,13 @@
 """Unit tests for the one-shot report builder and its CLI command."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main as cli_main
-from repro.core.report import build_report, report_section_ids
+from repro.core import tables
+from repro.core.report import SECTIONS, build_report, report_section_ids
 
 
 class TestSectionCatalogue:
@@ -13,6 +17,16 @@ class TestSectionCatalogue:
         assert set(quick) < set(full)
         assert "T1" in quick and "T4" in quick
         assert "F4" in full and "F4" not in quick
+
+    def test_full_report_is_every_experiments_table(self):
+        """One section per ``## <id> —`` table of EXPERIMENTS.md, in its
+        order, each printed by its own builder in repro.core.tables."""
+        record = Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
+        ids = re.findall(r"^## ([TFA]\d+) —", record.read_text(), re.M)
+        assert report_section_ids(full=True) == ids
+        names = [builder for _, _, builder, _ in SECTIONS]
+        assert len(set(names)) == len(names)
+        assert all(callable(getattr(tables, name)) for name in names)
 
 
 class TestBuildReport:
@@ -58,3 +72,16 @@ class TestCliReport:
         ]) == 0
         assert "written to" in capsys.readouterr().out
         assert "[T1]" in path.read_text()
+
+    def test_unwritable_out_path_fails_cleanly(self, tmp_path, capsys,
+                                               monkeypatch):
+        monkeypatch.setattr("repro.core.report.build_report",
+                            lambda **kwargs: "report text")
+        path = tmp_path / "missing" / "report.txt"
+        assert cli_main([
+            "report", "--names", "li", "--no-telemetry", "--out", str(path),
+        ]) == 1
+        captured = capsys.readouterr()
+        assert "written to" not in captured.out
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"repro-sim: cannot write {path}: ")

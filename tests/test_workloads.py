@@ -9,11 +9,11 @@ from repro.workloads import (
     BENCHMARK_NAMES,
     DeterministicRng,
     build_workload,
-    characterize,
     dispatch_kernel,
     profile_for,
     stack_stress_kernel,
 )
+from repro.workloads.characterize import characterize
 from repro.workloads.generator import WorkloadGenerator, _depth_mask
 from repro.workloads.profiles import all_profiles
 
