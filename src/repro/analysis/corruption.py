@@ -35,9 +35,7 @@ from repro.bpred.hybrid import HybridPredictor
 from repro.bpred.ras import BaseRas, make_ras
 from repro.config.machine import BranchPredictorConfig
 from repro.config.options import RepairMechanism
-from repro.emu.exec_core import execute
-from repro.emu.machine_state import MachineState
-from repro.errors import EmulationError
+from repro.emu.emulator import Emulator
 from repro.isa.opcodes import ControlClass, WORD_SIZE
 from repro.isa.program import Program
 
@@ -214,51 +212,38 @@ class CorruptionAnalyzer:
 
     def run(self) -> CorruptionBreakdown:
         """Replay the program; classify every committed return."""
-        program = self.program
         breakdown = CorruptionBreakdown()
-        state = MachineState(pc=program.entry, initial_memory=program.data)
-        pc = program.entry
-        executed = 0
-        while True:
-            if executed >= self.max_instructions:
-                raise EmulationError("corruption analyzer watchdog")
-            inst = program.fetch(pc)
+        stacks = self.stacks
+        emulator = Emulator(self.program, self.max_instructions)
+        for pc, inst, next_pc, taken, _ in emulator.control_transfers():
             control = inst.control
             tokens = None
             predictions = None
-            predicted_target: Optional[int] = None
+            predicted_target: Optional[int]
             if control is ControlClass.RETURN:
-                predictions = self.stacks.pop()
+                predictions = stacks.pop()
                 predicted_target = predictions[RepairMechanism.FULL_STACK]
-            elif inst.is_control:
+            else:
                 predicted_target = self._predict_target(pc, inst)
             if control.is_call:
-                self.stacks.push(pc + WORD_SIZE)
+                stacks.push(pc + WORD_SIZE)
             if control in (ControlClass.COND_BRANCH,
                            ControlClass.JUMP_INDIRECT,
                            ControlClass.CALL_INDIRECT,
                            ControlClass.RETURN):
-                tokens = self.stacks.checkpoint()
-
-            outcome = execute(inst, pc, state)
-            executed += 1
-            if outcome.is_halt:
-                break
+                tokens = stacks.checkpoint()
 
             if predictions is not None:
-                breakdown.record(self._classify(predictions, outcome.next_pc))
-            if inst.is_control:
-                mispredicted = predicted_target != outcome.next_pc
-                if mispredicted and tokens is not None:
-                    self._walk_wrong_path(
-                        predicted_target if predicted_target is not None
-                        else pc + WORD_SIZE)
-                    self.stacks.restore(tokens)
-                # Commit-time training.
-                if control is ControlClass.COND_BRANCH:
-                    self.hybrid.update(pc, outcome.taken)
-                    self.btb.update(pc, outcome.next_pc, outcome.taken)
-                else:
-                    self.btb.update(pc, outcome.next_pc, True)
-            pc = outcome.next_pc
+                breakdown.record(self._classify(predictions, next_pc))
+            if predicted_target != next_pc and tokens is not None:
+                self._walk_wrong_path(
+                    predicted_target if predicted_target is not None
+                    else pc + WORD_SIZE)
+                stacks.restore(tokens)
+            # Commit-time training.
+            if control is ControlClass.COND_BRANCH:
+                self.hybrid.update(pc, taken)
+                self.btb.update(pc, next_pc, taken)
+            else:
+                self.btb.update(pc, next_pc, True)
         return breakdown

@@ -19,9 +19,7 @@ from repro.bpred.btb import BranchTargetBuffer
 from repro.bpred.ras import make_ras
 from repro.bpred.target_cache import TargetCache
 from repro.config.options import RepairMechanism
-from repro.emu.exec_core import execute
-from repro.emu.machine_state import MachineState
-from repro.errors import EmulationError
+from repro.emu.emulator import Emulator
 from repro.isa.opcodes import ControlClass, WORD_SIZE
 from repro.isa.program import Program
 
@@ -63,37 +61,23 @@ def compare_return_predictors(
     hits.update({name: 0 for name in caches})
     returns = 0
 
-    state = MachineState(pc=program.entry, initial_memory=program.data)
-    pc = program.entry
-    executed = 0
-    while True:
-        if executed >= max_instructions:
-            raise EmulationError("return-predictor comparison watchdog")
-        inst = program.fetch(pc)
+    emulator = Emulator(program, max_instructions)
+    for pc, inst, actual, _, _ in emulator.control_transfers():
         control = inst.control
-        predictions: Dict[str, Optional[int]] = {}
         if control is ControlClass.RETURN:
-            predictions["btb"] = btb.lookup(pc)
+            returns += 1
+            predictions: Dict[str, Optional[int]] = {"btb": btb.lookup(pc)}
             for name, cache in caches.items():
                 predictions[name] = cache.predict(pc)
             predictions["ras"] = ras.pop()
-        if control.is_call:
-            ras.push(pc + WORD_SIZE)
-
-        outcome = execute(inst, pc, state)
-        executed += 1
-        if outcome.is_halt:
-            break
-        if control is ControlClass.RETURN:
-            returns += 1
-            actual = outcome.next_pc
             for name, predicted in predictions.items():
                 if predicted == actual:
                     hits[name] += 1
             btb.update(pc, actual, True)
             for cache in caches.values():
                 cache.update(pc, actual)
-        pc = outcome.next_pc
+        elif control.is_call:
+            ras.push(pc + WORD_SIZE)
     accuracy: Dict[str, Optional[float]] = {
         name: (count / returns if returns else None)
         for name, count in hits.items()

@@ -46,6 +46,16 @@ _INDIRECT = frozenset({ControlClass.JUMP_INDIRECT, ControlClass.CALL_INDIRECT})
 _CALLS = frozenset({ControlClass.CALL_DIRECT, ControlClass.CALL_INDIRECT})
 
 
+def new_stack(config: BranchPredictorConfig) -> Optional[BaseRas]:
+    """A fresh return-address stack as ``config`` describes it, or
+    ``None`` when the RAS is disabled."""
+    if not config.ras_enabled:
+        return None
+    return make_ras(config.ras_entries, config.ras_repair,
+                    config.self_checkpoint_overprovision,
+                    config.repair_contents_depth)
+
+
 class Prediction:
     """Everything the pipeline must remember about one prediction."""
 
@@ -93,15 +103,7 @@ class FrontEndPredictor:
         self.direction = make_direction_predictor(config)
         self.hybrid = self.direction
         self.btb = BranchTargetBuffer(config.btb_sets, config.btb_assoc)
-        self.ras: Optional[BaseRas] = (
-            make_ras(
-                config.ras_entries,
-                config.ras_repair,
-                config.self_checkpoint_overprovision,
-                config.repair_contents_depth,
-            )
-            if config.ras_enabled else None
-        )
+        self.ras = new_stack(config)
         self.shadow_pool = ShadowCheckpointPool(config.shadow_checkpoint_slots)
         self.stats = StatGroup("frontend")
         self._return_accuracy = self.stats.rate(

@@ -381,15 +381,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_defaults(args: argparse.Namespace) -> None:
+def _resolve_defaults(args: argparse.Namespace) -> Optional[str]:
     """Fill in the flags left unset from the environment, per call: the
-    parser is built once, but ``REPRO_SEED`` etc. may change between."""
+    parser is built once, but ``REPRO_SEED`` etc. may change between.
+    Returns the error message when the resolved scale is out of range."""
     if getattr(args, "names", 0) in (None, []):
         args.names = list(BENCHMARK_NAMES)
     for name, default in (("seed", env.seed), ("scale", env.scale),
                           ("jobs", env.jobs)):
         if getattr(args, name, 0) is None:
             setattr(args, name, default())
+    scale = getattr(args, "scale", None)
+    if scale is not None and not 0.0 < scale <= 4.0:
+        return f"repro-sim {args.command}: scale {scale} out of range (0, 4]"
+    return None
 
 
 def _run_command(args: argparse.Namespace) -> int:
@@ -884,7 +889,10 @@ def _runs_command(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _resolve_defaults(args)
+        error = _resolve_defaults(args)
+        if error is not None:
+            print(error, file=sys.stderr)
+            return 1
         if getattr(args, "no_telemetry", False):
             # scope the opt-out to this invocation: main() is re-entrant
             # in tests and long-lived embedding processes
@@ -897,10 +905,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _table_command(args: argparse.Namespace) -> int:
-    if not 0.0 < args.scale <= 4.0:
-        print(f"repro-sim {args.command}: scale {args.scale} out of range "
-              f"(0, 4]", file=sys.stderr)
-        return 1
     builder = getattr(table_builders, TABLES[args.command])
     executor = _make_executor(args)
     if args.command == "table1":

@@ -19,7 +19,7 @@ from repro.core.experiment import (
     build_program,
     multipath_machine,
     run_cycle,
-    run_fast,
+    run_frontend,
     run_multipath,
 )
 from repro.core.sweep import (
@@ -66,7 +66,7 @@ __all__ = [
     "multipath_machine",
     "multipath_sweep",
     "run_cycle",
-    "run_fast",
+    "run_frontend",
     "run_multipath",
     "stack_depth_jobs",
     "stack_depth_sweep",

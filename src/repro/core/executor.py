@@ -26,9 +26,9 @@ Telemetry (see docs/observability.md): every ``SweepExecutor.run``
 records one trace (:mod:`repro.obs.capture`) — a ``sweep/run`` span,
 a ``sweep/job`` span per job, wherever it ran, and ``cache/get``/
 ``cache/put`` spans for cache probes — next to the ledger. Each sweep
-also aggregates a deterministic per-sweep metrics registry from its
-results (in submission order, so parallel == serial bit-for-bit) and
-appends one entry to the run ledger under the cache root.
+also counts deterministic per-sweep metrics from its results (in
+submission order, so parallel == serial bit-for-bit) and appends one
+entry to the run ledger under the cache root.
 ``--no-telemetry`` or ``REPRO_TELEMETRY=0`` turns all of it off.
 
 The defaults for the worker count (``REPRO_JOBS``), the cache root
@@ -57,7 +57,7 @@ from repro.core.experiment import (
     WorkloadSpec,
     build_program,
     run_cycle,
-    run_fast,
+    run_frontend,
     run_multipath,
 )
 from repro.errors import ConfigError
@@ -66,7 +66,7 @@ from repro.isa.program import Program
 from repro.obs.capture import TraceCapture, span
 from repro.obs.store import TraceStore
 from repro.stats.counters import Counter, Rate
-from repro.telemetry import MetricsRegistry, RunLedger
+from repro.telemetry import RunLedger, metric_key
 from repro.telemetry import state as telemetry_state
 from repro.trace.replay import TraceShardSpec, replay_shard
 
@@ -77,7 +77,7 @@ from repro.trace.replay import TraceShardSpec, replay_shard
 #: ``"cycle-fast"`` / ``"multipath-fast"`` are the work-list rewrites
 #: of the execution-driven CPUs (bit-identical counters, several times
 #: the throughput; see docs/engines.md and docs/performance.md).
-ENGINES = ("cycle", "cycle-fast", "fast", "multipath", "multipath-fast",
+ENGINES = ("cycle", "cycle-fast", "frontend", "multipath", "multipath-fast",
            "trace", "batch", "diffcheck")
 
 #: The engines that replay recorded trace shards (their jobs carry a
@@ -434,11 +434,11 @@ def _dispatch_job(job: ExperimentJob) -> JobResult:
         stats = _group_stats(result.group)
         return JobResult(engine=job.engine, instructions=result.instructions,
                          cycles=result.cycles, ipc=result.ipc, **stats)
-    fast = run_fast(program, job.config)
-    stats = _group_stats(fast.group)
-    return JobResult(engine=job.engine, instructions=fast.instructions,
-                     cycles=fast.estimated_cycles, ipc=fast.estimated_ipc,
-                     **stats)
+    frontend = run_frontend(program, job.config)
+    stats = _group_stats(frontend.group)
+    return JobResult(engine=job.engine, instructions=frontend.instructions,
+                     cycles=frontend.estimated_cycles,
+                     ipc=frontend.estimated_ipc, **stats)
 
 
 # ----------------------------------------------------------------------
@@ -591,9 +591,8 @@ class SweepExecutor:
         self.wall_time_s = 0.0
         #: Ledger ids appended by this executor, oldest first.
         self.run_ids: List[str] = []
-        #: Last sweep's ledger entry and deterministic metrics registry.
+        #: Last sweep's ledger entry.
         self.last_entry: Optional[Dict[str, object]] = None
-        self.last_metrics: Optional[MetricsRegistry] = None
         #: Active trace capture while a sweep is in flight (see
         #: repro.obs.capture); the last sweep's trace id survives it.
         self._capture: Optional[TraceCapture] = None
@@ -699,37 +698,39 @@ class SweepExecutor:
             headline["ipc"] = round(sum(timed) / len(timed), 6)
         return headline
 
-    def sweep_metrics(self, jobs: Sequence[ExperimentJob],
-                      results: Sequence[JobResult]) -> MetricsRegistry:
-        """The deterministic metrics registry for one finished sweep.
+    @staticmethod
+    def sweep_metrics(jobs: Sequence[ExperimentJob],
+                      results: Sequence[JobResult]) -> Dict[str, int]:
+        """The deterministic counters of one finished sweep, by key.
 
-        Built purely from ``(job, result)`` pairs in submission order —
-        never from ambient worker state, and never from scheduling
+        Counted purely from ``(job, result)`` pairs in submission order
+        — never from ambient worker state, and never from scheduling
         parameters like the worker count (that is the ledger entry's
-        ``jobs`` field) — so a parallel sweep aggregates bit-identically
-        to a serial one.
+        ``jobs`` field) — so a parallel sweep counts bit-identically to
+        a serial one.
         """
-        registry = MetricsRegistry()
+        counters: Dict[str, int] = {}
+
+        def count(key: str, value: int = 1) -> None:
+            counters[key] = counters.get(key, 0) + value
+
         for job, result in zip(jobs, results):
-            registry.counter("executor.jobs", engine=result.engine).increment()
+            count(metric_key("executor.jobs", {"engine": result.engine}))
             if result.from_cache:
-                registry.counter("executor.cache_hits").increment()
+                count("executor.cache_hits")
             elif job.cacheable:
-                registry.counter("executor.cache_misses").increment()
+                count("executor.cache_misses")
             else:
-                registry.counter("executor.uncached_jobs").increment()
-            registry.counter("executor.instructions").increment(
-                result.instructions)
+                count("executor.uncached_jobs")
+            count("executor.instructions", result.instructions)
             for name, value in result.counters.items():
-                registry.counter(f"result.{name}").increment(value)
-        return registry
+                count(f"result.{name}", value)
+        return dict(sorted(counters.items()))
 
     def _record_run(self, jobs: List[ExperimentJob],
                     results: List[JobResult],
                     hits: int, misses: int, wall: float,
                     capture: Optional[TraceCapture] = None) -> None:
-        registry = self.sweep_metrics(jobs, results)
-        self.last_metrics = registry
         seen: Dict[str, Dict[str, object]] = {}
         for job in jobs:
             descriptor = self._workload_descriptor(job)
@@ -754,7 +755,7 @@ class SweepExecutor:
             "wall_time_s": round(wall, 6),
             "sim_time_s": round(sum(r.wall_time_s for r in results), 6),
             "headline": self._headline(results),
-            "metrics": registry.snapshot(),
+            "metrics": {"counters": self.sweep_metrics(jobs, results)},
         }
         if capture is not None:
             # trace identity and the optional sampling profile are run

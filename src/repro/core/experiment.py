@@ -91,12 +91,11 @@ def run_multipath(
     return cpu.run(), cpu
 
 
-def run_fast(
+def run_frontend(
     program: Program,
     config: Optional[MachineConfig] = None,
-    **kwargs,
 ) -> FastSimResult:
-    """Run the prediction-only front-end model (the ``"fast"`` engine).
+    """Run the prediction-only front-end model (the ``"frontend"`` engine).
 
     Unlike the fast *cycle* engines, this is a different, cheaper
     model — predictor state in program order plus a bounded wrong-path
@@ -105,7 +104,7 @@ def run_fast(
     it carries no bit-parity contract against the cycle models.
     """
     predictor = (config or MachineConfig()).predictor
-    return FastFrontEndSim(program, predictor, **kwargs).run()
+    return FastFrontEndSim(program, predictor).run()
 
 
 def multipath_machine(

@@ -51,7 +51,6 @@ def stack_depth_jobs(
     workload: Workload,
     sizes: Sequence[int],
     mechanism: RepairMechanism = RepairMechanism.TOS_POINTER_AND_CONTENTS,
-    use_fast_model: bool = True,
     base: Optional[MachineConfig] = None,
 ) -> List[ExperimentJob]:
     """The job list behind :func:`stack_depth_sweep`, one per depth.
@@ -60,8 +59,7 @@ def stack_depth_jobs(
     jobs to its own executor without re-deriving configs.
     """
     repaired = (base or baseline_config()).with_repair(mechanism)
-    engine = "fast" if use_fast_model else "cycle"
-    return [ExperimentJob(workload, repaired.with_ras_entries(size), engine)
+    return [ExperimentJob(workload, repaired.with_ras_entries(size), "frontend")
             for size in sizes]
 
 
@@ -69,11 +67,10 @@ def stack_depth_sweep(
     workload: Workload,
     sizes: Sequence[int],
     mechanism: RepairMechanism = RepairMechanism.TOS_POINTER_AND_CONTENTS,
-    use_fast_model: bool = True,
     base: Optional[MachineConfig] = None,
     executor: Optional[SweepExecutor] = None,
 ) -> Dict[int, Optional[float]]:
-    """Return-hit-rate per stack depth.
+    """Return-hit-rate per stack depth, on the front-end model.
 
     The repaired base config is derived once, outside the loop; each
     depth only swaps ``ras_entries``. Memoisation contract: a
@@ -83,8 +80,7 @@ def stack_depth_sweep(
     on ``(name, seed, scale)`` — so an N-point sweep costs one program
     build per worker, not N. A prebuilt ``Program`` is shared as-is.
     """
-    jobs = stack_depth_jobs(workload, sizes, mechanism=mechanism,
-                            use_fast_model=use_fast_model, base=base)
+    jobs = stack_depth_jobs(workload, sizes, mechanism=mechanism, base=base)
     results = _executor(executor).run(jobs)
     return {size: result.return_accuracy
             for size, result in zip(sizes, results)}

@@ -221,7 +221,7 @@ def fig_speedup(
 
 
 # ----------------------------------------------------------------------
-# F3: stack-depth sensitivity (fast model for breadth).
+# F3: stack-depth sensitivity (front-end model for breadth).
 
 def fig_stack_depth(
     names: Sequence[str] = ("li", "vortex", "gcc"),
@@ -235,12 +235,13 @@ def fig_stack_depth(
 
     Small stacks overflow under deep call chains and recursion; the
     curves flatten once the stack covers the common call depth. Uses
-    the fast model so that eight sizes x several workloads stay cheap.
+    the front-end model so that eight sizes x several workloads stay
+    cheap.
     """
     repaired = baseline_config().with_repair(mechanism)
     configs = [repaired.with_ras_entries(size) for size in sizes]
     rows = _hit_rate_rows(names, seed, scale, configs, executor,
-                          engine="fast")
+                          engine="frontend")
     headers = ["benchmark"] + [f"{size}-entry %" for size in sizes]
     return (f"Figure: hit rate vs stack depth ({mechanism})", headers, rows)
 
@@ -443,7 +444,7 @@ def ablation_fastsim_crosscheck(
     scale: float = 0.25,
     executor: Optional[SweepExecutor] = None,
 ) -> TableData:
-    """A3: fast front-end model vs cycle model, hit-rate trends."""
+    """A3: front-end model vs cycle model, hit-rate trends."""
     mechanisms = list(PRIMARY_MECHANISMS)
     specs = _specs(names, seed, scale)
     grid = [(spec, mechanism) for spec in specs for mechanism in mechanisms]
@@ -451,7 +452,7 @@ def ablation_fastsim_crosscheck(
     for spec, mechanism in grid:
         config = baseline_config().with_repair(mechanism)
         jobs.append(ExperimentJob(spec, config, "cycle"))
-        jobs.append(ExperimentJob(spec, config, "fast"))
+        jobs.append(ExperimentJob(spec, config, "frontend"))
     results = _executor(executor).run(jobs)
     rows = []
     for (spec, mechanism), (cycle_result, fast_result) in zip(
@@ -541,7 +542,7 @@ def smt_stacks(
 ) -> TableData:
     """A9: shared vs per-thread return-address stacks under SMT.
     Thread ``i`` runs the benchmark built with seed ``seed + i``."""
-    from repro.smt import SmtFrontEndSim
+    from repro.fastsim.frontend_sim import FastFrontEndSim
 
     predictor = baseline_config().predictor
     rows = []
@@ -550,8 +551,8 @@ def smt_stacks(
             programs = [build_program(WorkloadSpec(name, seed + i, scale))
                         for i in range(count)]
             rows.append([name, count] + [
-                _pct(SmtFrontEndSim(programs, predictor,
-                                    per_thread_stacks=private)
+                _pct(FastFrontEndSim(programs, predictor,
+                                     per_thread_stacks=private)
                      .run().return_accuracy)
                 for private in (False, True)])
     headers = ["benchmark", "threads", "shared stack ret %",

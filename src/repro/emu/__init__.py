@@ -3,7 +3,8 @@
 The same execution core drives three consumers:
 
 * the reference :class:`Emulator` (golden model for tests and workload
-  characterisation),
+  characterisation, and the stream of committed control transfers the
+  front-end model, the analysis instruments and trace recording read),
 * the single-path pipeline, which executes instructions speculatively at
   dispatch and rewinds an undo log on misprediction recovery, and
 * the multipath pipeline, which forks copy-on-write child states.

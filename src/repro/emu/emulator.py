@@ -4,18 +4,30 @@ Runs a program to completion with no timing model. Used to characterise
 workloads (instruction mix, call depth — the paper's Table 2 analogue)
 and as the ground truth the pipelines are checked against: a correct
 pipeline commits exactly the instruction stream this emulator produces.
+
+It is also the one committed-path loop of every model that does not
+execute its own wrong paths: the front-end model
+(:mod:`repro.fastsim.frontend_sim`), the analysis instruments and trace
+recording read :meth:`Emulator.control_transfers` instead of fetching
+and executing for themselves.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, Tuple
 
 from repro.emu.exec_core import execute
 from repro.emu.machine_state import MachineState
 from repro.errors import EmulationError
+from repro.isa.instruction import Instruction
 from repro.isa.opcodes import ControlClass
 from repro.isa.program import Program
 from repro.stats import Histogram
+
+#: One committed instruction: ``(pc, instruction, next pc, taken,
+#: index)``. ``index`` counts committed instructions from 0; the next
+#: PC of HALT is its own PC.
+Commit = Tuple[int, Instruction, int, bool, int]
 
 
 class CommitRecord:
@@ -67,11 +79,6 @@ class EmulationStats:
             + self.direct_jumps
         )
 
-    def fraction_of(self, count: int) -> Optional[float]:
-        if self.instructions == 0:
-            return None
-        return count / self.instructions
-
     def __repr__(self) -> str:
         return (
             f"EmulationStats(n={self.instructions}, calls={self.calls}, "
@@ -88,54 +95,63 @@ class Emulator:
         self.state = MachineState(
             pc=program.entry, initial_memory=program.data
         )
+        #: Instructions committed so far, HALT included.
+        self.instructions = 0
+
+    def _commits(self, every: bool) -> Iterator[Commit]:
+        """Execute until HALT, yielding every committed instruction (or,
+        without ``every``, only the control transfers).
+
+        Raises :class:`EmulationError` when the watchdog limit is
+        exceeded (runaway program) or control leaves the text segment.
+        """
+        state = self.state
+        fetch = self.program.fetch
+        limit = self.max_instructions
+        not_control = ControlClass.NOT_CONTROL
+        while not state.halted:
+            index = self.instructions
+            if index >= limit:
+                raise EmulationError(
+                    f"watchdog: {limit} instructions without HALT")
+            pc = state.pc
+            inst = fetch(pc)
+            outcome = execute(inst, pc, state)
+            self.instructions = index + 1
+            if outcome.is_halt:
+                state.halted = True
+                next_pc = pc
+            else:
+                next_pc = state.pc = outcome.next_pc
+            if every or inst.control is not not_control:
+                yield pc, inst, next_pc, outcome.taken, index
+
+    def control_transfers(self) -> Iterator[Commit]:
+        """The committed calls, returns, jumps and branches, in order.
+
+        After the stream ends, :attr:`state` is the final architectural
+        state and :attr:`instructions` the committed instruction count.
+        """
+        return self._commits(every=False)
 
     def trace(self) -> Iterator[CommitRecord]:
         """Yield one :class:`CommitRecord` per executed instruction.
 
-        Terminates when HALT executes; raises :class:`EmulationError` if
-        the watchdog limit is exceeded (runaway program) or control
-        leaves the text segment.
+        Terminates when HALT executes (its record has ``next_pc == pc``).
         """
-        state = self.state
-        program = self.program
-        executed = 0
-        while not state.halted:
-            if executed >= self.max_instructions:
-                raise EmulationError(
-                    f"watchdog: {self.max_instructions} instructions without HALT"
-                )
-            pc = state.pc
-            inst = program.fetch(pc)
-            outcome = execute(inst, pc, state)
-            executed += 1
-            if outcome.is_halt:
-                state.halted = True
-                yield CommitRecord(pc, pc, False)
-                return
-            state.pc = outcome.next_pc
-            yield CommitRecord(pc, outcome.next_pc, outcome.taken)
+        for pc, _, next_pc, taken, _ in self._commits(every=True):
+            yield CommitRecord(pc, next_pc, taken)
 
     def run(self, collect_mix: bool = True) -> EmulationStats:
         """Run to completion and return dynamic statistics."""
         stats = EmulationStats()
-        state = self.state
-        program = self.program
         depth = 0
-        executed = 0
-        while not state.halted:
-            if executed >= self.max_instructions:
-                raise EmulationError(
-                    f"watchdog: {self.max_instructions} instructions without HALT"
-                )
-            pc = state.pc
-            inst = program.fetch(pc)
-            outcome = execute(inst, pc, state)
-            executed += 1
+        for _, inst, _, taken, _ in self._commits(every=True):
             stats.instructions += 1
             control = inst.control
             if control is ControlClass.COND_BRANCH:
                 stats.cond_branches += 1
-                if outcome.taken:
+                if taken:
                     stats.taken_cond_branches += 1
             elif control.is_call:
                 stats.calls += 1
@@ -148,17 +164,12 @@ class Emulator:
                 stats.indirect_jumps += 1
             elif control is ControlClass.JUMP_DIRECT:
                 stats.direct_jumps += 1
-            if outcome.mem_address is not None:
-                if inst.opcode.value == "load":
-                    stats.loads += 1
-                else:
-                    stats.stores += 1
+            name = inst.opcode.value
+            if name == "load":
+                stats.loads += 1
+            elif name == "store":
+                stats.stores += 1
             if collect_mix:
-                name = inst.opcode.value
                 stats.opcode_counts[name] = stats.opcode_counts.get(name, 0) + 1
-            if outcome.is_halt:
-                state.halted = True
-                break
-            state.pc = outcome.next_pc
-        stats.halted = state.halted
+        stats.halted = self.state.halted
         return stats

@@ -1,14 +1,16 @@
 """Fast, prediction-only simulation.
 
 A classic trace-driven front-end model with wrong-path replay: the
-correct path is emulated functionally, predictor state is exercised in
-program order, and each misprediction triggers a bounded walk down the
-*predicted* (wrong) path during which calls and returns corrupt the
-return-address stack — the first-order effect the paper studies —
-followed by checkpoint repair. Roughly an order of magnitude faster
-than the cycle model; used for large parameter sweeps (stack-depth
-sensitivity) and as a cross-check of the cycle model's hit-rate trends
-(ablation A3).
+correct path is the reference emulator's stream of committed control
+transfers, predictor state is exercised in program order, and each
+misprediction triggers a bounded walk down the *predicted* (wrong)
+path during which calls and returns corrupt the return-address stack —
+the first-order effect the paper studies — followed by checkpoint
+repair. Roughly an order of magnitude faster than the cycle model;
+used for large parameter sweeps (stack-depth sensitivity), as a
+cross-check of the cycle model's hit-rate trends (ablation A3), and,
+with several programs interleaved as SMT threads, for shared vs
+per-thread stacks (ablation A9).
 
 :mod:`repro.fastsim.batch` applies the same philosophy to recorded
 traces: shards are decoded block-at-a-time into flat columns and

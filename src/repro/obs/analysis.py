@@ -10,7 +10,7 @@ worker may legitimately leave holes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 #: attrs worth showing inline on waterfall rows, in display order.
 _LABEL_ATTRS = ("engine", "workload", "sweep", "worker", "key", "jobs",
@@ -208,15 +208,3 @@ def summarize(spans: Sequence[Dict[str, object]]) -> Dict[str, object]:
         "by_name": dict(sorted(by_name.items())),
     }
 
-
-def resolve_parent(span: Dict[str, object],
-                   spans: Sequence[Dict[str, object]],
-                   ) -> Optional[Dict[str, object]]:
-    """The parent span dict, if present in the merged trace."""
-    parent = span.get("parent_id")
-    if not parent:
-        return None
-    for item in spans:
-        if item.get("span_id") == parent:
-            return item
-    return None

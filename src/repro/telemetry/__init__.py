@@ -7,10 +7,9 @@ are built per *sweep*, never per simulated instruction):
 * **switch** — ``REPRO_TELEMETRY=0`` in the environment, the CLI's
   ``--no-telemetry``, or :func:`set_enabled`/:func:`disabled` in code.
   Off means no metrics, no ledger entry, and no sweep trace;
-* **metrics** — :class:`MetricsRegistry`: labelled
-  Counter/Gauge/Rate/Histogram with deterministic snapshot/merge
-  semantics, so a sweep's registry is identical at every ``--jobs``
-  setting;
+* **metrics** — per-sweep counters under :func:`metric_key` labels,
+  counted from results in submission order, so they are identical at
+  every ``--jobs`` setting;
 * **run ledger** — :class:`RunLedger`: append-only JSONL under the
   cache root recording every sweep (configs, cache hits, wall time,
   headline rates, metrics), with content-hash run ids and a
@@ -31,13 +30,12 @@ from repro.telemetry.ledger import (
     entry_digest,
     numeric_leaves,
 )
-from repro.telemetry.metrics import MetricsRegistry, metric_key
+from repro.telemetry.metrics import metric_key
 from repro.telemetry.state import disabled, enabled, set_enabled
 
 __all__ = [
     "LEDGER_FILENAME",
     "LEDGER_SCHEMA",
-    "MetricsRegistry",
     "NONDETERMINISTIC_KEYS",
     "RunLedger",
     "compare_entries",

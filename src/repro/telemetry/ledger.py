@@ -5,9 +5,9 @@ appends one entry to ``<cache root>/ledger.jsonl`` recording what ran
 and what came out: timestamp, workload descriptors, the distinct
 ``MachineConfig.fingerprint()``s, engines, worker count, cache
 hits/misses, wall time, the code fingerprint, headline rates, and the
-sweep's full deterministic metrics snapshot
-(:mod:`repro.telemetry.metrics`). The schema is documented in
-docs/observability.md.
+sweep's deterministic counters (``metrics.counters``, keyed by
+:func:`repro.telemetry.metrics.metric_key`). The schema is documented
+in docs/observability.md.
 
 Integrity: an entry's ``run_id`` is the truncated SHA-256 of its own
 canonical JSON (everything but the ``run_id`` field), so every record

@@ -424,16 +424,11 @@ def iter_control_events(
     ingestion: nothing is buffered, so arbitrarily long executions
     produce events in O(1) memory.
     """
-    gap = 0
+    previous = -1
     emulator = Emulator(program, max_instructions=max_instructions)
-    for record in emulator.trace():
-        inst = program.fetch(record.pc)
-        if inst.is_control:
-            yield ControlFlowEvent(inst.control, record.pc,
-                                   record.next_pc, gap)
-            gap = 0
-        else:
-            gap += 1
+    for pc, inst, next_pc, _, index in emulator.control_transfers():
+        yield ControlFlowEvent(inst.control, pc, next_pc, index - previous - 1)
+        previous = index
 
 
 def record_trace(

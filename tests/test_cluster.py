@@ -18,7 +18,7 @@ SPEC = WorkloadSpec("li", seed=1, scale=0.05)
 
 def _jobs(sizes=(1, 8, 32)):
     base = baseline_config()
-    return [ExperimentJob(SPEC, base.with_ras_entries(size), "fast")
+    return [ExperimentJob(SPEC, base.with_ras_entries(size), "frontend")
             for size in sizes]
 
 

@@ -12,7 +12,7 @@ from repro.core import (
     fig_hit_rates,
     multipath_machine,
     run_cycle,
-    run_fast,
+    run_frontend,
     table1,
     table4_btb_only,
     tables,
@@ -32,9 +32,9 @@ class TestExperimentRunners:
         assert result.instructions > 100
         assert cpu.done
 
-    def test_run_fast(self):
+    def test_run_frontend(self):
         program = build_program(WorkloadSpec("m88ksim", seed=1, scale=0.05))
-        result = run_fast(program)
+        result = run_frontend(program)
         assert result.instructions > 100
 
     def test_multipath_machine_scales_frontend(self):

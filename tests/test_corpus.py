@@ -387,7 +387,7 @@ class TestExecutorTraceEngine:
 
         spec = TraceShardSpec(name="x", path="/nope")
         with pytest.raises(ConfigError, match="incompatible"):
-            ExperimentJob(spec, baseline_config(), "fast")
+            ExperimentJob(spec, baseline_config(), "frontend")
         with pytest.raises(ConfigError, match="incompatible"):
             ExperimentJob(WorkloadSpec("li"), baseline_config(), "trace")
         assert ExperimentJob(spec, baseline_config(), "trace").cache_key() \

@@ -13,6 +13,36 @@ from repro.workloads.kernels import (
 )
 
 
+def _never_halts():
+    b = ProgramBuilder()
+    b.label("main")
+    b.j("main")
+    return b.build(entry="main")
+
+
+def _frontend(threads):
+    def run(program, cap):
+        from repro.fastsim import FastFrontEndSim
+        FastFrontEndSim([program] * threads, max_instructions=cap).run()
+    return run
+
+
+def _corruption(program, cap):
+    from repro.analysis import CorruptionAnalyzer
+    CorruptionAnalyzer(program, max_instructions=cap).run()
+
+
+def _return_predictors(program, cap):
+    from repro.analysis import compare_return_predictors
+    compare_return_predictors(program, max_instructions=cap)
+
+
+def _recording(program, cap):
+    from repro.trace.format import iter_control_events
+    for _ in iter_control_events(program, max_instructions=cap):
+        pass
+
+
 def run_program(builder, entry="main", **kwargs):
     emulator = Emulator(builder.build(entry=entry), **kwargs)
     stats = emulator.run()
@@ -218,6 +248,31 @@ class TestKernels:
         count = sum(1 for _ in Emulator(p).trace())
         stats = Emulator(p).run()
         assert count == stats.instructions
+
+
+class TestControlTransfers:
+    """The emulator's control stream is every model's committed path."""
+
+    def test_stream_is_the_traces_control_subset(self):
+        program = fibonacci_kernel(8)
+        golden = [(r.pc, r.next_pc, r.taken)
+                  for r in Emulator(program).trace()]
+        emulator = Emulator(program)
+        stream = list(emulator.control_transfers())
+        assert [(pc, next_pc, taken) for pc, _, next_pc, taken, _ in stream] \
+            == [golden[index] for _, _, _, _, index in stream]
+        assert all(inst.is_control for _, inst, _, _, _ in stream)
+        assert emulator.instructions == len(golden)
+        assert emulator.state.halted
+
+    @pytest.mark.parametrize("consumer", [
+        _frontend(1), _frontend(2), _corruption, _return_predictors,
+        _recording,
+    ], ids=["frontend-1-thread", "frontend-2-threads", "corruption",
+            "return-predictors", "recording"])
+    def test_watchdog_stops_every_consumer(self, consumer):
+        with pytest.raises(EmulationError):
+            consumer(_never_halts(), 200)
 
 
 class TestStateHelpers:

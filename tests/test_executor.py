@@ -60,7 +60,7 @@ class TestJobs:
     def test_spec_workload_key_is_stable_and_input_sensitive(self):
         job = ExperimentJob(SPEC, baseline_config(), "cycle")
         assert job.cache_key() == job.cache_key()
-        other_engine = ExperimentJob(SPEC, baseline_config(), "fast")
+        other_engine = ExperimentJob(SPEC, baseline_config(), "frontend")
         other_config = ExperimentJob(SPEC, baseline_config().without_ras(),
                                      "cycle")
         other_spec = ExperimentJob(WorkloadSpec("li", seed=2, scale=0.05),
@@ -90,7 +90,7 @@ class TestExecutor:
         assert cycle.btb_hit_rate is not None
         assert cycle.counter("mispredictions") > 0
         fast, = SweepExecutor(cache=None).run(
-            [ExperimentJob(SPEC, baseline_config(), "fast")])
+            [ExperimentJob(SPEC, baseline_config(), "frontend")])
         assert fast.return_accuracy is not None and fast.ipc > 0
 
 
@@ -190,7 +190,25 @@ class TestCliFlags:
         assert capsys.readouterr().err.strip() == (
             "repro-sim hit-rates: scale 5.0 out of range (0, 4]")
         assert cli_main(["speedup", "--scale", "0"]) == 1
+        capsys.readouterr()
         assert not (tmp_path / "cache").exists()
+        # every command with --scale checks it the same way, flag or env
+        corpus = str(tmp_path / "corpus")
+        for argv in (["corruption"], ["return-predictors"], ["table2"],
+                     ["smt"], ["run", "--benchmark", "li"],
+                     ["disasm", "--benchmark", "li"], ["report"],
+                     ["corpus", "build", corpus]):
+            assert cli_main(argv + ["--scale", "0"]) == 1, argv
+            monkeypatch.setenv("REPRO_SCALE", "0")
+            assert cli_main(argv) == 1, argv
+            monkeypatch.delenv("REPRO_SCALE")
+            message = f"repro-sim {argv[0]}: scale 0.0 out of range (0, 4]"
+            assert capsys.readouterr().err.split("\n") == [message] * 2 + [""]
+        assert cli_main(["table2", "--scale", "9"]) == 1
+        assert capsys.readouterr().err.strip() == (
+            "repro-sim table2: scale 9.0 out of range (0, 4]")
+        assert not (tmp_path / "cache").exists()
+        assert not (tmp_path / "corpus").exists()
 
     def test_cli_import_loads_no_network_stack(self):
         """The CLI runs sweeps locally: importing it loads no asyncio

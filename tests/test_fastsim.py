@@ -46,8 +46,7 @@ class TestBasics:
 
     def test_estimate_model(self):
         program = fibonacci_kernel(8)
-        result = FastFrontEndSim(program, predictor(),
-                                 branch_penalty=8.0, base_cpi=0.75).run()
+        result = FastFrontEndSim(program, predictor()).run()
         expected = result.instructions * 0.75 + result.mispredictions * 8.0
         assert result.estimated_cycles == pytest.approx(expected)
         assert 0 < result.estimated_ipc < 2

@@ -28,7 +28,7 @@ from repro.telemetry import RunLedger, deterministic_view
 SPEC = WorkloadSpec("li", seed=1, scale=0.05)
 
 
-def _jobs(sizes=(1, 4, 16), engine="fast"):
+def _jobs(sizes=(1, 4, 16), engine="frontend"):
     base = baseline_config()
     return [ExperimentJob(SPEC, base.with_ras_entries(size), engine)
             for size in sizes]

@@ -1,11 +1,11 @@
-"""Unit tests for the SMT front-end model."""
+"""The front-end model with several hardware threads (ablation A9)."""
 
 import pytest
 
 from repro.config import baseline_config
 from repro.emu import Emulator
 from repro.errors import ConfigError, EmulationError
-from repro.smt import SmtFrontEndSim
+from repro.fastsim import FastFrontEndSim
 from repro.workloads import build_workload
 from repro.workloads.kernels import fibonacci_kernel, loop_sum_kernel
 
@@ -18,7 +18,7 @@ class TestBasics:
     def test_single_thread_matches_emulator_count(self):
         program = fibonacci_kernel(9)
         golden = Emulator(program).run()
-        result = SmtFrontEndSim([program], predictor()).run()
+        result = FastFrontEndSim([program], predictor()).run()
         assert result.instructions == golden.instructions
         assert result.threads[0].returns == golden.returns
 
@@ -27,38 +27,35 @@ class TestBasics:
         instruction count — no architectural interference."""
         program = fibonacci_kernel(9)
         golden = Emulator(program).run()
-        result = SmtFrontEndSim([program] * 2, predictor()).run()
+        result = FastFrontEndSim([program] * 2, predictor()).run()
         for thread in result.threads:
             assert thread.instructions == golden.instructions
 
     def test_different_programs_per_thread(self):
         a = loop_sum_kernel(50)
         b = fibonacci_kernel(7)
-        result = SmtFrontEndSim([a, b], predictor()).run()
+        result = FastFrontEndSim([a, b], predictor()).run()
         assert result.threads[0].instructions == Emulator(a).run().instructions
         assert result.threads[1].instructions == Emulator(b).run().instructions
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            SmtFrontEndSim([], predictor())
-        with pytest.raises(ConfigError):
-            SmtFrontEndSim([loop_sum_kernel(5)], predictor(),
-                           interleave_quantum=0)
+            FastFrontEndSim([], predictor())
 
     def test_watchdog(self):
         from repro.isa import ProgramBuilder
         b = ProgramBuilder()
         b.label("main")
         b.j("main")
-        sim = SmtFrontEndSim([b.build(entry="main")], predictor(),
-                             max_instructions_per_thread=200)
+        sim = FastFrontEndSim([b.build(entry="main")], predictor(),
+                              max_instructions=200)
         with pytest.raises(EmulationError):
             sim.run()
 
     def test_no_shadow_slot_leak(self):
         program = build_workload("go", seed=1, scale=0.05)
-        sim = SmtFrontEndSim([program] * 2, predictor(),
-                             per_thread_stacks=False)
+        sim = FastFrontEndSim([program] * 2, predictor(),
+                              per_thread_stacks=False)
         sim.run()
         assert sim.frontend.shadow_pool.in_use == 0
 
@@ -72,17 +69,17 @@ class TestHilySeznecClaim:
                 for seed in (1, 2)]
 
     def test_per_thread_stacks_stay_accurate(self, programs):
-        result = SmtFrontEndSim(
+        result = FastFrontEndSim(
             programs, predictor(), per_thread_stacks=True).run()
         assert result.return_accuracy > 0.95
 
     def test_shared_stack_collapses(self, programs):
-        result = SmtFrontEndSim(
+        result = FastFrontEndSim(
             programs, predictor(), per_thread_stacks=False).run()
         assert result.return_accuracy < 0.75
 
     def test_every_thread_suffers_under_sharing(self, programs):
-        result = SmtFrontEndSim(
+        result = FastFrontEndSim(
             programs, predictor(), per_thread_stacks=False).run()
         for thread in result.threads:
             assert thread.return_accuracy < 0.85
@@ -92,7 +89,7 @@ class TestHilySeznecClaim:
         for count in (2, 4):
             programs = [build_workload("li", seed=seed, scale=0.05)
                         for seed in range(1, count + 1)]
-            result = SmtFrontEndSim(
+            result = FastFrontEndSim(
                 programs, predictor(), per_thread_stacks=False).run()
             accuracies[count] = result.return_accuracy
         assert accuracies[4] < accuracies[2]
@@ -102,9 +99,9 @@ class TestHilySeznecClaim:
         partially hiding the contention — worth knowing when designing
         SMT experiments."""
         program = build_workload("li", seed=1, scale=0.1)
-        homogeneous = SmtFrontEndSim(
+        homogeneous = FastFrontEndSim(
             [program] * 2, predictor(), per_thread_stacks=False).run()
-        heterogeneous = SmtFrontEndSim(
+        heterogeneous = FastFrontEndSim(
             [program, build_workload("li", seed=2, scale=0.1)],
             predictor(), per_thread_stacks=False).run()
         assert homogeneous.return_accuracy > heterogeneous.return_accuracy

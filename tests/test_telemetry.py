@@ -23,7 +23,6 @@ from repro.errors import TelemetryError
 from repro.obs.capture import TraceCapture, span
 from repro.obs.store import TraceStore
 from repro.telemetry import (
-    MetricsRegistry,
     RunLedger,
     compare_entries,
     deterministic_view,
@@ -35,7 +34,7 @@ SPEC = WorkloadSpec("li", seed=1, scale=0.05)
 SIZES = (1, 4, 16)
 
 
-def _jobs(sizes=SIZES, engine="fast"):
+def _jobs(sizes=SIZES, engine="frontend"):
     base = baseline_config()
     return [ExperimentJob(SPEC, base.with_ras_entries(size), engine)
             for size in sizes]
@@ -52,53 +51,9 @@ def fresh_telemetry():
 class TestMetricsRegistry:
     def test_label_order_never_matters(self):
         assert metric_key("jobs", {"b": 2, "a": 1}) == "jobs{a=1,b=2}"
-        registry = MetricsRegistry()
-        assert (registry.counter("jobs", engine="fast", kind="x")
-                is registry.counter("jobs", kind="x", engine="fast"))
-
-    def test_snapshot_roundtrip(self):
-        registry = MetricsRegistry()
-        registry.counter("c", engine="fast").increment(3)
-        registry.gauge("g").set(2.5)
-        registry.rate("r").record_many(3, 4)
-        registry.histogram("h").record(8, 2)
-        snap = registry.snapshot()
-        assert snap["counters"] == {"c{engine=fast}": 3}
-        assert snap["rates"] == {"r": {"hits": 3, "events": 4}}
-        assert MetricsRegistry.from_snapshot(snap).snapshot() == snap
-
-    def test_merge_semantics(self):
-        a = MetricsRegistry()
-        a.counter("c").increment(1)
-        a.gauge("g").set(5)
-        a.rate("r").record_many(1, 2)
-        a.histogram("h").record(1, 1)
-        b = MetricsRegistry()
-        b.counter("c").increment(2)
-        b.gauge("g").set(3)
-        b.rate("r").record_many(0, 2)
-        b.histogram("h").record(1, 4)
-        merged = a.merge(b.snapshot()).snapshot()
-        assert merged["counters"]["c"] == 3          # counters add
-        assert merged["gauges"]["g"] == 5.0          # gauges keep max
-        assert merged["rates"]["r"] == {"hits": 1, "events": 4}
-        assert merged["histograms"]["h"] == {"1": 5}
-
-    def test_merge_is_order_independent(self):
-        parts = []
-        for hits, events, count in ((1, 3, 2), (4, 4, 1), (0, 2, 7)):
-            registry = MetricsRegistry()
-            registry.counter("c").increment(count)
-            registry.rate("r").record_many(hits, events)
-            registry.gauge("g").set(count)
-            parts.append(registry.snapshot())
-        forward = MetricsRegistry()
-        backward = MetricsRegistry()
-        for snap in parts:
-            forward.merge(snap)
-        for snap in reversed(parts):
-            backward.merge(snap)
-        assert forward.snapshot() == backward.snapshot()
+        assert (metric_key("jobs", {"engine": "frontend", "kind": "x"})
+                == metric_key("jobs", {"kind": "x", "engine": "frontend"}))
+        assert metric_key("jobs", {}) == "jobs"
 
 
 class TestSpans:
@@ -152,7 +107,7 @@ class TestJobResultProvenance:
         assert [r.wall_time_s for r in warm] == [r.wall_time_s for r in cold]
 
     def test_pre_telemetry_cache_entry_still_loads(self):
-        result = JobResult(engine="fast", instructions=10, cycles=5.0,
+        result = JobResult(engine="frontend", instructions=10, cycles=5.0,
                            ipc=2.0, counters={}, rates={})
         legacy = result.to_json_dict()
         del legacy["wall_time_s"], legacy["from_cache"]
@@ -177,7 +132,7 @@ class TestResultCachePut:
 
     def test_put_leaves_no_tmp_files(self, tmp_path):
         cache = ResultCache(tmp_path)
-        result = JobResult(engine="fast", instructions=1, cycles=1.0,
+        result = JobResult(engine="frontend", instructions=1, cycles=1.0,
                            ipc=1.0, counters={}, rates={})
         key = "ab" + "0" * 62
         cache.put(key, result)
@@ -188,7 +143,7 @@ class TestResultCachePut:
 
 class TestRunLedger:
     def _entry(self, **overrides):
-        entry = {"kind": "sweep", "engines": ["fast"], "jobs": 1,
+        entry = {"kind": "sweep", "engines": ["frontend"], "jobs": 1,
                  "cache": {"hits": 0, "misses": 3, "hit_rate": 0.0},
                  "configs": ["aa" * 32], "headline": {"return_accuracy": 0.9}}
         entry.update(overrides)
@@ -248,7 +203,7 @@ class TestSweepLedger:
         assert len(entries) == 1
         entry = entries[0]
         assert ledger.verify(entry)
-        assert entry["engines"] == ["fast"]
+        assert entry["engines"] == ["frontend"]
         assert entry["submitted"] == len(SIZES)
         assert entry["cache"] == {"hits": 0, "misses": len(SIZES),
                                   "hit_rate": 0.0}
@@ -258,7 +213,7 @@ class TestSweepLedger:
         assert entry["wall_time_s"] > 0.0
         assert entry["headline"]["return_accuracy"] is not None
         counters = entry["metrics"]["counters"]
-        assert counters["executor.jobs{engine=fast}"] == len(SIZES)
+        assert counters["executor.jobs{engine=frontend}"] == len(SIZES)
         assert counters["executor.cache_misses"] == len(SIZES)
 
     def test_parallel_ledger_and_metrics_identical_to_serial(self, tmp_path):
