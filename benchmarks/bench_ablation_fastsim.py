@@ -1,9 +1,9 @@
-"""A3: cross-check — fast front-end model vs the cycle model.
+"""A3: cross-check — the front-end model vs the cycle model.
 
-The fast model replaces cycle-accurate wrong-path timing with a bounded
-wrong-path replay; its hit-rate *ordering* across mechanisms must match
-the cycle model's, or the stack-depth sweep (which uses it) would not
-be trustworthy.
+The front-end model replaces cycle-accurate wrong-path timing with a
+bounded wrong-path replay; its hit-rate *ordering* across mechanisms
+must match the cycle model's, or the stack-depth sweep (which uses it)
+would not be trustworthy.
 """
 
 from repro.core import ablation_fastsim_crosscheck

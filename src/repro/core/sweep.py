@@ -40,7 +40,7 @@ def mechanism_sweep(
     """Cycle-model run per repair mechanism; keyed summary dicts."""
     base = base or baseline_config()
     mechanisms = list(mechanisms)
-    jobs = [ExperimentJob(workload, base.with_repair(mechanism), "cycle")
+    jobs = [ExperimentJob(workload, base.with_repair(mechanism), "cycle-fast")
             for mechanism in mechanisms]
     results = _executor(executor).run(jobs)
     return {mechanism: result.as_dict()
@@ -131,7 +131,7 @@ def multipath_sweep(
     grid = [(paths, organization)
             for paths in path_counts for organization in organizations]
     jobs = [ExperimentJob(workload, multipath_machine(paths, organization),
-                          "multipath")
+                          "multipath-fast")
             for paths, organization in grid]
     results = _executor(executor).run(jobs)
     return [

@@ -14,6 +14,11 @@ Rows are assembled from the executor's order-preserving results, which
 makes parallel and serial output bit-identical. T2, A4, A5 and A9 run
 no sweep, so they take no executor; they import their instruments when
 called, which keeps those out of ``import repro.cli``.
+
+Cycle-level cells run on the columnar engines (``"cycle-fast"``,
+``"multipath-fast"``), whose counters are bit-identical to the
+reference CPUs' (docs/engines.md). Only A3 submits ``"cycle"``: it
+compares the front-end model with the cycle model on purpose.
 """
 
 from __future__ import annotations
@@ -65,7 +70,7 @@ def _hit_rate_rows(
     scale: float,
     configs: Sequence[MachineConfig],
     executor: Optional[SweepExecutor],
-    engine: str = "cycle",
+    engine: str = "cycle-fast",
 ) -> List[List[object]]:
     """One row per benchmark: its name, then the committed-return hit
     rate under each of ``configs``. Jobs go out benchmark-major."""
@@ -107,7 +112,8 @@ def table3_baseline(
 ) -> TableData:
     """T3: baseline control-flow prediction on the cycle model."""
     specs = _specs(names, seed, scale)
-    jobs = [ExperimentJob(spec, baseline_config(), "cycle") for spec in specs]
+    jobs = [ExperimentJob(spec, baseline_config(), "cycle-fast")
+            for spec in specs]
     results = _executor(executor).run(jobs)
     rows = []
     for spec, result in zip(specs, results):
@@ -141,8 +147,8 @@ def table4_btb_only(
     jobs: List[ExperimentJob] = []
     for spec in specs:
         jobs.append(ExperimentJob(spec, baseline_config().without_ras(),
-                                  "cycle"))
-        jobs.append(ExperimentJob(spec, baseline_config(), "cycle"))
+                                  "cycle-fast"))
+        jobs.append(ExperimentJob(spec, baseline_config(), "cycle-fast"))
     results = _executor(executor).run(jobs)
     rows = []
     for spec, (btb_only, with_ras) in zip(specs, _chunks(results, 2)):
@@ -195,15 +201,15 @@ def fig_speedup(
     jobs: List[ExperimentJob] = []
     for spec in specs:
         jobs.append(ExperimentJob(spec, baseline_config().without_ras(),
-                                  "cycle"))
+                                  "cycle-fast"))
         jobs.append(ExperimentJob(
             spec, baseline_config().with_repair(RepairMechanism.NONE),
-            "cycle"))
+            "cycle-fast"))
         jobs.append(ExperimentJob(
             spec,
             baseline_config().with_repair(
                 RepairMechanism.TOS_POINTER_AND_CONTENTS),
-            "cycle"))
+            "cycle-fast"))
     results = _executor(executor).run(jobs)
     rows = []
     for spec, (btb_only, none, repaired) in zip(specs, _chunks(results, 3)):
@@ -269,7 +275,7 @@ def fig_multipath(
     grid = [(spec, paths) for spec in specs for paths in path_counts]
     jobs = [
         ExperimentJob(spec, multipath_machine(paths, organization),
-                      "multipath")
+                      "multipath-fast")
         for spec, paths in grid for organization in organizations
     ]
     results = _executor(executor).run(jobs)
@@ -419,7 +425,7 @@ def ablation_direction_predictors(
                 predictor=dataclasses.replace(
                     repaired.predictor, direction_kind=kind),
             )
-            jobs.append(ExperimentJob(spec, config, "cycle"))
+            jobs.append(ExperimentJob(spec, config, "cycle-fast"))
     results = _executor(executor).run(jobs)
     rows = []
     for (spec, kind), (none, reference) in zip(grid, _chunks(results, 2)):
@@ -444,7 +450,8 @@ def ablation_fastsim_crosscheck(
     scale: float = 0.25,
     executor: Optional[SweepExecutor] = None,
 ) -> TableData:
-    """A3: front-end model vs cycle model, hit-rate trends."""
+    """A3: front-end model vs cycle model, hit-rate trends (on the
+    reference ``"cycle"`` engine: this table compares models)."""
     mechanisms = list(PRIMARY_MECHANISMS)
     specs = _specs(names, seed, scale)
     grid = [(spec, mechanism) for spec in specs for mechanism in mechanisms]
@@ -455,16 +462,16 @@ def ablation_fastsim_crosscheck(
         jobs.append(ExperimentJob(spec, config, "frontend"))
     results = _executor(executor).run(jobs)
     rows = []
-    for (spec, mechanism), (cycle_result, fast_result) in zip(
+    for (spec, mechanism), (cycle_result, frontend_result) in zip(
             grid, _chunks(results, 2)):
         rows.append([
             spec.name,
             str(mechanism),
             _pct(cycle_result.return_accuracy),
-            _pct(fast_result.return_accuracy),
+            _pct(frontend_result.return_accuracy),
         ])
-    headers = ["benchmark", "mechanism", "cycle ret %", "fast ret %"]
-    return ("Ablation: cycle-model vs fast-model hit rates", headers, rows)
+    headers = ["benchmark", "mechanism", "cycle ret %", "frontend ret %"]
+    return ("Ablation: cycle model vs front-end model", headers, rows)
 
 
 # ----------------------------------------------------------------------

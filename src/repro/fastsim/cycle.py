@@ -16,10 +16,11 @@ the *same machine* in a shape the interpreter executes quickly:
   list indexing beats numpy scalar access for one-at-a-time reads and
   writes (docs/performance.md §6).
 * **Hoisted dispatch.** All static per-instruction facts and the
-  instruction semantics themselves come from the precomputed function
-  tables of :mod:`repro.fastsim.decode`; RAS repair and shadow-slot
-  release are bound to mechanism-specific callables once at
-  construction, so the per-cycle loop contains no class dispatch.
+  instruction semantics themselves come from the decode table of
+  :mod:`repro.fastsim.decode` (compact fact columns and one exec
+  function per opcode); RAS repair and shadow-slot release are bound
+  to mechanism-specific callables once at construction, so the
+  per-cycle loop contains no class dispatch.
 * **Quiescent-cycle fast-forward.** Most cycles of the Table 1 machine
   commit nothing and change nothing (the window is waiting out a cache
   miss, fetch is stalled on an I-line, the IFQ head is still in the
@@ -50,7 +51,7 @@ from repro.bpred.predictor import FrontEndPredictor
 from repro.caches.hierarchy import MemoryHierarchy
 from repro.config.machine import MachineConfig
 from repro.errors import SimulationError
-from repro.fastsim.decode import decode_table
+from repro.fastsim.decode import CONTROL_CODE, decode_table
 from repro.isa.opcodes import ControlClass, WORD_SIZE
 from repro.isa.program import Program
 from repro.pipeline.results import SimResult
@@ -163,8 +164,7 @@ class ColumnarCycleCPU:
         text = program.text
         decode = self.decode
         text_limit = decode.text_limit
-        d_control = decode.is_control
-        d_class = decode.control
+        d_control = decode.control
         d_memory = decode.is_memory
         d_load = decode.is_load
         d_store = decode.is_store
@@ -214,8 +214,8 @@ class ColumnarCycleCPU:
         i_ready = self._ifq_cols["ready"]
         i_pred = self._ifq_pred
 
-        COND = ControlClass.COND_BRANCH
-        RET = ControlClass.RETURN
+        COND = CONTROL_CODE[ControlClass.COND_BRANCH]
+        RET = CONTROL_CODE[ControlClass.RETURN]
 
         # -- machine registers (scalars) --------------------------------
         cycle = 0
@@ -345,10 +345,10 @@ class ColumnarCycleCPU:
                             continue
                         if r_misp[slot]:
                             mispredictions += 1
-                            cclass = d_class[r_inst[slot]]
-                            if cclass is COND:
+                            cclass = d_control[r_inst[slot]]
+                            if cclass == COND:
                                 mispred_cond += 1
-                            elif cclass is RET:
+                            elif cclass == RET:
                                 mispred_return += 1
                             else:
                                 mispred_indirect += 1
@@ -522,7 +522,8 @@ class ColumnarCycleCPU:
                 ifq_count -= 1
                 seq += 1
                 undo = []
-                next_pc, taken, mem_addr = exec_fns[ii](regs, mem, undo)
+                next_pc, taken, mem_addr, _ = exec_fns[ii](
+                    regs, mem, undo, text[ii], pc + WORD_SIZE)
                 slot = (ruu_head + ruu_count) % ruu_cap
                 ruu_count += 1
                 r_seq[slot] = seq

@@ -6,9 +6,9 @@ as the columnar single-path engine (:mod:`repro.fastsim.cycle`):
 
 * **Hoisted decode.** All static per-instruction facts and the
   execution semantics come from the per-program
-  :class:`~repro.fastsim.decode.DecodeTable` — the multipath closure
-  family (``exec_fns_mp``) captures stores instead of writing memory
-  and reads loads through the store-forwarding path, exactly like the
+  :class:`~repro.fastsim.decode.DecodeTable` — the multipath exec
+  functions (``exec_fns_mp``) capture stores instead of writing memory
+  and read loads through the store-forwarding path, exactly like the
   reference ``_PathState`` adapter, with no per-dispatch decode work.
 * **Event-driven work lists.** The reference scans the whole RUU every
   cycle for issue and writeback candidates and walks it backwards for
@@ -52,7 +52,7 @@ from repro.caches.hierarchy import MemoryHierarchy
 from repro.config.machine import MachineConfig
 from repro.emu.machine_state import MASK64
 from repro.errors import SimulationError
-from repro.fastsim.decode import decode_table
+from repro.fastsim.decode import CONTROL_CODE, decode_table
 from repro.isa.opcodes import ControlClass, WORD_SIZE
 from repro.isa.program import Program
 from repro.multipath.path import PathContext
@@ -64,6 +64,8 @@ _DEADLOCK_LIMIT = 20_000
 
 #: Path-prune cadence, in cycles (must match MultipathCPU.run).
 _PRUNE_PERIOD = 512
+
+_COND = CONTROL_CODE[ControlClass.COND_BRANCH]
 
 
 class _Entry:
@@ -173,7 +175,7 @@ class FastMultipathCPU:
         self._min_complete = 0
         #: address -> in-flight stores to it, oldest first (seq order).
         self._store_map: Dict[int, List[_Entry]] = {}
-        #: Path bound for the duration of one exec-closure call.
+        #: Path bound for the duration of one exec-function call.
         self._load_path: Optional[PathContext] = None
 
         # Raw counters; promoted into a StatGroup at _finalize.
@@ -355,8 +357,7 @@ class FastMultipathCPU:
 
     def _maybe_fork(self, path: PathContext, fetched: _Fetched) -> None:
         """Fork at a low-confidence conditional branch, context permitting."""
-        decode = self.decode
-        if decode.control[fetched.ii] is not ControlClass.COND_BRANCH:
+        if self.decode.control[fetched.ii] != _COND:
             return
         if len(self._alive_paths()) >= self.config.multipath.max_paths:
             return
@@ -434,8 +435,7 @@ class FastMultipathCPU:
         text = program.text
         in_text = program.in_text
         decode = self.decode
-        d_control = decode.is_control
-        d_class = decode.control
+        d_control = decode.control
         d_memory = decode.is_memory
         d_load = decode.is_load
         d_store = decode.is_store
@@ -466,8 +466,8 @@ class FastMultipathCPU:
         inflight = self._inflight
         min_complete = self._min_complete
 
-        COND = ControlClass.COND_BRANCH
-        RET = ControlClass.RETURN
+        COND = _COND
+        RET = CONTROL_CODE[ControlClass.RETURN]
 
         cycle = self.cycle
         seq = self._seq
@@ -517,7 +517,7 @@ class FastMultipathCPU:
                 if d_control[ii]:
                     train(entry.pc, text[ii], entry.taken, entry.next_pc,
                           entry.prediction)
-                    if d_class[ii] is COND:
+                    if d_control[ii] == COND:
                         confidence_update(entry.pc, not entry.mispredicted)
                 path = entry.path
                 if path.last_writer.get(entry.dest) is entry:
@@ -558,7 +558,7 @@ class FastMultipathCPU:
                                 mispredictions = self._mispredictions
                             elif entry.mispredicted:
                                 mispredictions += 1
-                                if d_class[entry.ii] is RET:
+                                if d_control[entry.ii] == RET:
                                     mispred_return += 1
                                 repair(prediction)
                                 release(prediction)
@@ -671,7 +671,9 @@ class FastMultipathCPU:
                             undo = []
                             self._load_path = path
                             next_pc, taken, mem_addr, store_value = (
-                                exec_fns[ii](path.regs, load_fn, undo))
+                                exec_fns[ii](path.regs, load_fn, undo,
+                                             text[ii],
+                                             fetched.pc + WORD_SIZE))
                             entry = _Entry(seq, fetched.pc, ii,
                                            fetched.prediction, cycle, path)
                             entry.next_pc = next_pc

@@ -1,26 +1,38 @@
 """Tests for the columnar cycle engines and their executor wiring.
 
 The deep parity matrix (every repair mechanism and stack size) lives
-here; the harness that performs the comparison
-is itself tested in ``tests/test_parity_harness.py``.
+here, together with the checks that the paper's tables run on these
+engines and that every machine those tables configure keeps parity;
+the harness that performs the comparison is itself tested in
+``tests/test_parity_harness.py``.
 """
+
+import gc
+import inspect
 
 import pytest
 
 from repro.cli import main as cli_main
 from repro.config.defaults import baseline_config
 from repro.config.options import RepairMechanism, StackOrganization
-from repro.core import ExperimentJob, SweepExecutor
+from repro.core import ExperimentJob, SweepExecutor, sweep, tables
 from repro.core.executor import ENGINES
 from repro.core.experiment import (
     WorkloadSpec,
+    build_program,
     multipath_machine,
     run_cycle,
     run_multipath,
 )
 from repro.fastsim.cycle import run_cycle_fast
+from repro.fastsim.decode import DecodeTable, decode_table
 from repro.fastsim.multipath import run_multipath_fast
-from repro.fastsim.parity import flatten_group
+from repro.fastsim.parity import (
+    check_cycle_parity,
+    check_multipath_parity,
+    flatten_group,
+)
+from repro.isa.opcodes import Opcode
 from repro.workloads.generator import build_workload
 
 SPEC = WorkloadSpec("li", seed=1, scale=0.02)
@@ -128,3 +140,104 @@ class TestCli:
         assert cli_main(["run", "--benchmark", "li", "--scale", "0.02",
                          "--paths", "2"]) == 0
         assert fast_out == capsys.readouterr().out
+
+
+class TestDecodeTableMemory:
+    """The decode table costs bytes per static instruction, and only the
+    most recent program's table stays alive."""
+
+    def test_one_compact_table_alive_after_three_programs(self):
+        specs = [WorkloadSpec(name, seed=1, scale=0.01)
+                 for name in ("li", "go", "compress")]
+        multipath = multipath_machine(2, StackOrganization.PER_PATH)
+        SweepExecutor(cache=None).run(
+            [ExperimentJob(spec, config, engine)
+             for spec in specs
+             for config, engine in ((baseline_config(), "cycle-fast"),
+                                    (multipath, "multipath-fast"))])
+        gc.collect()
+        alive = [obj for obj in gc.get_objects()
+                 if isinstance(obj, DecodeTable)]
+        assert len(alive) <= 1
+        table = decode_table(build_program(specs[-1]))
+        assert alive in ([], [table])
+        for column in (table.exec_fns, table.exec_fns_mp):
+            assert len(column) == table.size
+            assert len(set(column)) <= len(Opcode)
+        for name in ("control", "is_memory", "is_load", "is_store",
+                     "is_mul", "is_halt", "latency", "dest", "src1", "src2"):
+            column = getattr(table, name)
+            assert len(column) == table.size
+            assert memoryview(column).itemsize == 1, name
+
+
+class _RecordingExecutor(SweepExecutor):
+    """Runs every job uncached and keeps the jobs it was handed."""
+
+    def __init__(self):
+        super().__init__(cache=None)
+        self.submitted = []
+
+    def run(self, jobs):
+        jobs = list(jobs)
+        self.submitted.extend(jobs)
+        return super().run(jobs)
+
+
+_LI = WorkloadSpec("li", seed=1, scale=0.01)
+
+
+def _sweep_builders():
+    """Every table builder that submits jobs, plus the sweep drivers."""
+    builders = {
+        name: builder
+        for name, builder in inspect.getmembers(tables, inspect.isfunction)
+        if builder.__module__ == tables.__name__ and not name.startswith("_")
+        and "executor" in inspect.signature(builder).parameters
+    }
+    builders["mechanism_sweep"] = lambda executor, **_: sweep.mechanism_sweep(
+        _LI, list(RepairMechanism), executor=executor)
+    builders["multipath_sweep"] = lambda executor, **_: sweep.multipath_sweep(
+        _LI, (2, 4), executor=executor)
+    return builders
+
+
+@pytest.fixture(scope="module")
+def submitted_jobs():
+    """Builder name -> the jobs it submitted, run on li at scale 0.01."""
+    recorded = {}
+    for name, builder in _sweep_builders().items():
+        executor = _RecordingExecutor()
+        kwargs = {"seed": 1, "scale": 0.01, "executor": executor}
+        if "names" in inspect.signature(builder).parameters:
+            kwargs["names"] = ("li",)
+        builder(**kwargs)
+        recorded[name] = executor.submitted
+    return recorded
+
+
+class TestTablesRunOnFastEngines:
+    def test_cycle_level_jobs_use_the_fast_engines(self, submitted_jobs):
+        assert len(submitted_jobs) >= 15
+        for name, jobs in submitted_jobs.items():
+            engines = {job.engine for job in jobs}
+            assert engines, name
+            if name == "ablation_fastsim_crosscheck":
+                # A3 compares the cycle model with the front-end model.
+                assert engines == {"cycle", "frontend"}
+            else:
+                assert not engines & {"cycle", "multipath"}, name
+
+    def test_every_table_config_keeps_parity(self, submitted_jobs):
+        configs = {"cycle-fast": {}, "multipath-fast": {}}
+        for jobs in submitted_jobs.values():
+            for job in jobs:
+                if job.engine in configs:
+                    configs[job.engine][job.config.fingerprint()] = job.config
+        assert len(configs["cycle-fast"]) >= 20
+        assert len(configs["multipath-fast"]) >= 6
+        program = build_program(_LI)
+        for config in configs["cycle-fast"].values():
+            check_cycle_parity(program, config).ensure()
+        for config in configs["multipath-fast"].values():
+            check_multipath_parity(program, config).ensure()
