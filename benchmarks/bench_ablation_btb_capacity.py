@@ -8,12 +8,8 @@ the BTB saturates well below what even a small RAS achieves.
 from repro.core.tables import ablation_btb_capacity
 
 
-def test_ablation_btb_capacity(benchmark, emit, bench_scale, bench_seed):
-    table = benchmark.pedantic(
-        ablation_btb_capacity,
-        kwargs={"seed": bench_seed, "scale": bench_scale},
-        rounds=1, iterations=1,
-    )
+def test_ablation_btb_capacity(emit, bench_scale, bench_seed):
+    table = ablation_btb_capacity(seed=bench_seed, scale=bench_scale)
     emit("ablation_btb_capacity", table)
     for row in table[2]:
         name, *accuracies = row

@@ -10,12 +10,8 @@ matches the full checkpoint exactly.
 from repro.core.tables import ablation_contents_depth
 
 
-def test_ablation_contents_depth(benchmark, emit, bench_scale, bench_seed):
-    table = benchmark.pedantic(
-        ablation_contents_depth,
-        kwargs={"seed": bench_seed, "scale": bench_scale},
-        rounds=1, iterations=1,
-    )
+def test_ablation_contents_depth(emit, bench_scale, bench_seed):
+    table = ablation_contents_depth(seed=bench_seed, scale=bench_scale)
     emit("ablation_contents_depth", table)
     for row in table[2]:
         name, *accuracies = row

@@ -12,13 +12,8 @@ The invariant is the coupling, not any fixed family ordering.)
 from repro.core.tables import ablation_direction_predictors
 
 
-def test_ablation_direction_predictors(benchmark, emit, bench_scale,
-                                       bench_seed):
-    table = benchmark.pedantic(
-        ablation_direction_predictors,
-        kwargs={"seed": bench_seed, "scale": bench_scale},
-        rounds=1, iterations=1,
-    )
+def test_ablation_direction_predictors(emit, bench_scale, bench_seed):
+    table = ablation_direction_predictors(seed=bench_seed, scale=bench_scale)
     emit("ablation_direction", table)
     by_benchmark = {}
     for row in table[2]:

@@ -9,12 +9,8 @@ would not be trustworthy.
 from repro.core import ablation_fastsim_crosscheck
 
 
-def test_ablation_fastsim_crosscheck(benchmark, emit, bench_scale, bench_seed):
-    table = benchmark.pedantic(
-        ablation_fastsim_crosscheck,
-        kwargs={"seed": bench_seed, "scale": bench_scale},
-        rounds=1, iterations=1,
-    )
+def test_ablation_fastsim_crosscheck(emit, bench_scale, bench_seed):
+    table = ablation_fastsim_crosscheck(seed=bench_seed, scale=bench_scale)
     emit("ablation_fastsim", table)
     by_benchmark = {}
     for name, mechanism, cycle_acc, fast_acc in table[2]:

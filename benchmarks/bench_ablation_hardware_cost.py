@@ -10,12 +10,8 @@ per branch.
 from repro.core.tables import ablation_hardware_cost
 
 
-def test_hardware_cost_benefit(benchmark, emit, bench_scale, bench_seed):
-    table = benchmark.pedantic(
-        ablation_hardware_cost,
-        kwargs={"seed": bench_seed, "scale": bench_scale},
-        rounds=1, iterations=1,
-    )
+def test_hardware_cost_benefit(emit, bench_scale, bench_seed):
+    table = ablation_hardware_cost(seed=bench_seed, scale=bench_scale)
     emit("ablation_hardware_cost", table)
     rows = {row[0]: row for row in table[2]}
     contents = rows["tos-pointer-contents"]

@@ -10,12 +10,8 @@ from repro.config import RepairMechanism
 from repro.core import ablation_mechanisms
 
 
-def test_ablation_all_mechanisms(benchmark, emit, bench_scale, bench_seed):
-    table = benchmark.pedantic(
-        ablation_mechanisms,
-        kwargs={"seed": bench_seed, "scale": bench_scale},
-        rounds=1, iterations=1,
-    )
+def test_ablation_all_mechanisms(emit, bench_scale, bench_seed):
+    table = ablation_mechanisms(seed=bench_seed, scale=bench_scale)
     emit("ablation_mechanisms", table)
     mechanisms = list(RepairMechanism)
     self_ck = mechanisms.index(RepairMechanism.SELF_CHECKPOINT) + 1

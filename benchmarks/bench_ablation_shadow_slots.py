@@ -10,13 +10,8 @@ saturate near the unlimited case by ~20 slots.
 from repro.core import ablation_shadow_slots
 
 
-def test_ablation_shadow_checkpoint_slots(benchmark, emit, bench_scale,
-                                          bench_seed):
-    table = benchmark.pedantic(
-        ablation_shadow_slots,
-        kwargs={"seed": bench_seed, "scale": bench_scale},
-        rounds=1, iterations=1,
-    )
+def test_ablation_shadow_checkpoint_slots(emit, bench_scale, bench_seed):
+    table = ablation_shadow_slots(seed=bench_seed, scale=bench_scale)
     emit("ablation_shadow_slots", table)
     for row in table[2]:
         name, *accuracies = row

@@ -10,12 +10,8 @@ checkpointing's benefit.
 from repro.core.tables import analysis_corruption
 
 
-def test_corruption_breakdown(benchmark, emit, bench_scale, bench_seed):
-    table = benchmark.pedantic(
-        analysis_corruption,
-        kwargs={"seed": bench_seed, "scale": bench_scale},
-        rounds=1, iterations=1,
-    )
+def test_corruption_breakdown(emit, bench_scale, bench_seed):
+    table = analysis_corruption(seed=bench_seed, scale=bench_scale)
     emit("analysis_corruption", table)
     for row in table[2]:
         needs_full, unrepairable = row[-2], row[-1]

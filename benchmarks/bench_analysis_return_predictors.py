@@ -9,12 +9,8 @@ near-100% accuracies possible with a return-address stack."
 from repro.core.tables import analysis_return_predictors
 
 
-def test_return_predictor_comparison(benchmark, emit, bench_scale, bench_seed):
-    table = benchmark.pedantic(
-        analysis_return_predictors,
-        kwargs={"seed": bench_seed, "scale": bench_scale},
-        rounds=1, iterations=1,
-    )
+def test_return_predictor_comparison(emit, bench_scale, bench_seed):
+    table = analysis_return_predictors(seed=bench_seed, scale=bench_scale)
     emit("analysis_return_predictors", table)
     headers = table[1]
     ras_col = headers.index("ras %")

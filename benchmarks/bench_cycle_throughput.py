@@ -14,13 +14,13 @@ measurement still misses a floor, one retry with doubled rounds runs
 before the gate fails: the floors themselves never move, the retry
 only suppresses false negatives on a noisy host.
 
-The emitted ``BENCH_cycle_throughput.json`` records the best walls and
-speedups, which the CI bench gate (``repro-sim bench compare``) holds
-against the committed baseline in ``benchmarks/baselines/``. The test
-itself asserts the engine contract (ISSUE 6 acceptance): bit-identical
-counters, with the single-path columnar engine >= 3x the reference
-pipeline. The multipath twin is gated at a looser floor — its per-path
-bookkeeping keeps more of the reference's object structure.
+The test asserts the engine contract: bit-identical counters, with
+the single-path columnar engine >= 3x the reference pipeline. The
+multipath twin is held to a looser floor — its per-path bookkeeping
+keeps more of the reference's object structure. Both floors compare
+two engines in one process, so a shared host's noise hits both; the
+speed of the paper's tables end to end is measured by
+``benchmarks/perf`` (see its README).
 """
 
 import time
@@ -38,7 +38,7 @@ _NAMES = BENCHMARK_NAMES
 #: Timed passes per engine on the first attempt (doubled on retry).
 _ROUNDS = 5
 
-#: The ISSUE 6 acceptance floor for the single-path columnar engine.
+#: The acceptance floor for the single-path columnar engine.
 MIN_SPEEDUP = 3.0
 #: Conservative floor for the multipath twin (measured ~2.2x).
 MIN_SPEEDUP_MULTIPATH = 1.5
@@ -97,29 +97,24 @@ def _measure(programs, single_config, multi_config, rounds):
             (cycle_speedup, multipath_speedup))
 
 
-def test_bench_cycle_throughput(benchmark, emit, bench_seed, bench_scale):
+def test_bench_cycle_throughput(emit, bench_seed, bench_scale):
     programs = {name: build_workload(name, seed=bench_seed, scale=bench_scale)
                 for name in _NAMES}
     single_config = baseline_config()
     multi_config = multipath_machine(2, StackOrganization.PER_PATH)
 
-    def measure():
-        table, pairs, speedups = _measure(
-            programs, single_config, multi_config, _ROUNDS)
-        if speedups[0] < MIN_SPEEDUP or \
-                speedups[1] < MIN_SPEEDUP_MULTIPATH:
-            # Noisy host: re-measure once with more rounds and keep the
-            # attempt with the better headline speedup (see module
-            # docstring — this narrows the noise, not the contract).
-            retry = _measure(
-                programs, single_config, multi_config, 2 * _ROUNDS)
-            if retry[2][0] > speedups[0]:
-                table, pairs, speedups = retry
-        return table, pairs, speedups
-
-    (table, pairs, speedups) = benchmark.pedantic(
-        measure, rounds=1, iterations=1)
+    table, pairs, speedups = _measure(
+        programs, single_config, multi_config, _ROUNDS)
+    if speedups[0] < MIN_SPEEDUP or speedups[1] < MIN_SPEEDUP_MULTIPATH:
+        # Noisy host: re-measure once with more rounds and keep the
+        # attempt with the better headline speedup (see module
+        # docstring — this narrows the noise, not the contract).
+        retry = _measure(programs, single_config, multi_config, 2 * _ROUNDS)
+        if retry[2][0] > speedups[0]:
+            table, pairs, speedups = retry
     emit("cycle_throughput", table)
+    assert [row[0] for row in table[2]] == [
+        "cycle", "cycle-fast", "multipath", "multipath-fast"]
 
     # Differential parity: the speedup must be free.
     for reference_by_name, fast_by_name in pairs:

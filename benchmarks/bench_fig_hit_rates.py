@@ -7,15 +7,13 @@ checkpointing is the 100% upper bound.
 """
 
 from repro.core import fig_hit_rates
+from repro.workloads.profiles import BENCHMARK_NAMES
 
 
-def test_fig_hit_rates_by_mechanism(benchmark, emit, bench_scale, bench_seed):
-    table = benchmark.pedantic(
-        fig_hit_rates,
-        kwargs={"seed": bench_seed, "scale": bench_scale},
-        rounds=1, iterations=1,
-    )
+def test_fig_hit_rates_by_mechanism(emit, bench_scale, bench_seed):
+    table = fig_hit_rates(seed=bench_seed, scale=bench_scale)
     emit("fig_hit_rates", table)
+    assert len(table[2]) == len(BENCHMARK_NAMES)
     rows = [row for row in table[2] if None not in row[1:]]
     assert rows, "every benchmark must execute returns"
     for row in rows:

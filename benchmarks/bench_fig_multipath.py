@@ -10,12 +10,8 @@ stack does NOT help, because contention is not a wrong-path effect.
 from repro.core import fig_multipath
 
 
-def test_fig_multipath_stack_organisations(benchmark, emit, bench_seed):
-    table = benchmark.pedantic(
-        fig_multipath,
-        kwargs={"seed": bench_seed},
-        rounds=1, iterations=1,
-    )
+def test_fig_multipath_stack_organisations(emit, bench_seed):
+    table = fig_multipath(seed=bench_seed)
     emit("fig_multipath", table)
     rows = table[2]
     # Columns: benchmark, paths, unified, unified-checkpoint, per-path

@@ -10,12 +10,8 @@ shape.
 from repro.core import fig_speedup
 
 
-def test_fig_speedup_from_repair(benchmark, emit, bench_scale, bench_seed):
-    table = benchmark.pedantic(
-        fig_speedup,
-        kwargs={"seed": bench_seed, "scale": bench_scale},
-        rounds=1, iterations=1,
-    )
+def test_fig_speedup_from_repair(emit, bench_scale, bench_seed):
+    table = fig_speedup(seed=bench_seed, scale=bench_scale)
     emit("fig_speedup", table)
     rows = table[2]
     vs_none = [row[4] for row in rows]

@@ -11,12 +11,8 @@ single-thread baseline.
 from repro.core.tables import smt_stacks
 
 
-def test_smt_stack_organisations(benchmark, emit, bench_scale, bench_seed):
-    table = benchmark.pedantic(
-        smt_stacks,
-        kwargs={"seed": bench_seed, "scale": bench_scale},
-        rounds=1, iterations=1,
-    )
+def test_smt_stack_organisations(emit, bench_scale, bench_seed):
+    table = smt_stacks(seed=bench_seed, scale=bench_scale)
     emit("smt_stacks", table)
     for name, threads, shared, per_thread in table[2]:
         assert per_thread > 90.0, (name, threads)

@@ -3,8 +3,9 @@
 from repro.core import table1
 
 
-def test_table1_baseline_config(benchmark, emit):
-    table = benchmark.pedantic(table1, rounds=1, iterations=1)
+def test_table1_baseline_config(emit):
+    table = table1()
     text = emit("table1_config", table)
+    assert len(table[2]) == 14  # one row per single-path machine parameter
     assert "return-address stack" in text
     assert "GAg" in text

@@ -7,12 +7,8 @@ eight SPECint95-inspired synthetic workloads.
 from repro.core.tables import table2_workloads
 
 
-def test_table2_workload_summary(benchmark, emit, bench_scale, bench_seed):
-    table = benchmark.pedantic(
-        table2_workloads,
-        kwargs={"seed": bench_seed, "scale": bench_scale},
-        rounds=1, iterations=1,
-    )
+def test_table2_workload_summary(emit, bench_scale, bench_seed):
+    table = table2_workloads(seed=bench_seed, scale=bench_scale)
     emit("table2_workloads", table)
     # the paper's workload contrasts: li is call-dense, ijpeg is not.
     rows = {row[0]: row for row in table[2]}

@@ -1,13 +1,10 @@
 """Corpus pipeline: build a sharded trace corpus, then sweep it.
 
-Times the full data path the corpus subsystem adds: streaming
+Runs the full data path the corpus subsystem adds: streaming
 ingestion (emulator -> compressed v2 shards + manifest) followed by an
 executor-routed stack-depth sweep over every shard. Caching is
-disabled so the timing reflects real ingest + replay work on every
-run.
+disabled so every run does real ingest + replay work.
 """
-
-import itertools
 
 from repro.core.executor import SweepExecutor
 from repro.core.experiment import WorkloadSpec
@@ -15,19 +12,14 @@ from repro.corpus import CorpusStore, corpus_depth_sweep
 
 _SIZES = (1, 4, 16, 64)
 _NAMES = ("li", "vortex")
-_ROUND = itertools.count()
 
 
-def test_bench_trace_corpus(benchmark, emit, bench_seed, bench_scale,
-                            tmp_path):
-    def build_and_replay():
-        store = CorpusStore.create(tmp_path / f"corpus{next(_ROUND)}")
-        store.build_from_specs(
-            [WorkloadSpec(name, bench_seed, bench_scale) for name in _NAMES])
-        executor = SweepExecutor(cache=None)
-        return corpus_depth_sweep(store, _SIZES, executor=executor)
-
-    table = benchmark.pedantic(build_and_replay, rounds=1, iterations=1)
+def test_bench_trace_corpus(emit, bench_seed, bench_scale, tmp_path):
+    store = CorpusStore.create(tmp_path / "corpus")
+    store.build_from_specs(
+        [WorkloadSpec(name, bench_seed, bench_scale) for name in _NAMES])
+    table = corpus_depth_sweep(store, _SIZES,
+                               executor=SweepExecutor(cache=None))
     emit("trace_corpus", table)
     title, headers, rows = table
     assert len(rows) == len(_NAMES)

@@ -35,6 +35,3 @@ class GAgPredictor:
         self.history = ((self.history << 1) | int(outcome)) & (
             (1 << self.history_bits) - 1
         )
-
-    def counter_value(self, history: int) -> int:
-        return self._table.value(history)

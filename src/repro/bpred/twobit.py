@@ -52,9 +52,6 @@ class CounterTable:
         self._threshold = self.maximum // 2
         self._table: List[int] = [(self.maximum + 1) // 2] * entries
 
-    def index_of(self, key: int) -> int:
-        return key & (self.entries - 1)
-
     def predict(self, key: int) -> bool:
         """True when the counter at ``key`` predicts taken."""
         return self._table[key & (self.entries - 1)] > self._threshold

@@ -14,8 +14,6 @@ Examples:
     repro-sim corpus import traces/ champsim.trace.xz --name srv0
     repro-sim corpus replay traces/ --jobs 4 --sizes 1 4 16 64
     repro-sim corpus replay traces/ --engine batch      # fast replay
-    repro-sim corpus fetch benchmarks/tracesets/sample.json --corpus traces/
-    repro-sim corpus fetch benchmarks/tracesets/sample.json --check-manifest
     repro-sim corpus diffcheck traces/ --report diffreport.json
     repro-sim corpus report traces/ --engine batch
     repro-sim runs list
@@ -24,8 +22,7 @@ Examples:
     repro-sim trace critical-path -1
     repro-sim trace export -1 --out trace.json  # Perfetto / chrome://tracing
     REPRO_PROFILE=1 repro-sim speedup && repro-sim trace flame -1
-    repro-sim bench compare benchmarks/baselines/smoke.json benchmarks/out
-    repro-sim bench snapshot benchmarks/out benchmarks/baselines/smoke.json
+    repro-sim report --full                     # every EXPERIMENTS.md table
 """
 
 from __future__ import annotations
@@ -206,29 +203,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_flags(c)
 
     c = csub.add_parser(
-        "fetch",
-        help="download a trace set and ingest it into a corpus "
-             "(docs/validation.md)")
-    c.add_argument("manifest", help="trace-set manifest JSON "
-                                    "(benchmarks/tracesets/*.json)")
-    c.add_argument("--corpus", default=None,
-                   help="corpus directory (created if needed; required "
-                        "unless --check-manifest)")
-    c.add_argument("--dest", default=None,
-                   help="download directory "
-                        "(default: <corpus>/downloads)")
-    c.add_argument("--names", dest="trace_names", nargs="*", default=None,
-                   help="restrict to these trace names (note: trace-set "
-                        "names, not benchmark names)")
-    c.add_argument("--jobs", type=int, default=None,
-                   help="parallel ingestion worker processes")
-    c.add_argument("--limit", type=int, default=None,
-                   help="import at most this many records per trace")
-    c.add_argument("--check-manifest", action="store_true",
-                   help="validate the manifest offline (zero network, "
-                        "no corpus needed) and exit")
-
-    c = csub.add_parser(
         "diffcheck",
         help="differential replay against the reference ChampSim "
              "model; exits 1 on any divergence (docs/validation.md)")
@@ -326,38 +300,6 @@ def _build_parser() -> argparse.ArgumentParser:
     trace_ref(t)
     t.add_argument("--top", type=int, default=20,
                    help="rows per section (default 20)")
-
-    p = sub.add_parser("bench",
-                       help="benchmark baselines and the CI regression "
-                            "gate (docs/performance.md)")
-    bsub = p.add_subparsers(dest="bench_command", required=True)
-
-    b = bsub.add_parser("compare",
-                        help="gate BENCH_*.json artifacts against a "
-                             "baseline; exit 1 on regression")
-    b.add_argument("baseline", help="baseline JSON "
-                                    "(e.g. benchmarks/baselines/smoke.json)")
-    b.add_argument("out", help="directory of BENCH_*.json artifacts "
-                               "(e.g. benchmarks/out)")
-    b.add_argument("--tolerance", type=float, default=None,
-                   help="allowed wall-time headroom as a fraction "
-                        "(default: the baseline's recorded tolerance, "
-                        "itself defaulting to 0.25)")
-    b.add_argument("--min-wall", type=float, default=None,
-                   help="noise floor in seconds; benches under it are "
-                        "checked for row counts only (default 0.2)")
-    b.add_argument("--json", metavar="OUT", default=None,
-                   help="also write the per-bench verdicts as JSON to OUT")
-
-    b = bsub.add_parser("snapshot",
-                        help="freeze a bench run into a baseline file")
-    b.add_argument("out", help="directory of BENCH_*.json artifacts")
-    b.add_argument("baseline", help="baseline JSON file to write")
-    b.add_argument("--tolerance", type=float, default=None,
-                   help="tolerance to record in the baseline "
-                        "(default 0.25)")
-    b.add_argument("--note", default="",
-                   help="free-form provenance note to record")
 
     p = sub.add_parser("parity",
                        help="prove fast-engine counters bit-identical to "
@@ -472,8 +414,6 @@ def _corpus_command(args: argparse.Namespace) -> int:
                   f"{stats.offset_mismatches} offset mismatches, "
                   f"{stats.backwards_returns} backwards returns)")
             return 0
-        if args.corpus_command == "fetch":
-            return _corpus_fetch(args)
         store = CorpusStore.open(args.corpus)
         if args.corpus_command == "info":
             print(format_table(
@@ -519,39 +459,6 @@ def _corpus_command(args: argparse.Namespace) -> int:
     except ReproError as error:
         print(f"repro-sim corpus: {error}", file=sys.stderr)
         return 1
-
-
-def _corpus_fetch(args: argparse.Namespace) -> int:
-    from repro.corpus import (
-        CorpusStore,
-        TraceSetManifest,
-        check_manifest,
-        fetch_and_build,
-    )
-    from repro.errors import ReproError
-
-    if args.check_manifest:
-        manifest = check_manifest(args.manifest)
-        print(f"manifest ok: {manifest.name} "
-              f"({len(manifest.traces)} traces)")
-        return 0
-    if args.corpus is None:
-        print("repro-sim corpus fetch: --corpus is required "
-              "(or pass --check-manifest for offline validation)",
-              file=sys.stderr)
-        return 2
-    manifest = TraceSetManifest.load(args.manifest)
-    store = CorpusStore.open_or_create(args.corpus)
-    try:
-        records = fetch_and_build(
-            manifest, store, dest_dir=args.dest, names=args.trace_names,
-            jobs=args.jobs, limit=args.limit, progress=print)
-    except ReproError as error:
-        print(f"repro-sim corpus fetch: {error}", file=sys.stderr)
-        return 1
-    print(f"corpus {store.root}: {len(store.manifest)} shards "
-          f"({len(records)} new from trace set {manifest.name!r})")
-    return 0
 
 
 def _corpus_diffcheck(args: argparse.Namespace, store) -> int:
@@ -650,57 +557,6 @@ def _write_file(path: str, text: str, written: str,
         return 1
     print(written, file=stream or sys.stderr)
     return 0
-
-
-def _bench_command(args: argparse.Namespace) -> int:
-    import dataclasses
-
-    from repro.bench import (
-        DEFAULT_MIN_WALL_S,
-        DEFAULT_TOLERANCE,
-        BenchGateError,
-        compare_against_baseline,
-        load_baseline,
-        render_report,
-        write_baseline,
-    )
-
-    try:
-        if args.bench_command == "snapshot":
-            tolerance = (DEFAULT_TOLERANCE if args.tolerance is None
-                         else args.tolerance)
-            payload = write_baseline(args.out, args.baseline,
-                                     tolerance=tolerance, note=args.note)
-            print(f"baseline written to {args.baseline}: "
-                  f"{len(payload['benches'])} benches at "
-                  f"scale={payload['source']['scale']}, "
-                  f"tolerance {tolerance:.0%}")
-            return 0
-        # compare
-        baseline = load_baseline(args.baseline)
-        tolerance = (float(baseline.get("tolerance", DEFAULT_TOLERANCE))
-                     if args.tolerance is None else args.tolerance)
-        min_wall = (DEFAULT_MIN_WALL_S if args.min_wall is None
-                    else args.min_wall)
-        checks = compare_against_baseline(
-            baseline, args.out, tolerance=tolerance, min_wall_s=min_wall)
-        print(render_report(checks, tolerance))
-        failed = any(check.failed for check in checks)
-        if args.json:
-            payload = {
-                "baseline": args.baseline,
-                "tolerance": tolerance,
-                "min_wall_s": min_wall,
-                "failed": failed,
-                "checks": [dataclasses.asdict(check) for check in checks],
-            }
-            if _write_file(args.json, _json_text(payload),
-                           f"json written to {args.json}"):
-                return 1
-        return 1 if failed else 0
-    except BenchGateError as error:
-        print(f"repro-sim bench: {error}", file=sys.stderr)
-        return 1
 
 
 def _trace_resolve(ref: str, store) -> Optional[str]:
@@ -939,8 +795,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _runs_command(args)
     if args.command == "trace":
         return _trace_command(args)
-    if args.command == "bench":
-        return _bench_command(args)
     if args.command in TABLES:
         return _table_command(args)
     if args.command in ANALYSES:

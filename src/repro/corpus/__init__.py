@@ -23,16 +23,6 @@ from repro.corpus.diffcheck import (
     diff_events,
     diff_shard,
 )
-from repro.corpus.fetch import (
-    TRACESET_SCHEMA,
-    TraceSetEntry,
-    TraceSetManifest,
-    check_manifest,
-    fetch_and_build,
-    fetch_entry,
-    fetch_set,
-    ingest_traces,
-)
 from repro.corpus.manifest import (
     MANIFEST_SCHEMA,
     CorpusManifest,
@@ -47,9 +37,7 @@ from repro.corpus.replay import (
 )
 from repro.corpus.store import (
     CorpusStore,
-    ingest_champsim_shard,
     workload_shard_name,
-    write_shard_file,
 )
 from repro.errors import CorpusError, DivergenceError
 
@@ -65,11 +53,7 @@ __all__ = [
     "REPORT_MECHANISMS",
     "ReferenceReturnStack",
     "ShardRecord",
-    "TRACESET_SCHEMA",
-    "TraceSetEntry",
-    "TraceSetManifest",
     "champsim_events",
-    "check_manifest",
     "classify_branch",
     "corpus_depth_results",
     "corpus_depth_sweep",
@@ -77,12 +61,6 @@ __all__ = [
     "diff_corpus",
     "diff_events",
     "diff_shard",
-    "fetch_and_build",
-    "fetch_entry",
-    "fetch_set",
-    "ingest_champsim_shard",
-    "ingest_traces",
     "iter_champsim_records",
     "workload_shard_name",
-    "write_shard_file",
 ]

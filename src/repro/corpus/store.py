@@ -56,83 +56,6 @@ def _file_sha256(path: pathlib.Path) -> str:
     return digest.hexdigest()
 
 
-def check_shard_name(name: str) -> str:
-    """Validate a shard name (they become filenames); returns it."""
-    if not _NAME_RE.match(name):
-        raise CorpusError(
-            f"bad shard name {name!r}; use letters, digits, '.', "
-            f"'_' and '-' only")
-    return name
-
-
-def write_shard_file(
-    path: pathlib.Path,
-    events: Iterable[ControlFlowEvent],
-    version: int = VERSION_CHUNKED,
-    block_events: int = DEFAULT_BLOCK_EVENTS,
-) -> "tuple[int, int, int]":
-    """Stream ``events`` into a shard file; returns (events, calls,
-    returns).
-
-    The write side of ingestion, with no manifest involvement — safe to
-    run in a worker process while the parent owns the manifest (see
-    :func:`ingest_champsim_shard` and :mod:`repro.corpus.fetch`). A
-    failed write removes the partial file before re-raising.
-    """
-    calls = 0
-    returns = 0
-    try:
-        with open(path, "wb") as stream:
-            writer = TraceWriter(stream, version=version,
-                                 block_events=block_events)
-            for event in events:
-                writer.append(event)
-                if event.control.is_call:
-                    calls += 1
-                elif event.control is ControlClass.RETURN:
-                    returns += 1
-            count = writer.close()
-    except BaseException:
-        path.unlink(missing_ok=True)
-        raise
-    return count, calls, returns
-
-
-def ingest_champsim_shard(
-    root: Union[str, pathlib.Path],
-    name: str,
-    trace_path: Union[str, pathlib.Path],
-    limit: Optional[int] = None,
-) -> "tuple[ShardRecord, ImportStats]":
-    """Decode one ChampSim trace into ``<root>/<name>.rastrace``.
-
-    Module-level and manifest-free so process-pool workers can run it
-    (parallel ingestion, see :func:`repro.corpus.fetch.ingest_traces`);
-    the caller registers the returned record via
-    :meth:`CorpusStore.register`.
-    """
-    check_shard_name(name)
-    root = pathlib.Path(root)
-    path = root / f"{name}{_SHARD_SUFFIX}"
-    if path.exists():
-        raise CorpusError(f"shard file {path} already exists")
-    stats = ImportStats()
-    count, calls, returns = write_shard_file(
-        path, champsim_events(trace_path, limit=limit, stats=stats))
-    record = ShardRecord(
-        name=name,
-        filename=path.name,
-        format_version=VERSION_CHUNKED,
-        events=count,
-        calls=calls,
-        returns=returns,
-        checksum=_file_sha256(path),
-        source={"kind": "champsim", "path": str(trace_path),
-                **({"limit": limit} if limit is not None else {})},
-    )
-    return record, stats
-
-
 def workload_shard_name(spec: WorkloadSpec) -> str:
     """Canonical shard name for a workload spec: ``li-s1-x0.25``."""
     return f"{spec.name}-s{spec.seed}-x{spec.scale:g}"
@@ -245,14 +168,31 @@ class CorpusStore:
         way. A failed ingest removes the partial file before
         re-raising, so the corpus directory never holds orphans.
         """
-        check_shard_name(name)
+        if not _NAME_RE.match(name):
+            raise CorpusError(
+                f"bad shard name {name!r}; use letters, digits, '.', "
+                f"'_' and '-' only")
         if name in self.manifest:
             raise CorpusError(f"duplicate shard name {name!r}")
         path = self.root / f"{name}{_SHARD_SUFFIX}"
         if path.exists():
             raise CorpusError(f"shard file {path} already exists")
-        count, calls, returns = write_shard_file(
-            path, events, version=version, block_events=block_events)
+        calls = 0
+        returns = 0
+        try:
+            with open(path, "wb") as stream:
+                writer = TraceWriter(stream, version=version,
+                                     block_events=block_events)
+                for event in events:
+                    writer.append(event)
+                    if event.control.is_call:
+                        calls += 1
+                    elif event.control is ControlClass.RETURN:
+                        returns += 1
+                count = writer.close()
+        except BaseException:
+            path.unlink(missing_ok=True)
+            raise
         record = ShardRecord(
             name=name,
             filename=path.name,
@@ -263,24 +203,6 @@ class CorpusStore:
             checksum=_file_sha256(path),
             source=dict(source),
         )
-        self.register(record)
-        return record
-
-    def register(self, record: ShardRecord) -> ShardRecord:
-        """Add an already-written shard file's record to the manifest.
-
-        The registration half of ingestion: parallel ingest writes
-        shard files in worker processes
-        (:func:`ingest_champsim_shard`), then the parent registers the
-        records here — the manifest is only ever touched by one
-        process. The shard file must already exist under this corpus
-        root.
-        """
-        path = self.shard_path(record)
-        if not path.exists():
-            raise CorpusError(
-                f"cannot register {record.name!r}: shard file {path} "
-                f"does not exist")
         self.manifest.add(record)
         self.save()
         return record
@@ -312,11 +234,11 @@ class CorpusStore:
         trace_path = pathlib.Path(trace_path)
         if name is None:
             name = trace_path.name.split(".")[0]
-        if name in self.manifest:
-            raise CorpusError(f"duplicate shard name {name!r}")
-        record, stats = ingest_champsim_shard(
-            self.root, name, trace_path, limit=limit)
-        self.register(record)
+        stats = ImportStats()
+        record = self.add_shard(
+            name, champsim_events(trace_path, limit=limit, stats=stats),
+            source={"kind": "champsim", "path": str(trace_path),
+                    **({"limit": limit} if limit is not None else {})})
         return record, stats
 
     # -- integrity -----------------------------------------------------

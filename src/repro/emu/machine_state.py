@@ -63,9 +63,6 @@ class MachineState:
     # ------------------------------------------------------------------
     # Registers.
 
-    def read_reg(self, index: int) -> int:
-        return self.regs[index]
-
     def write_reg(
         self, index: int, value: int, log: Optional[List[UndoEntry]] = None
     ) -> None:
@@ -142,9 +139,6 @@ class MachineState:
             count += 1
             state = state.parent
         return count
-
-    def snapshot_regs(self) -> List[int]:
-        return list(self.regs)
 
     def __repr__(self) -> str:
         return (

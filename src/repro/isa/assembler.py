@@ -53,17 +53,6 @@ class ProgramBuilder:
         self._labels[name] = self.here
         return self.here
 
-    def fresh_label(self, stem: str) -> str:
-        """Return a label name guaranteed not to collide with existing ones."""
-        index = 0
-        while f"{stem}_{index}" in self._labels:
-            index += 1
-        # Reserve the name so repeated calls with the same stem differ.
-        name = f"{stem}_{index}"
-        self._labels[name] = -1  # placeholder; overwritten by label()
-        del self._labels[name]
-        return name
-
     def put_data(self, address: int, value: Target) -> None:
         """Set an initial data-segment word.
 

@@ -43,10 +43,6 @@ class ControlClass(enum.Enum):
         return self in (ControlClass.CALL_DIRECT, ControlClass.CALL_INDIRECT)
 
     @property
-    def is_return(self) -> bool:
-        return self is ControlClass.RETURN
-
-    @property
     def is_indirect(self) -> bool:
         return self in (
             ControlClass.JUMP_INDIRECT,

@@ -6,7 +6,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.errors import AssemblyError, EmulationError
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import Opcode, WORD_SIZE
+from repro.isa.opcodes import WORD_SIZE
 
 
 class Program:
@@ -97,8 +97,3 @@ class Program:
             f"Program({self.name!r}, {len(self.text)} instructions, "
             f"{len(self.data)} data words)"
         )
-
-
-def halted_on(inst: Instruction) -> bool:
-    """True when ``inst`` terminates execution."""
-    return inst.opcode is Opcode.HALT

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.stats import StatGroup, format_stat_group
+from repro.stats import StatGroup
 
 
 class SimResult:
@@ -70,6 +70,3 @@ class SimResult:
             f"SimResult(instructions={self.instructions}, cycles={self.cycles}, "
             f"ipc={self.ipc:.3f})"
         )
-
-    def pretty(self) -> str:
-        return format_stat_group(self.group)

@@ -24,7 +24,12 @@ from repro.corpus import (
     corpus_depth_results,
     corpus_depth_sweep,
 )
-from repro.corpus.champsim import RECORD
+from repro.corpus.champsim import (
+    RECORD,
+    REG_FLAGS,
+    REG_INSTRUCTION_POINTER,
+    REG_STACK_POINTER,
+)
 from repro.errors import ConfigError, ReproError
 from repro.isa.opcodes import ControlClass
 from repro.trace import (
@@ -316,6 +321,51 @@ class TestChampSimImport:
         from_xz = list(champsim_events(SAMPLE_CHAMPSIM))
         assert list(champsim_events(plain)) == from_xz
         assert list(champsim_events(zipped)) == from_xz
+
+
+def _pack(ip, is_branch, taken, dests, sources):
+    dests = tuple(dests) + (0,) * (2 - len(dests))
+    sources = tuple(sources) + (0,) * (4 - len(sources))
+    return RECORD.pack(ip, is_branch, taken, *dests, *sources,
+                       0, 0, 0, 0, 0, 0)
+
+
+def _call(ip):
+    return _pack(ip, 1, 1, (REG_INSTRUCTION_POINTER, REG_STACK_POINTER),
+                 (REG_INSTRUCTION_POINTER, REG_STACK_POINTER))
+
+
+def _ret(ip):
+    return _pack(ip, 1, 1, (REG_INSTRUCTION_POINTER, REG_STACK_POINTER),
+                 (REG_STACK_POINTER,))
+
+
+def _plain(ip):
+    return _pack(ip, 0, 0, (1,), (REG_FLAGS,))
+
+
+class TestOffsetMismatchCounter:
+    def test_variable_call_sizes_are_counted(self, tmp_path):
+        """A return landing at call+5 (and one *below* its call) is
+        exactly what ``offset_mismatches`` / ``backwards_returns``
+        quantify — the returns where champsim calibration can beat the
+        fixed pc+4 convention."""
+        records = [
+            _call(1000), _plain(2000),   # call size 5:
+            _ret(2004), _plain(1005),    #   return to 1000 + 5
+            _call(3000), _plain(4000),   # backwards return:
+            _ret(4004), _plain(2990),    #   2990 < call ip 3000
+            _call(5000), _plain(6000),   # conventional call size 4:
+            _ret(6004), _plain(5004),    #   no mismatch
+        ]
+        trace = tmp_path / "var.trace"
+        trace.write_bytes(b"".join(records))
+        stats = ImportStats()
+        events = list(champsim_events(trace, stats=stats))
+        assert stats.by_class["return"] == 3
+        assert stats.offset_mismatches == 2
+        assert stats.backwards_returns == 1
+        assert len(events) == 6  # one event per branch record
 
 
 class TestExecutorTraceEngine:

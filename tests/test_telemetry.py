@@ -9,6 +9,7 @@ on the scale-0.05 smoke sweep.
 """
 
 import json
+import statistics
 import time
 
 import pytest
@@ -424,40 +425,126 @@ class TestLegacyLedger:
         assert "identical configuration" in capsys.readouterr().out
 
 
+class _SelfTime:
+    """Adds up the self time of the callables it wraps: the time spent
+    inside one, less the time spent in wrapped callables it called."""
+
+    def __init__(self) -> None:
+        self.total = 0.0
+        self._inner = [0.0]
+
+    def call(self, fn, *args, **kwargs):
+        self._inner.append(0.0)
+        started = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            elapsed = time.perf_counter() - started
+            self.total += elapsed - self._inner.pop()
+            self._inner[-1] += elapsed
+
+    def wrap(self, fn):
+        return lambda *args, **kwargs: self.call(fn, *args, **kwargs)
+
+
+class _TimedSpan:
+    """A ``span()`` context whose own enter and exit code is timed, but
+    not the block it wraps."""
+
+    def __init__(self, meter: _SelfTime, context) -> None:
+        self._meter = meter
+        self._context = context
+
+    def __enter__(self):
+        return self._meter.call(self._context.__enter__)
+
+    def __exit__(self, *exc):
+        return self._meter.call(self._context.__exit__, *exc)
+
+
 class TestOverheadBudget:
-    def test_overhead_under_three_percent_on_smoke_sweep(self, tmp_path):
-        """The acceptance budget: telemetry on (spans + metrics + ledger,
-        and trace capture) costs <3% wall time on the scale-0.05 smoke
-        sweep."""
-        sizes = (1, 2, 4, 8, 16, 32)
+    """Telemetry on (spans, trace capture and the run ledger) must cost
+    under 3% of the scale-0.05 smoke sweep, with a 4 ms floor for
+    degenerate sub-ms runs.
+
+    A whole telemetry-on sweep timed against a telemetry-off one cannot
+    resolve a budget of a few ms on a shared host, where the sweep alone
+    varies by tens of ms between runs. The check therefore times only
+    what telemetry adds: the self time of ``span``,
+    ``TraceCapture.begin``/``seal``/``close`` and
+    ``SweepExecutor._record_run`` in each telemetry-on sweep. The
+    smallest of those sums is held against 3% of the median
+    telemetry-off sweep: a preempted sweep only ever reads more, while a
+    cost telemetry really adds shows in every sweep, the smallest too.
+    """
+
+    SIZES = (1, 2, 4, 8, 16, 32)
+    RUNS = 5
+
+    def _measure(self, tmp_path, monkeypatch):
+        """(smallest telemetry self time, budget), both in seconds."""
+        import repro.core.executor as executor_module
+
+        meter = _SelfTime()
+        real_span = executor_module.span
+        begin = TraceCapture.begin.__func__
+        monkeypatch.setattr(
+            executor_module, "span",
+            lambda *args, **attrs: _TimedSpan(meter, real_span(*args, **attrs)))
+        monkeypatch.setattr(TraceCapture, "begin",
+                            classmethod(meter.wrap(begin)))
+        for name in ("seal", "close"):
+            monkeypatch.setattr(TraceCapture, name,
+                                meter.wrap(getattr(TraceCapture, name)))
+        monkeypatch.setattr(SweepExecutor, "_record_run",
+                            meter.wrap(SweepExecutor._record_run))
         ledger_path = tmp_path / "ledger.jsonl"
         traced = []
 
-        def timed(telemetry_on: bool) -> float:
+        def sweep(telemetry_on: bool) -> "tuple[float, float]":
             telemetry.set_enabled(telemetry_on)
             executor = SweepExecutor(
                 jobs=1, cache=None,
                 ledger=ledger_path if telemetry_on else None)
+            meter.total = 0.0
             started = time.perf_counter()
-            stack_depth_sweep(SPEC, sizes, executor=executor)
+            stack_depth_sweep(SPEC, self.SIZES, executor=executor)
             elapsed = time.perf_counter() - started
             traced.append(executor.last_trace_id is not None)
-            return elapsed
+            return elapsed, meter.total
 
-        timed(False)  # warm the program build memo before timing
-        timed(True)
-        baseline, instrumented = [], []
-        for _ in range(3):
-            baseline.append(timed(False))
-            instrumented.append(timed(True))
+        sweep(False)  # warm the program build memo before timing
+        sweep(True)
+        off, added = [], []
+        for _ in range(self.RUNS):
+            off.append(sweep(False)[0])
+            added.append(sweep(True)[1])
         telemetry.set_enabled(True)
-        best_off = min(baseline)
-        best_on = min(instrumented)
-        # the absolute floor only matters for degenerate sub-ms runs
-        budget = max(best_off * 1.03, best_off + 0.004)
-        assert best_on <= budget, (
-            f"telemetry overhead {(best_on / best_off - 1) * 100:.2f}% "
-            f"exceeds the 3% budget ({best_on:.4f}s vs {best_off:.4f}s)")
         # the instrumented runs really did trace and ledger their sweeps
-        assert traced == [False, True] * 4
-        assert len(RunLedger(ledger_path).entries()) >= 4
+        assert traced == [False, True] * (self.RUNS + 1)
+        assert len(RunLedger(ledger_path).entries()) == self.RUNS + 1
+        return min(added), max(0.03 * statistics.median(off), 0.004)
+
+    def test_overhead_under_three_percent_on_smoke_sweep(self, tmp_path,
+                                                          monkeypatch):
+        overhead, budget = self._measure(tmp_path, monkeypatch)
+        assert overhead <= budget, (
+            f"telemetry adds {overhead * 1000:.2f} ms per sweep, over its "
+            f"{budget * 1000:.2f} ms budget")
+
+    def test_injected_record_run_delay_fails_the_check(self, tmp_path,
+                                                       monkeypatch):
+        """5 ms more in ``_record_run`` must break the budget: the check
+        sees real overhead, not just host noise."""
+        record_run = SweepExecutor._record_run
+
+        def slow_record_run(self, *args, **kwargs):
+            time.sleep(0.005)
+            return record_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(SweepExecutor, "_record_run", slow_record_run)
+        overhead, budget = self._measure(tmp_path, monkeypatch)
+        assert overhead > budget, (
+            f"a 5 ms delay in _record_run went unseen: "
+            f"{overhead * 1000:.2f} ms against a {budget * 1000:.2f} ms "
+            f"budget")
