@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Optional
 
 from repro.config.options import RepairMechanism, StackOrganization
@@ -24,6 +24,16 @@ def _require(condition: bool, message: str) -> None:
 
 def _is_power_of_two(value: int) -> bool:
     return value > 0 and (value & (value - 1)) == 0
+
+
+def _plain(value: object) -> object:
+    """JSON-ready view of a config value, without copying leaves:
+    dataclasses become dicts of their fields, enums their ``.value``."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, enum.Enum):
+        return value.value
+    return value
 
 
 @dataclass(frozen=True)
@@ -224,25 +234,29 @@ class MachineConfig:
     def fingerprint(self) -> str:
         """Stable content hash of the complete configuration.
 
-        Two configs fingerprint equally iff every field (across core,
-        predictor, memory, and multipath) is equal, independent of how
-        the config was constructed. The experiment result cache keys on
-        this, so the digest must only depend on field values — enums
-        are reduced to their stable ``.value`` strings, never to
-        ``repr`` or identity.
-        """
-        def plain(value: object) -> object:
-            if isinstance(value, enum.Enum):
-                return value.value
-            if isinstance(value, dict):
-                return {key: plain(item) for key, item in value.items()}
-            if isinstance(value, (list, tuple)):
-                return [plain(item) for item in value]
-            return value
+        The digest is a SHA-256 over the canonical JSON encoding of every
+        field (across core, predictor, memory, and multipath), so it
+        depends on field values, not on how the config was constructed;
+        enums are reduced to their stable ``.value`` strings, never to
+        ``repr`` or identity. Because the encoding is JSON, values that
+        compare equal can still fingerprint differently: ``4`` and
+        ``4.0``, or ``True`` and ``1``. The experiment result cache and
+        the run ledger key on this digest.
 
-        payload = json.dumps(plain(asdict(self)), sort_keys=True,
-                             separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()
+        The config is frozen, so the digest is computed once per
+        instance and kept in the instance's ``__dict__``, outside the
+        dataclass fields, where ``==``, ``hash``, ``repr`` and ``asdict``
+        never see it. It is not memoised on the config's value: two
+        equal configs may hold different digests, and a value memo would
+        hand each the digest of whichever was fingerprinted first.
+        """
+        digest = self.__dict__.get("_fingerprint")
+        if digest is None:
+            payload = json.dumps(_plain(self), sort_keys=True,
+                                 separators=(",", ":"))
+            digest = hashlib.sha256(payload.encode()).hexdigest()
+            object.__setattr__(self, "_fingerprint", digest)
+        return digest
 
     def with_repair(self, mechanism: RepairMechanism) -> "MachineConfig":
         """Return a copy of this config using ``mechanism`` for RAS repair."""

@@ -1,21 +1,28 @@
 """Tests for the parallel experiment executor and the result cache."""
 
 import argparse
+import dataclasses
 import gc
+import hashlib
 import json
+import pickle
 import subprocess
 import sys
+import types
 
 import pytest
 
+from repro import telemetry
 from repro.cli import main as cli_main
-from repro.config import RepairMechanism
+from repro.config import (CoreConfig, MachineConfig, RepairMechanism,
+                          StackOrganization)
+from repro.config import machine as machine_module
 from repro.config.defaults import baseline_config
 from repro.core import ExperimentJob, JobResult, ResultCache, SweepExecutor
 from repro.core import executor as executor_module
 from repro.core.experiment import WorkloadSpec, build_program
 from repro.core.sweep import mechanism_sweep, stack_depth_sweep
-from repro.core.tables import fig_speedup, table3_baseline
+from repro.core.tables import fig_hit_rates, fig_speedup, table3_baseline
 from repro.telemetry import RunLedger
 
 SPEC = WorkloadSpec("li", seed=1, scale=0.05)
@@ -25,6 +32,53 @@ MECHANISMS = (RepairMechanism.NONE, RepairMechanism.TOS_POINTER_AND_CONTENTS)
 def _jobs():
     return [ExperimentJob(SPEC, baseline_config().with_repair(m), "cycle")
             for m in MECHANISMS]
+
+
+#: ``MachineConfig.fingerprint()`` digests. Ledger entries keep them
+#: across code versions and ``runs compare`` diffs them, so the encoding
+#: must not drift.
+GOLDEN_FINGERPRINTS = {
+    "baseline":
+        "d0abc3683328705deb4a123dc8c247d145bb81a67da1ad2a7528838973cfd82b",
+    "without_ras()":
+        "6e81943ccd3b26606e297745a645a82f1fcf6c5eddd5124dc69c32907f6ecedb",
+    "with_ras_entries(16)":
+        "e47c97e97fb035839ec01505fcf0333aaf473b04f66ba4ec04da25a8d0143f47",
+    "with_contents_depth(4)":
+        "6a47688e97b637532e672786f5fb85ecf7707b959505dacef0bc237cf9e55f94",
+    "with_multipath(4, unified)":
+        "d08f8b66c777b35b2101376db3a9856e6ee4b47ce918753a29e667310af84d99",
+    "with_repair(none)":
+        "72f6ca8e4bbf94f5479b7ce1c51613c65375d6964701d6bc20a9c3c669c5e0f1",
+    "with_repair(tos-pointer)":
+        "09cd56f53ca7a93577dedf87d4b134d3d397d0a375cdfaf86ee6d81cf3902ced",
+    "with_repair(tos-pointer-contents)":
+        "d0abc3683328705deb4a123dc8c247d145bb81a67da1ad2a7528838973cfd82b",
+    "with_repair(full-stack)":
+        "198399b51837939174e65ac5cb313a5e62e5405a5d5c8c67811f670dbb39067c",
+    "with_repair(valid-bits)":
+        "3dd83797c6fc413b32746ee342df8541058a04c79e9b2c1a0be14bea4377afcf",
+    "with_repair(self-checkpoint)":
+        "5b4ebdd432263d041c1aa3623bb58dd128058d1d98c81ae08d39e332103188d6",
+    "with_repair(champsim)":
+        "b8ece22e3ad227035fb318849b0ac5bc3d0bc10a93cd4244f29a4d78547265cb",
+}
+
+
+def _golden_configs():
+    base = baseline_config()
+    configs = {
+        "baseline": base,
+        "without_ras()": base.without_ras(),
+        "with_ras_entries(16)": base.with_ras_entries(16),
+        "with_contents_depth(4)": base.with_contents_depth(4),
+        "with_multipath(4, unified)": base.with_multipath(
+            4, StackOrganization.UNIFIED),
+    }
+    for mechanism in RepairMechanism:
+        configs[f"with_repair({mechanism.value})"] = base.with_repair(
+            mechanism)
+    return configs
 
 
 class TestFingerprint:
@@ -44,6 +98,75 @@ class TestFingerprint:
         direct = baseline_config().with_repair(
             RepairMechanism.TOS_POINTER_AND_CONTENTS)
         assert direct.fingerprint() == baseline_config().fingerprint()
+
+    @pytest.mark.parametrize("name", sorted(_golden_configs()))
+    def test_golden_digest(self, name):
+        assert (_golden_configs()[name].fingerprint()
+                == GOLDEN_FINGERPRINTS[name])
+
+    @pytest.mark.parametrize("int_first", [True, False])
+    def test_equal_configs_keep_their_own_digests(self, int_first):
+        as_int = MachineConfig()
+        as_float = MachineConfig(core=CoreConfig(fetch_width=4.0))
+        assert as_int == as_float and hash(as_int) == hash(as_float)
+        order = [as_int, as_float] if int_first else [as_float, as_int]
+        for config in order:
+            config.fingerprint()
+        assert as_int.fingerprint() == GOLDEN_FINGERPRINTS["baseline"]
+        assert as_float.fingerprint() != as_int.fingerprint()
+
+    def test_memo_is_invisible(self):
+        config = baseline_config().with_ras_entries(16)
+        before = (dataclasses.fields(config), dataclasses.asdict(config),
+                  hash(config), repr(config))
+        digest = config.fingerprint()
+        assert (dataclasses.fields(config), dataclasses.asdict(config),
+                hash(config), repr(config)) == before
+        assert config == baseline_config().with_ras_entries(16)
+        assert config.fingerprint() == digest
+
+    def test_pickle_round_trip_keeps_digest(self):
+        digest = GOLDEN_FINGERPRINTS["with_ras_entries(16)"]
+        fresh = baseline_config().with_ras_entries(16)
+        assert pickle.loads(pickle.dumps(fresh)).fingerprint() == digest
+        fresh.fingerprint()
+        assert pickle.loads(pickle.dumps(fresh)).fingerprint() == digest
+
+    def test_derived_configs_do_not_inherit_the_memo(self):
+        base = baseline_config()
+        base.fingerprint()
+        assert (base.with_repair(RepairMechanism.NONE).fingerprint()
+                == GOLDEN_FINGERPRINTS["with_repair(none)"])
+        widened = dataclasses.replace(
+            base, predictor=dataclasses.replace(base.predictor,
+                                                ras_entries=16))
+        assert (widened.fingerprint()
+                == GOLDEN_FINGERPRINTS["with_ras_entries(16)"])
+
+    def test_warm_rerun_hashes_each_config_object_once(self, tmp_path,
+                                                       monkeypatch):
+        # cache_key fingerprints each submitted config; the ledger's
+        # `configs` must read that digest, not hash the payload again
+        telemetry.set_enabled(True)
+        try:
+            fig_hit_rates(names=("li",), scale=0.02, executor=SweepExecutor(
+                jobs=1, cache=ResultCache(tmp_path)))
+            hashed = []
+
+            def sha256(data):
+                hashed.append(data)
+                return hashlib.sha256(data)
+
+            monkeypatch.setattr(machine_module, "hashlib",
+                                types.SimpleNamespace(sha256=sha256))
+            warm = SweepExecutor(jobs=1, cache=ResultCache(tmp_path))
+            fig_hit_rates(names=("li",), scale=0.02, executor=warm)
+        finally:
+            telemetry.set_enabled(None)
+        assert warm.cache_hits == 4 and warm.cache_misses == 0
+        assert warm.last_entry is not None
+        assert len(warm.last_entry["configs"]) == 4
+        assert len(hashed) == 4
 
 
 class TestJobs:
