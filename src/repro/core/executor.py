@@ -44,7 +44,6 @@ import datetime
 import functools
 import hashlib
 import json
-import multiprocessing
 import os
 import pathlib
 import time
@@ -548,6 +547,7 @@ class ResultCache:
 # The executor.
 
 def _fork_context():
+    import multiprocessing
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - fork-less platform
@@ -809,9 +809,15 @@ class SweepExecutor:
 
     # The pool factory is an attribute so tests can inject pools that
     # fail deterministically (see tests/test_cluster.py).
-    _pool_factory = staticmethod(concurrent.futures.ProcessPoolExecutor)
+    @staticmethod
+    def _pool_factory(max_workers: int, **kwargs):
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor(max_workers=max_workers, **kwargs)
 
     def _make_pool(self, workers: int):
+        # The pool stack (multiprocessing, concurrent.futures.process)
+        # is imported here, with the first pool: a sweep that runs
+        # in-process never loads it.
         context = _fork_context()
         kwargs = {"mp_context": context} if context is not None else {}
         return self._pool_factory(max_workers=workers, **kwargs)

@@ -37,8 +37,10 @@ checked-in sample corpus to hold that line. Throughput is tracked by
 docs/performance.md).
 
 The platform alone picks the decoder: numpy when it imports, the
-stdlib path otherwise. The parity suite runs both, forcing the stdlib
-path by setting this module's ``_np`` to ``None``.
+stdlib path otherwise. The import is tried at the first block decode,
+not when this module loads, so a process that replays no trace (every
+table command) never loads numpy. The parity suite runs both decoders,
+forcing the stdlib path by setting this module's ``_np`` to ``None``.
 """
 
 from __future__ import annotations
@@ -59,13 +61,15 @@ from repro.trace.format import (
 from repro.trace.format import _CLASS_INDEX, _CLASS_LIST  # stable byte encoding
 from repro.trace.replay import (TraceRasResult, TraceShardSpec, _Lane,
                                 _shard_parts)
-
-try:  # optional accelerator; the stdlib path is always available
-    import numpy as _np
-except ImportError:  # pragma: no cover - the stdlib path is tested anyway
-    _np = None
-
 from repro.isa.opcodes import ControlClass
+
+_UNTRIED = object()
+#: numpy, ``None`` where it does not import, or ``_UNTRIED`` until
+#: :func:`decoder_backend` first tries it.
+_np = _UNTRIED
+#: numpy record dtype of each container version, keyed by event size;
+#: filled when numpy loads.
+_DTYPES: Dict[int, object] = {}
 
 _NUM_CLASSES = len(_CLASS_LIST)
 _RETURN_IDX = _CLASS_INDEX[ControlClass.RETURN]
@@ -86,18 +90,23 @@ _STACK_RE = re.compile(b"[" + re.escape(_STACK_CLASS_BYTES) + b"]")
 _BAD_CLASS_RE = re.compile(
     b"[" + re.escape(bytes([_NUM_CLASSES])) + b"-\xff]")
 
-if _np is not None:
-    _V1_DTYPE = _np.dtype(
-        [("cls", "u1"), ("pc", "<u4"), ("next", "<u4"), ("gap", "<u4")])
-    _V2_DTYPE = _np.dtype(
-        [("cls", "u1"), ("pc", "<u8"), ("next", "<u8"), ("gap", "<u4")])
-    assert _V1_DTYPE.itemsize == _V1_EVENT_SIZE
-    assert _V2_DTYPE.itemsize == _V2_EVENT_SIZE
-
 
 def decoder_backend() -> str:
     """Which block decoder runs: ``"numpy"`` when numpy imports,
-    ``"python"`` otherwise."""
+    ``"python"`` otherwise. The first call tries the import."""
+    global _np
+    if _np is _UNTRIED:
+        try:  # optional accelerator; the stdlib path is always available
+            import numpy
+        except ImportError:  # pragma: no cover - stdlib path tested anyway
+            _np = None
+        else:
+            _DTYPES[_V1_EVENT_SIZE] = numpy.dtype(
+                [("cls", "u1"), ("pc", "<u4"), ("next", "<u4"), ("gap", "<u4")])
+            _DTYPES[_V2_EVENT_SIZE] = numpy.dtype(
+                [("cls", "u1"), ("pc", "<u8"), ("next", "<u8"), ("gap", "<u4")])
+            assert all(dt.itemsize == size for size, dt in _DTYPES.items())
+            _np = numpy
     return "python" if _np is None else "numpy"
 
 
@@ -131,8 +140,7 @@ def _bad_class_error(found: int) -> TraceFormatError:
 
 def _decode_block_numpy(raw: bytes, event_size: int,
                         count: int) -> EventBatch:
-    rec = _np.frombuffer(
-        raw, dtype=_V1_DTYPE if event_size == _V1_EVENT_SIZE else _V2_DTYPE)
+    rec = _np.frombuffer(raw, dtype=_DTYPES[event_size])
     classes = rec["cls"]
     bad = classes >= _NUM_CLASSES
     if bad.any():

@@ -6,6 +6,7 @@ in-process, starts no second pool, and its rows match a clean run.
 """
 
 import concurrent.futures
+import concurrent.futures.process
 
 from repro import telemetry
 from repro.config.defaults import baseline_config

@@ -4,10 +4,12 @@ import argparse
 import dataclasses
 import gc
 import hashlib
+import importlib.util
 import json
 import pickle
 import subprocess
 import sys
+import textwrap
 import types
 
 import pytest
@@ -334,16 +336,36 @@ class TestCliFlags:
         assert not (tmp_path / "corpus").exists()
 
     def test_cli_import_loads_no_network_stack(self):
-        """The CLI runs sweeps locally: importing it loads no asyncio
-        and no repro.service / repro.cluster package."""
-        probe = ("import sys, repro.cli; print('\\n'.join(sorted("
-                 "name for name in sys.modules if name == 'asyncio' "
-                 "or name.startswith(('asyncio.', 'repro.service', "
-                 "'repro.cluster')))))")
-        loaded = subprocess.run(
+        """The CLI runs sweeps locally: importing it and running a cold
+        table in-process loads no asyncio, no repro.service /
+        repro.cluster package, no numpy and no process-pool stack. The
+        first block decode loads numpy, wherever numpy imports."""
+        probe = textwrap.dedent("""
+            import contextlib, io, json, sys
+            import repro.cli
+            with contextlib.redirect_stdout(io.StringIO()):
+                status = repro.cli.main([
+                    "hit-rates", "--names", "li", "--scale", "0.01",
+                    "--jobs", "1", "--no-cache"])
+            loaded = sorted(
+                name for name in sys.modules
+                if name in ("asyncio", "numpy", "multiprocessing",
+                            "concurrent.futures.process")
+                or name.startswith(("asyncio.", "numpy.", "multiprocessing.",
+                                    "repro.service", "repro.cluster")))
+            from repro.fastsim.batch import decoder_backend
+            print(json.dumps({"status": status, "loaded": loaded,
+                              "backend": decoder_backend(),
+                              "numpy": "numpy" in sys.modules}))
+        """)
+        probed = json.loads(subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True,
-            check=True).stdout.split()
-        assert loaded == []
+            check=True).stdout.splitlines()[-1])
+        assert probed["status"] == 0
+        assert probed["loaded"] == []
+        has_numpy = importlib.util.find_spec("numpy") is not None
+        assert probed["backend"] == ("numpy" if has_numpy else "python")
+        assert probed["numpy"] == has_numpy
 
 
 class TestCliParser:
