@@ -13,9 +13,8 @@ Examples:
     repro-sim corpus build traces/ --names li vortex --scale 0.25
     repro-sim corpus import traces/ champsim.trace.xz --name srv0
     repro-sim corpus replay traces/ --jobs 4 --sizes 1 4 16 64
-    repro-sim corpus replay traces/ --engine batch      # fast replay
     repro-sim corpus diffcheck traces/ --report diffreport.json
-    repro-sim corpus report traces/ --engine batch
+    repro-sim corpus report traces/
     repro-sim runs list
     repro-sim runs compare -2 -1
     repro-sim trace show -1                     # waterfall of the last run
@@ -117,6 +116,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", metavar="OUT", default=None,
                        help="also write the table as JSON to OUT")
 
+    def replay_engine_flag(p: argparse.ArgumentParser) -> None:
+        # one choice; the flag stays so existing command lines parse
+        p.add_argument("--engine", default="batch", choices=["batch"],
+                       help="replay engine: block-decoded 'batch' "
+                            "(docs/performance.md)")
+
     for name in TABLES:
         p = sub.add_parser(name, help=f"print {name}")
         workload_flags(p)
@@ -194,10 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=(1, 2, 4, 8, 12, 16, 32, 64))
     c.add_argument("--mechanism", default="none",
                    choices=[m.value for m in RepairMechanism])
-    c.add_argument("--engine", default="trace", choices=["trace", "batch"],
-                   help="replay path: 'trace' streams events, 'batch' "
-                        "decodes block-at-a-time (identical counters, "
-                        "several times faster; docs/performance.md)")
+    replay_engine_flag(c)
     c.add_argument("--shards", nargs="*", default=None,
                    help="restrict to these shard names")
     sweep_flags(c)
@@ -223,9 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "mechanism (docs/validation.md)")
     c.add_argument("corpus")
     c.add_argument("--ras-entries", type=int, default=64)
-    c.add_argument("--engine", default="batch", choices=["trace", "batch"],
-                   help="replay path (identical counters; 'batch' is "
-                        "several times faster)")
+    replay_engine_flag(c)
     c.add_argument("--shards", nargs="*", default=None,
                    help="restrict to these shard names")
     sweep_flags(c)
@@ -437,7 +437,7 @@ def _corpus_command(args: argparse.Namespace) -> int:
             executor = _make_executor(args)
             title, headers, rows = corpus_report(
                 store, ras_entries=args.ras_entries, executor=executor,
-                names=args.shards, engine=args.engine)
+                names=args.shards)
             print(format_table(headers, rows, title=title))
             _print_sweep_summary(executor)
             if args.json:
@@ -448,7 +448,7 @@ def _corpus_command(args: argparse.Namespace) -> int:
         title, headers, rows = corpus_depth_sweep(
             store, sizes=args.sizes,
             mechanism=RepairMechanism(args.mechanism),
-            executor=executor, names=args.shards, engine=args.engine)
+            executor=executor, names=args.shards)
         print(format_table(headers, rows, title=title))
         _print_sweep_summary(executor)
         if args.json:

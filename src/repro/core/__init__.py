@@ -27,7 +27,6 @@ from repro.core.sweep import (
     multipath_sweep,
     stack_depth_jobs,
     stack_depth_sweep,
-    trace_depth_sweep,
 )
 from repro.core.tables import (
     ablation_btb_capacity,
@@ -73,5 +72,4 @@ __all__ = [
     "table1",
     "table3_baseline",
     "table4_btb_only",
-    "trace_depth_sweep",
 ]

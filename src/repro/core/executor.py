@@ -38,7 +38,6 @@ The defaults for the worker count (``REPRO_JOBS``), the cache root
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import datetime
 import functools
@@ -67,17 +66,17 @@ from repro.obs.store import TraceStore
 from repro.stats.counters import Counter, Rate
 from repro.telemetry import RunLedger, metric_key
 from repro.telemetry import state as telemetry_state
-from repro.trace.replay import TraceShardSpec, replay_shard
+from repro.trace.replay import TraceShardSpec
 
 #: Engines a job may name: the three simulator families, their
-#: columnar fast twins, and the two trace-shard replay paths (capacity
-#: sweeps over recorded control flow): ``"trace"`` streams one event at
-#: a time, ``"batch"`` decodes block-at-a-time into flat arrays;
+#: columnar fast twins, and the two trace-shard engines: ``"batch"``
+#: replays recorded control flow block-at-a-time (capacity sweeps), and
+#: ``"diffcheck"`` cross-checks it against ChampSim (below);
 #: ``"cycle-fast"`` / ``"multipath-fast"`` are the work-list rewrites
 #: of the execution-driven CPUs (bit-identical counters, several times
 #: the throughput; see docs/engines.md and docs/performance.md).
 ENGINES = ("cycle", "cycle-fast", "frontend", "multipath", "multipath-fast",
-           "trace", "batch", "diffcheck")
+           "batch", "diffcheck")
 
 #: The engines that replay recorded trace shards (their jobs carry a
 #: TraceShardSpec instead of a workload). ``"diffcheck"`` replays a
@@ -85,7 +84,7 @@ ENGINES = ("cycle", "cycle-fast", "frontend", "multipath", "multipath-fast",
 #: ChampSim model side by side (:mod:`repro.corpus.diffcheck`),
 #: reporting divergence counts — cached by shard checksum like any
 #: other trace job.
-TRACE_ENGINES = ("trace", "batch", "diffcheck")
+TRACE_ENGINES = ("batch", "diffcheck")
 
 #: Bump when the cached JobResult schema changes shape.
 CACHE_SCHEMA = 1
@@ -130,8 +129,8 @@ class ExperimentJob:
     memoises the program locally). A prebuilt :class:`Program` is also
     accepted for ad-hoc experiments; such jobs run fine but bypass the
     cache because a raw program has no stable identity to key on. The
-    ``"trace"`` engine instead takes a
-    :class:`~repro.trace.replay.TraceShardSpec` — the worker streams
+    trace engines instead take a
+    :class:`~repro.trace.replay.TraceShardSpec` — the worker reads
     the shard from disk, and the cache keys on the shard *checksum*, so
     a cached replay survives corpus moves but never a content change.
     """
@@ -298,15 +297,13 @@ def _group_stats(group) -> Dict[str, Dict[str, object]]:
 def _run_trace_job(job: ExperimentJob) -> JobResult:
     """Replay a trace shard through the RAS the job's config describes.
 
-    Replay semantics are exactly
-    :meth:`repro.trace.replay.TraceRasEvaluator.evaluate` (RAS with BTB
-    fallback), so corpus sweeps reproduce the in-memory path
-    bit-for-bit — whichever replay engine runs: ``"trace"`` streams
-    events, ``"batch"`` decodes block-at-a-time
-    (:func:`repro.fastsim.batch.replay_shard_batched`, bit-identical
-    counters, asserted by the differential tests). ``instructions``
-    reports the shard's control-event count; there is no cycle model
-    here, so cycles/ipc are zero.
+    ``"diffcheck"`` runs it beside the reference ChampSim model;
+    ``"batch"`` decodes it block-at-a-time
+    (:func:`repro.fastsim.batch.replay_shard_batched`), with counters
+    equal to :func:`repro.trace.replay.replay_events` (RAS with BTB
+    fallback) over the shard's events, as the differential tests
+    assert. ``instructions`` reports the shard's control-event count;
+    there is no cycle model here, so cycles/ipc are zero.
     """
     shard = job.workload
     assert isinstance(shard, TraceShardSpec)
@@ -337,13 +334,8 @@ def _run_trace_job(job: ExperimentJob) -> JobResult:
                               if returns else None),
             },
         )
-    if job.engine == "batch":
-        result = replay_shard_batched(shard,
-                                      ras_entries=predictor.ras_entries,
-                                      mechanism=predictor.ras_repair)
-    else:
-        result = replay_shard(shard, ras_entries=predictor.ras_entries,
-                              mechanism=predictor.ras_repair)
+    result = replay_shard_batched(shard, ras_entries=predictor.ras_entries,
+                                  mechanism=predictor.ras_repair)
     return JobResult(
         engine=job.engine,
         instructions=shard.events or 0,
@@ -829,6 +821,8 @@ class SweepExecutor:
         keeps every result that did finish; only the jobs the breakage
         swallowed re-run, in-process and in submission order.
         """
+        import concurrent.futures
+
         results: List[Optional[JobResult]] = [None] * len(jobs)
         broken: List[int] = []
         # a traced sweep ships its trace id and open span to the pool

@@ -19,10 +19,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 from repro.config.defaults import baseline_config
 from repro.config.machine import MachineConfig
 from repro.config.options import RepairMechanism, StackOrganization
-from repro.core.executor import ExperimentJob, JobResult, SweepExecutor
+from repro.core.executor import ExperimentJob, SweepExecutor
 from repro.core.experiment import WorkloadSpec, multipath_machine
 from repro.isa.program import Program
-from repro.trace.replay import TraceShardSpec
 
 Workload = Union[Program, WorkloadSpec]
 
@@ -84,40 +83,6 @@ def stack_depth_sweep(
     results = _executor(executor).run(jobs)
     return {size: result.return_accuracy
             for size, result in zip(sizes, results)}
-
-
-def trace_depth_sweep(
-    shards: Sequence[TraceShardSpec],
-    sizes: Sequence[int],
-    mechanism: RepairMechanism = RepairMechanism.NONE,
-    base: Optional[MachineConfig] = None,
-    executor: Optional[SweepExecutor] = None,
-    engine: str = "trace",
-) -> Dict[str, Dict[int, JobResult]]:
-    """Stack-depth capacity sweep over on-disk trace shards.
-
-    One executor job per ``shard x size`` — the unit the result cache
-    keys on (shard checksum + config fingerprint + engine), so
-    re-sweeping an unchanged corpus is pure cache hits and adding one
-    shard only replays that shard. Results carry the full
-    return/overflow counters keyed by shard name then stack size.
-
-    ``engine`` selects the replay path: ``"trace"`` (streaming,
-    event-at-a-time) or ``"batch"`` (block-at-a-time flat-array decode,
-    bit-identical counters at several times the throughput — see
-    docs/performance.md).
-    """
-    repaired = (base or baseline_config()).with_repair(mechanism)
-    shards = list(shards)
-    sizes = list(sizes)
-    jobs = [ExperimentJob(shard, repaired.with_ras_entries(size), engine)
-            for shard in shards for size in sizes]
-    results = _executor(executor).run(jobs)
-    swept: Dict[str, Dict[int, JobResult]] = {}
-    for index, shard in enumerate(shards):
-        chunk = results[index * len(sizes):(index + 1) * len(sizes)]
-        swept[shard.name] = dict(zip(sizes, chunk))
-    return swept
 
 
 def multipath_sweep(

@@ -1,12 +1,11 @@
 """Corpus-driven experiment entry points.
 
 Thin layer joining :class:`~repro.corpus.store.CorpusStore` to the
-executor-routed :func:`~repro.core.sweep.trace_depth_sweep`: pick
-shards, fan one job per ``shard x stack size`` over the
-:class:`~repro.core.executor.SweepExecutor` (parallel, cached by shard
-checksum), and shape the results as either raw counter dicts (for
-tests and programmatic use) or a rendered table (for the CLI and
-benchmarks).
+:class:`~repro.core.executor.SweepExecutor`: pick shards, fan one
+``"batch"`` job per ``shard x stack size`` (or ``shard x mechanism``)
+over the executor (parallel, cached by shard checksum), and shape the
+results as either raw counter dicts (for tests and programmatic use)
+or a rendered table (for the CLI and benchmarks).
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.config.defaults import baseline_config
 from repro.config.options import RepairMechanism
 from repro.core.executor import ExperimentJob, JobResult, SweepExecutor
-from repro.core.sweep import trace_depth_sweep
 from repro.corpus.store import CorpusStore
 
 #: Default stack sizes for corpus capacity sweeps (the paper's F3 grid).
@@ -31,16 +29,28 @@ def corpus_depth_results(
     mechanism: RepairMechanism = RepairMechanism.NONE,
     executor: Optional[SweepExecutor] = None,
     names: Optional[Iterable[str]] = None,
-    engine: str = "trace",
 ) -> Dict[str, Dict[int, JobResult]]:
     """Raw per-shard, per-size replay results for ``store``.
 
-    ``engine`` picks the replay path (``"trace"`` streaming or
-    ``"batch"`` block-decoded; identical counters either way).
+    One executor job per ``shard x size`` — the unit the result cache
+    keys on (shard checksum + config fingerprint + engine), so
+    re-sweeping an unchanged corpus is pure cache hits and adding one
+    shard only replays that shard. Results carry the full
+    return/overflow counters keyed by shard name then stack size.
     """
-    return trace_depth_sweep(
-        store.specs(names=names), sizes, mechanism=mechanism,
-        executor=executor, engine=engine)
+    if executor is None:
+        executor = SweepExecutor()
+    repaired = baseline_config().with_repair(mechanism)
+    shards = store.specs(names=names)
+    sizes = list(sizes)
+    jobs = [ExperimentJob(shard, repaired.with_ras_entries(size), "batch")
+            for shard in shards for size in sizes]
+    results = executor.run(jobs)
+    swept: Dict[str, Dict[int, JobResult]] = {}
+    for index, shard in enumerate(shards):
+        chunk = results[index * len(sizes):(index + 1) * len(sizes)]
+        swept[shard.name] = dict(zip(sizes, chunk))
+    return swept
 
 
 def corpus_depth_sweep(
@@ -49,7 +59,6 @@ def corpus_depth_sweep(
     mechanism: RepairMechanism = RepairMechanism.NONE,
     executor: Optional[SweepExecutor] = None,
     names: Optional[Iterable[str]] = None,
-    engine: str = "trace",
 ) -> TableData:
     """Stack-depth sweep over a corpus, shaped like the F3 table.
 
@@ -58,8 +67,7 @@ def corpus_depth_sweep(
     the shard's return count for scale.
     """
     results = corpus_depth_results(store, sizes, mechanism=mechanism,
-                                   executor=executor, names=names,
-                                   engine=engine)
+                                   executor=executor, names=names)
     rows: List[List[object]] = []
     for name, by_size in results.items():
         row: List[object] = [name]
@@ -89,16 +97,15 @@ def corpus_report(
     ras_entries: int = 64,
     executor: Optional[SweepExecutor] = None,
     names: Optional[Iterable[str]] = None,
-    engine: str = "batch",
     mechanisms: Sequence[RepairMechanism] = REPORT_MECHANISMS,
 ) -> TableData:
     """The corpus-wide headline table: every shard, every mechanism.
 
     One ``shard x mechanism`` job fans over the executor (cached by
-    shard checksum; ``"batch"`` decodes block-at-a-time). Columns hold
-    the per-shard return counts plus one return-accuracy percentage per
-    mechanism — on real imported traces the gap between ``none`` and
-    ``champsim`` is the measurable win of call-size calibration
+    shard checksum). Columns hold the per-shard return counts plus one
+    return-accuracy percentage per mechanism — on real imported traces
+    the gap between ``none`` and ``champsim`` is the measurable win of
+    call-size calibration
     (``ImportStats.offset_mismatches`` counts the returns at stake).
     """
     if executor is None:
@@ -106,7 +113,7 @@ def corpus_report(
     specs = store.specs(names=names)
     base = baseline_config().with_ras_entries(ras_entries)
     jobs = [
-        ExperimentJob(spec, base.with_repair(mechanism), engine=engine)
+        ExperimentJob(spec, base.with_repair(mechanism), "batch")
         for spec in specs for mechanism in mechanisms
     ]
     results = executor.run(jobs)
@@ -125,5 +132,5 @@ def corpus_report(
     headers = (["shard", "events", "calls", "returns"]
                + [f"{mechanism.value} %" for mechanism in mechanisms])
     title = (f"Corpus report ({len(specs)} shards, "
-             f"{ras_entries}-entry RAS, engine={engine})")
+             f"{ras_entries}-entry RAS)")
     return title, headers, rows

@@ -2,7 +2,7 @@
 
 ``CorpusStore`` manages durable, sharded trace corpora on disk:
 
-* shards are v2 chunked trace containers (``<name>.rastrace``, see
+* shards are chunked trace containers (``<name>.rastrace``, see
   :mod:`repro.trace.format`), written streaming — ingestion never
   materialises an event list, so a shard may exceed RAM;
 * ``manifest.json`` records, per shard, the event/call/return counts,
@@ -34,8 +34,8 @@ from repro.isa.opcodes import ControlClass
 from repro.trace.format import (
     ControlFlowEvent,
     DEFAULT_BLOCK_EVENTS,
+    VERSION,
     TraceWriter,
-    VERSION_CHUNKED,
     iter_control_events,
     iter_trace_file,
 )
@@ -158,7 +158,6 @@ class CorpusStore:
         name: str,
         events: Iterable[ControlFlowEvent],
         source: Dict[str, object],
-        version: int = VERSION_CHUNKED,
         block_events: int = DEFAULT_BLOCK_EVENTS,
     ) -> ShardRecord:
         """Stream ``events`` into a new shard and register it.
@@ -181,8 +180,7 @@ class CorpusStore:
         returns = 0
         try:
             with open(path, "wb") as stream:
-                writer = TraceWriter(stream, version=version,
-                                     block_events=block_events)
+                writer = TraceWriter(stream, block_events=block_events)
                 for event in events:
                     writer.append(event)
                     if event.control.is_call:
@@ -196,7 +194,7 @@ class CorpusStore:
         record = ShardRecord(
             name=name,
             filename=path.name,
-            format_version=version,
+            format_version=VERSION,
             events=count,
             calls=calls,
             returns=returns,

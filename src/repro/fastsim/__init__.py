@@ -15,16 +15,15 @@ per-thread stacks (ablation A9).
 :mod:`repro.fastsim.batch` applies the same philosophy to recorded
 traces: shards are decoded block-at-a-time into flat columns and
 replayed with branch-class dispatch hoisted out of the inner loop,
-bit-identical to the streaming evaluator but several times faster (the
-executor's ``"batch"`` engine; see docs/performance.md).
+bit-identical to the event-at-a-time oracle
+(:func:`repro.trace.replay.replay_events`) but several times faster
+(the executor's ``"batch"`` engine; see docs/performance.md).
 """
 
 from repro.fastsim.batch import (
     EventBatch,
     decoder_backend,
     iter_event_batches,
-    replay_batches,
-    replay_batches_multi,
     replay_shard_batched,
     replay_shard_batched_multi,
 )
@@ -36,8 +35,6 @@ __all__ = [
     "FastSimResult",
     "decoder_backend",
     "iter_event_batches",
-    "replay_batches",
-    "replay_batches_multi",
     "replay_shard_batched",
     "replay_shard_batched_multi",
 ]

@@ -48,11 +48,11 @@ from repro.core.experiment import (
 )
 from repro.errors import ReproError
 from repro.isa.program import Program
-from repro.stats.counters import Counter, Gauge, Histogram, Rate, StatGroup
+from repro.stats.counters import Counter, Histogram, Rate, StatGroup
 from repro.workloads.generator import build_workload
 
 #: Flattened statistic value: ``int`` for counters, ``(hits, events)``
-#: for rates, ``float`` for gauges, sorted item tuple for histograms.
+#: for rates, sorted item tuple for histograms.
 FlatValue = object
 
 
@@ -74,8 +74,6 @@ def flatten_group(group: StatGroup) -> Dict[str, FlatValue]:
             flat[name] = stat.value
         elif isinstance(stat, Rate):
             flat[name] = (stat.hits, stat.events)
-        elif isinstance(stat, Gauge):
-            flat[name] = stat.value
         elif isinstance(stat, Histogram):
             flat[name] = tuple(sorted(stat.buckets.items()))
         else:  # pragma: no cover - no other stat kinds exist today

@@ -5,12 +5,11 @@ declare named counters, rates and histograms up front, update them during
 simulation, and render them as text tables afterwards.
 """
 
-from repro.stats.counters import Counter, Gauge, Histogram, Rate, StatGroup
+from repro.stats.counters import Counter, Histogram, Rate, StatGroup
 from repro.stats.tables import format_table, format_stat_group
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "Rate",
     "StatGroup",

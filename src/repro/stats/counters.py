@@ -23,10 +23,6 @@ class Counter:
     def increment(self, amount: int = 1) -> None:
         self.value += amount
 
-    def merge(self, other: "Counter") -> None:
-        """Fold another counter in (counts add)."""
-        self.value += other.value
-
     def reset(self) -> None:
         self.value = 0
 
@@ -62,12 +58,6 @@ class Rate:
         self.hits += hits
         self.events += events
 
-    def merge(self, other: "Rate") -> None:
-        """Fold another rate in (hits and events add, so the merged
-        ratio is the properly weighted aggregate, not a mean of means)."""
-        self.hits += other.hits
-        self.events += other.events
-
     @property
     def value(self) -> Optional[float]:
         if self.events == 0:
@@ -88,37 +78,6 @@ class Rate:
         return f"Rate({self.name}={shown}, {self.hits}/{self.events})"
 
 
-class Gauge:
-    """A point-in-time level (worker count, queue depth, buffer fill).
-
-    Unlike a :class:`Counter` a gauge may move in both directions, so
-    merging two gauges cannot add them. The merge keeps the maximum —
-    the only aggregate of per-worker levels that is independent of merge
-    order, which the telemetry layer relies on for deterministic
-    aggregation (see :mod:`repro.telemetry.metrics`).
-    """
-
-    __slots__ = ("name", "description", "value")
-
-    def __init__(self, name: str, description: str = "") -> None:
-        self.name = name
-        self.description = description
-        self.value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def merge(self, other: "Gauge") -> None:
-        """Fold another gauge in (order-independent: keeps the max)."""
-        self.value = max(self.value, other.value)
-
-    def reset(self) -> None:
-        self.value = 0.0
-
-    def __repr__(self) -> str:
-        return f"Gauge({self.name}={self.value})"
-
-
 class Histogram:
     """A sparse integer-keyed histogram (e.g. call-depth distribution)."""
 
@@ -131,11 +90,6 @@ class Histogram:
 
     def record(self, key: int, amount: int = 1) -> None:
         self.buckets[key] = self.buckets.get(key, 0) + amount
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram in (per-bucket counts add)."""
-        for key, count in other.buckets.items():
-            self.buckets[key] = self.buckets.get(key, 0) + count
 
     @property
     def total(self) -> int:
@@ -196,11 +150,6 @@ class StatGroup:
 
     def rate(self, name: str, description: str = "") -> Rate:
         stat = Rate(name, description)
-        self._register(name, stat)
-        return stat
-
-    def gauge(self, name: str, description: str = "") -> Gauge:
-        stat = Gauge(name, description)
         self._register(name, stat)
         return stat
 

@@ -1,21 +1,16 @@
-"""The binary control-flow trace containers (v1 flat, v2 chunked).
+"""The binary control-flow trace container (version 2, chunked).
 
 A trace is a sequence of control-transfer events from the committed
 instruction stream (non-control instructions are elided — they carry no
 predictor-relevant information).
 
-**Version 1** is the original flat layout: a 16-byte header (magic,
-version, event count) followed by 13-byte fixed events with 32-bit PCs.
-Every event sits uncompressed at a computable offset; any tool can
-parse it.
-
-**Version 2** is the corpus container: a 24-byte header, then a run of
-zlib-compressed event blocks, then a block index and a trailer so
-readers can seek without scanning. Events widen to 64-bit PCs (imported
-x86 traces need them) and pack to 21 bytes before compression:
+The container is a 24-byte header, then a run of zlib-compressed event
+blocks, then a block index and a trailer so readers can seek without
+scanning. Events carry 64-bit PCs (imported x86 traces need them) and
+pack to 21 bytes before compression:
 
 ====== ===== ==========================================
-offset bytes v2 event field
+offset bytes event field
 ====== ===== ==========================================
 0      1     control class (ControlClass index)
 1      8     PC of the control instruction (uint64 LE)
@@ -26,12 +21,13 @@ offset bytes v2 event field
 Each block header records the raw size, compressed size, event count
 and a CRC-32 of the compressed payload, so corruption anywhere in a
 block is detected and reported as a typed :class:`TraceFormatError`
-rather than silently truncating the stream. The full layouts are
+rather than silently truncating the stream. The full layout is
 documented in docs/traces.md.
 
 :class:`TraceWriter` and :class:`TraceReader` stream: neither ever
 materialises the full event list, so traces larger than RAM are fine.
-The reader transparently handles both versions.
+Any other version number in the header (the retired flat version 1
+included) is a :class:`TraceFormatError`.
 """
 
 from __future__ import annotations
@@ -48,17 +44,13 @@ from repro.isa.program import Program
 
 MAGIC = b"RASTRACE"
 INDEX_MAGIC = b"RASINDEX"
-VERSION = 1
-VERSION_CHUNKED = 2
-SUPPORTED_VERSIONS = (VERSION, VERSION_CHUNKED)
-#: Events per compressed block in a v2 trace (writer default).
+VERSION = 2
+#: Events per compressed block (writer default).
 DEFAULT_BLOCK_EVENTS = 4096
 
 _PREFIX = struct.Struct("<8sI")          # magic, version
-_HEADER = struct.Struct("<8sII")         # v1: magic, version, count
-_HEADER2 = struct.Struct("<8sIIQ")       # v2: magic, version, block_events, count
-_EVENT = struct.Struct("<BIII")          # v1 event: class, pc32, next32, gap
-_EVENT2 = struct.Struct("<BQQI")         # v2 event: class, pc64, next64, gap
+_HEADER = struct.Struct("<8sIIQ")        # magic, version, block_events, count
+_EVENT = struct.Struct("<BQQI")          # class, pc64, next64, gap
 _BLOCK = struct.Struct("<IIII")          # raw_size, comp_size, count, crc32
 _INDEX_ENTRY = struct.Struct("<QII")     # file offset, comp_size, count
 _TRAILER = struct.Struct("<8sQI")        # index magic, index offset, blocks
@@ -66,8 +58,6 @@ _TRAILER = struct.Struct("<8sQI")        # index magic, index offset, blocks
 #: Order gives each ControlClass a stable byte encoding.
 _CLASS_LIST = list(ControlClass)
 _CLASS_INDEX = {cls: i for i, cls in enumerate(_CLASS_LIST)}
-
-_PC32_LIMIT = 1 << 32
 
 
 class TraceFormatError(ReproError):
@@ -109,55 +99,37 @@ class ControlFlowEvent:
 
 
 class TraceWriter:
-    """Stream events to a binary file object (v1 flat or v2 chunked).
+    """Stream events to a binary file object.
 
-    The stream must be seekable: the header's event count is patched on
-    :meth:`close` (and v2 additionally appends the block index there).
-    Events are never buffered beyond one compression block, so writing
-    is O(block) in memory regardless of trace length.
+    The stream must be seekable: :meth:`close` appends the block index
+    and patches the header's event count. Events are never buffered
+    beyond one compression block, so writing is O(block) in memory
+    regardless of trace length.
     """
 
-    def __init__(self, stream: BinaryIO, version: int = VERSION,
+    def __init__(self, stream: BinaryIO,
                  block_events: int = DEFAULT_BLOCK_EVENTS) -> None:
-        if version not in SUPPORTED_VERSIONS:
-            raise TraceFormatError(
-                f"cannot write trace version {version}; "
-                f"supported versions are {SUPPORTED_VERSIONS}")
         if block_events < 1:
             raise TraceFormatError(
                 f"block_events must be >= 1, got {block_events}")
         self._stream = stream
         self._count = 0
-        self.version = version
         self._block_events = block_events
         self._buffer: List[ControlFlowEvent] = []
         self._index: List[Tuple[int, int, int]] = []
         # Reserve the header; patched on close.
-        if version == VERSION:
-            self._stream.write(_HEADER.pack(MAGIC, VERSION, 0))
-        else:
-            self._stream.write(
-                _HEADER2.pack(MAGIC, VERSION_CHUNKED, block_events, 0))
+        self._stream.write(_HEADER.pack(MAGIC, VERSION, block_events, 0))
 
     def append(self, event: ControlFlowEvent) -> None:
-        if self.version == VERSION:
-            if event.pc >= _PC32_LIMIT or event.next_pc >= _PC32_LIMIT:
-                raise TraceFormatError(
-                    f"v1 traces store 32-bit PCs; got pc={event.pc:#x}, "
-                    f"next_pc={event.next_pc:#x} (use version=2)")
-            self._stream.write(_EVENT.pack(
-                _CLASS_INDEX[event.control], event.pc, event.next_pc,
-                event.gap))
-        else:
-            self._buffer.append(event)
-            if len(self._buffer) >= self._block_events:
-                self._flush_block()
+        self._buffer.append(event)
+        if len(self._buffer) >= self._block_events:
+            self._flush_block()
         self._count += 1
 
     def _flush_block(self) -> None:
         raw = b"".join(
-            _EVENT2.pack(_CLASS_INDEX[event.control], event.pc,
-                         event.next_pc, event.gap)
+            _EVENT.pack(_CLASS_INDEX[event.control], event.pc,
+                        event.next_pc, event.gap)
             for event in self._buffer)
         compressed = zlib.compress(raw, 6)
         offset = self._stream.tell()
@@ -171,34 +143,28 @@ class TraceWriter:
     def close(self) -> int:
         """Finalise the container; returns the event count.
 
-        v1: patch the header count. v2: flush the tail block, append
-        the block index and trailer, then patch the header count.
+        Flushes the tail block, appends the block index and trailer,
+        then patches the header count.
         """
-        if self.version == VERSION_CHUNKED:
-            if self._buffer:
-                self._flush_block()
-            index_offset = self._stream.tell()
-            for offset, comp_size, count in self._index:
-                self._stream.write(
-                    _INDEX_ENTRY.pack(offset, comp_size, count))
-            self._stream.write(
-                _TRAILER.pack(INDEX_MAGIC, index_offset, len(self._index)))
-            self._stream.seek(0)
-            self._stream.write(_HEADER2.pack(
-                MAGIC, VERSION_CHUNKED, self._block_events, self._count))
-        else:
-            self._stream.seek(0)
-            self._stream.write(_HEADER.pack(MAGIC, VERSION, self._count))
+        if self._buffer:
+            self._flush_block()
+        index_offset = self._stream.tell()
+        for offset, comp_size, count in self._index:
+            self._stream.write(_INDEX_ENTRY.pack(offset, comp_size, count))
+        self._stream.write(
+            _TRAILER.pack(INDEX_MAGIC, index_offset, len(self._index)))
+        self._stream.seek(0)
+        self._stream.write(_HEADER.pack(
+            MAGIC, VERSION, self._block_events, self._count))
         self._stream.flush()
         return self._count
 
 
 class TraceReader:
-    """Stream events from a binary trace, any supported version.
+    """Stream events from a binary trace.
 
-    Iteration decodes incrementally — one v1 event or one v2 block at a
-    time — so a reader never holds more than a block of events. Version
-    sniffing is transparent: callers only see ``ControlFlowEvent``s.
+    Iteration decodes incrementally, one block at a time, so a reader
+    never holds more than a block of events.
     """
 
     def __init__(self, stream: BinaryIO) -> None:
@@ -211,52 +177,22 @@ class TraceReader:
         if magic != MAGIC:
             raise TraceFormatError(
                 f"bad magic: found {magic!r}, expected {MAGIC!r}")
-        if version not in SUPPORTED_VERSIONS:
+        if version != VERSION:
             raise TraceFormatError(
                 f"unsupported trace version: found {version}, "
-                f"expected one of {SUPPORTED_VERSIONS}")
-        self.version = version
-        if version == VERSION:
-            rest = stream.read(_HEADER.size - _PREFIX.size)
-            if len(rest) != _HEADER.size - _PREFIX.size:
-                raise TraceFormatError(
-                    f"truncated v1 trace header: found "
-                    f"{_PREFIX.size + len(rest)} bytes, "
-                    f"expected {_HEADER.size}")
-            (self.count,) = struct.unpack("<I", rest)
-            self.block_events: Optional[int] = None
-        else:
-            rest = stream.read(_HEADER2.size - _PREFIX.size)
-            if len(rest) != _HEADER2.size - _PREFIX.size:
-                raise TraceFormatError(
-                    f"truncated v2 trace header: found "
-                    f"{_PREFIX.size + len(rest)} bytes, "
-                    f"expected {_HEADER2.size}")
-            self.block_events, self.count = struct.unpack("<IQ", rest)
+                f"expected {VERSION}")
+        rest = stream.read(_HEADER.size - _PREFIX.size)
+        if len(rest) != _HEADER.size - _PREFIX.size:
+            raise TraceFormatError(
+                f"truncated trace header: found "
+                f"{_PREFIX.size + len(rest)} bytes, "
+                f"expected {_HEADER.size}")
+        self.block_events, self.count = struct.unpack("<IQ", rest)
         self._stream = stream
 
     def __iter__(self) -> Iterator[ControlFlowEvent]:
-        if self.version == VERSION:
-            return self._iter_v1()
-        return self._iter_v2()
-
-    def _iter_v1(self) -> Iterator[ControlFlowEvent]:
-        for _ in range(self.count):
-            raw = self._stream.read(_EVENT.size)
-            if len(raw) != _EVENT.size:
-                raise TraceFormatError(
-                    f"truncated trace body: found {len(raw)} bytes, "
-                    f"expected {_EVENT.size}")
-            class_index, pc, next_pc, gap = _EVENT.unpack(raw)
-            if class_index >= len(_CLASS_LIST):
-                raise TraceFormatError(
-                    f"bad control class: found {class_index}, expected "
-                    f"< {len(_CLASS_LIST)}")
-            yield ControlFlowEvent(_CLASS_LIST[class_index], pc, next_pc, gap)
-
-    def _iter_v2(self) -> Iterator[ControlFlowEvent]:
-        for raw, _count in self._iter_v2_blocks():
-            for class_index, pc, next_pc, gap in _EVENT2.iter_unpack(raw):
+        for raw, _count in self.iter_raw_blocks():
+            for class_index, pc, next_pc, gap in _EVENT.iter_unpack(raw):
                 if class_index >= len(_CLASS_LIST):
                     raise TraceFormatError(
                         f"bad control class: found {class_index}, expected "
@@ -264,15 +200,14 @@ class TraceReader:
                 yield ControlFlowEvent(
                     _CLASS_LIST[class_index], pc, next_pc, gap)
 
-    def _iter_v2_blocks(self) -> Iterator[Tuple[bytes, int]]:
-        """Decode one v2 block at a time: ``(raw event bytes, count)``.
+    def iter_raw_blocks(self) -> Iterator[Tuple[bytes, int]]:
+        """Decode one block at a time: ``(raw event bytes, count)``.
 
-        Runs every integrity check the streaming event iterator applies
-        — header/payload truncation, event-count and size sanity, the
-        per-block CRC, and decompression — so any consumer of raw
-        blocks (the batched replay engine in
-        :mod:`repro.fastsim.batch`) reports corruption with exactly the
-        same typed errors as event-at-a-time reads.
+        Runs every integrity check — header/payload truncation,
+        event-count and size sanity, the per-block CRC, and
+        decompression — so the event iterator and the batched replay
+        engine (:mod:`repro.fastsim.batch`), which both walk blocks
+        here, report corruption with exactly the same typed errors.
         """
         remaining = self.count
         block = 0
@@ -287,10 +222,10 @@ class TraceReader:
                 raise TraceFormatError(
                     f"block {block}: bad event count: found {count}, "
                     f"expected 1..{remaining}")
-            if raw_size != count * _EVENT2.size:
+            if raw_size != count * _EVENT.size:
                 raise TraceFormatError(
                     f"block {block}: bad raw size: found {raw_size}, "
-                    f"expected {count * _EVENT2.size}")
+                    f"expected {count * _EVENT.size}")
             compressed = self._stream.read(comp_size)
             if len(compressed) != comp_size:
                 raise TraceFormatError(
@@ -315,54 +250,16 @@ class TraceReader:
             remaining -= count
             block += 1
 
-    def _iter_v1_blocks(self, block_events: int) -> Iterator[Tuple[bytes, int]]:
-        remaining = self.count
-        while remaining > 0:
-            count = min(block_events, remaining)
-            raw = self._stream.read(count * _EVENT.size)
-            if len(raw) % _EVENT.size:
-                raise TraceFormatError(
-                    f"truncated trace body: found {len(raw) % _EVENT.size} "
-                    f"bytes, expected {_EVENT.size}")
-            if len(raw) != count * _EVENT.size:
-                raise TraceFormatError(
-                    f"truncated trace body: found 0 bytes, "
-                    f"expected {_EVENT.size}")
-            yield raw, count
-            remaining -= count
-
-    def iter_raw_blocks(
-        self, block_events: int = DEFAULT_BLOCK_EVENTS,
-    ) -> Iterator[Tuple[int, bytes, int]]:
-        """Yield ``(event_size, raw event bytes, count)`` per block.
-
-        The batch-decode entry point: v2 traces yield their physical
-        compressed blocks (fully validated, see :meth:`_iter_v2_blocks`);
-        v1 traces yield ``block_events``-sized slices of the flat body.
-        ``event_size`` names the fixed record width of ``raw`` so the
-        caller can unpack without re-sniffing the version.
-        """
-        if self.version == VERSION:
-            for raw, count in self._iter_v1_blocks(block_events):
-                yield _EVENT.size, raw, count
-        else:
-            for raw, count in self._iter_v2_blocks():
-                yield _EVENT2.size, raw, count
-
     def read_all(self) -> List[ControlFlowEvent]:
         return list(self)
 
     def index(self) -> List[Tuple[int, int, int]]:
-        """The v2 block index: ``(file offset, compressed size, events)``
+        """The block index: ``(file offset, compressed size, events)``
         per block, read from the trailer of a seekable stream.
 
         The stream position is restored afterwards, so iteration and
         index reads compose.
         """
-        if self.version != VERSION_CHUNKED:
-            raise TraceFormatError(
-                f"trace version {self.version} has no block index "
-                f"(found {self.version}, expected {VERSION_CHUNKED})")
         position = self._stream.tell()
         try:
             self._stream.seek(-_TRAILER.size, io.SEEK_END)
@@ -388,7 +285,7 @@ class TraceReader:
 
 
 def iter_trace_file(path: str) -> Iterator[ControlFlowEvent]:
-    """Stream the events of an on-disk trace (either version)."""
+    """Stream the events of an on-disk trace."""
     with open(path, "rb") as stream:
         yield from TraceReader(stream)
 
@@ -396,15 +293,13 @@ def iter_trace_file(path: str) -> Iterator[ControlFlowEvent]:
 def write_trace(
     destination: Union[str, BinaryIO],
     events: Iterable[ControlFlowEvent],
-    version: int = VERSION,
     block_events: int = DEFAULT_BLOCK_EVENTS,
 ) -> int:
     """Stream ``events`` into a trace container; returns the count."""
     own_file = isinstance(destination, str)
     stream = open(destination, "wb") if own_file else destination
     try:
-        writer = TraceWriter(stream, version=version,
-                             block_events=block_events)
+        writer = TraceWriter(stream, block_events=block_events)
         for event in events:
             writer.append(event)
         return writer.close()
@@ -435,18 +330,17 @@ def record_trace(
     program: Program,
     destination: Optional[Union[str, BinaryIO]] = None,
     max_instructions: int = 50_000_000,
-    version: int = VERSION,
 ) -> Union[bytes, int]:
     """Run ``program`` on the reference emulator, recording its control
     transfers.
 
     With ``destination=None`` the trace is returned as ``bytes``; with a
     path or binary stream it is written there and the event count is
-    returned. ``version`` selects the container (1 flat, 2 chunked).
+    returned.
     """
     events = iter_control_events(program, max_instructions=max_instructions)
     if destination is None:
         buffer = io.BytesIO()
-        write_trace(buffer, events, version=version)
+        write_trace(buffer, events)
         return buffer.getvalue()
-    return write_trace(destination, events, version=version)
+    return write_trace(destination, events)

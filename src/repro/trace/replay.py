@@ -4,49 +4,30 @@ Replays a recorded control-flow trace through a RAS (and a BTB for the
 fallback path), measuring return accuracy without re-emulating the
 program. No wrong paths exist in a committed trace, so this measures
 the *capacity* behaviour — overflow and underflow under deep call
-chains — in isolation from corruption. Sweeping stack sizes over a
-recorded trace is hundreds of times faster than re-running the cycle
-model.
+chains — in isolation from corruption.
 
-Everything here streams: :func:`replay_events` consumes any event
-iterable without materialising it, and :func:`replay_events_multi`
-evaluates a whole grid of stack sizes in a single pass over the events
-— the shape a depth sweep over an on-disk shard wants, since decoding
-the trace once is the dominant cost.
+:func:`replay_events` and :func:`replay_events_multi` step any event
+iterable one event at a time, without materialising it; the multi form
+evaluates a whole grid of stack sizes in one pass. They are the oracle
+the batched engine (:mod:`repro.fastsim.batch`, the executor's
+``"batch"`` engine) is held to, and :class:`_Lane` is the one lane
+both drive (diffcheck steps it too).
 
 :class:`TraceShardSpec` is the durable, picklable identity of one
 on-disk trace shard; it is what corpus sweeps ship to executor workers
-(see :mod:`repro.core.executor`'s ``"trace"`` engine) and what cache
-keys hash (via the shard checksum).
+and what cache keys hash (via the shard checksum).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import io
-import os
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Union,
-)
+from typing import Dict, Iterable, Optional, Sequence
 
 from repro.bpred.btb import BranchTargetBuffer
 from repro.bpred.ras import make_ras
 from repro.config.options import RepairMechanism
-from repro.errors import ReproError
 from repro.isa.opcodes import WORD_SIZE, ControlClass
-from repro.obs.capture import span
-from repro.trace.format import (
-    ControlFlowEvent,
-    TraceReader,
-    iter_trace_file,
-)
+from repro.trace.format import ControlFlowEvent
 
 
 class TraceRasResult:
@@ -95,11 +76,11 @@ class TraceShardSpec:
 class _Lane:
     """One RAS configuration replaying the committed path.
 
-    The one lane of every trace-replay engine: the streaming evaluator
-    and diffcheck call :meth:`step` per event, the batch engine
-    :meth:`replay_block` per block. It knows no organisation, only the
-    :class:`~repro.bpred.ras.BaseRas` port, and builds a BTB fallback
-    only for a stack that can fail to predict.
+    The one lane of every trace replay: the oracle
+    (:func:`replay_events`) and diffcheck call :meth:`step` per event,
+    the batch engine :meth:`replay_block` per block. It knows no
+    organisation, only the :class:`~repro.bpred.ras.BaseRas` port, and
+    builds a BTB fallback only for a stack that can fail to predict.
     """
 
     __slots__ = ("ras", "btb", "returns", "hits")
@@ -165,15 +146,6 @@ class _Lane:
         )
 
 
-def _shard_parts(shard: Union[TraceShardSpec, str, os.PathLike]
-                 ) -> "tuple[str, str]":
-    """A shard's path and its label for spans."""
-    if isinstance(shard, TraceShardSpec):
-        return shard.path, shard.name
-    path = os.fspath(shard)
-    return path, path
-
-
 def replay_events(
     events: Iterable[ControlFlowEvent],
     ras_entries: int = 32,
@@ -211,115 +183,3 @@ def replay_events_multi(
         for lane in lanes:
             lane.step(event)
     return {size: lane.result() for size, lane in zip(sizes, lanes)}
-
-
-def replay_shard(
-    shard: Union[TraceShardSpec, str, os.PathLike],
-    ras_entries: int = 32,
-    mechanism: RepairMechanism = RepairMechanism.NONE,
-    btb_fallback: bool = True,
-) -> TraceRasResult:
-    """Stream one on-disk shard (v1 or v2) through a RAS configuration."""
-    path, label = _shard_parts(shard)
-    with span("trace/replay", shard=label, entries=ras_entries):
-        return replay_events(iter_trace_file(path), ras_entries, mechanism,
-                             btb_fallback)
-
-
-def replay_shard_multi(
-    shard: Union[TraceShardSpec, str, os.PathLike],
-    sizes: Sequence[int],
-    mechanism: RepairMechanism = RepairMechanism.NONE,
-    btb_fallback: bool = True,
-) -> Dict[int, TraceRasResult]:
-    """Depth-sweep one on-disk shard in a single streaming pass."""
-    path, label = _shard_parts(shard)
-    with span("trace/replay-multi", shard=label, sizes=len(sizes)):
-        return replay_events_multi(iter_trace_file(path), sizes, mechanism,
-                                   btb_fallback)
-
-
-_EventSource = Callable[[], Iterator[ControlFlowEvent]]
-
-
-class TraceRasEvaluator:
-    """Replay traces through RAS configurations.
-
-    Accepts trace ``bytes``, a path to an on-disk trace, a sequence of
-    events, a zero-argument factory returning a fresh event iterator,
-    or a one-shot iterator. All of these are consumed *streaming* — the
-    evaluator never builds a full event list. Re-iterable sources
-    (bytes, paths, sequences, factories) support any number of
-    evaluations; a one-shot iterator supports exactly one pass and a
-    second pass raises :class:`~repro.errors.ReproError` instead of
-    silently replaying nothing.
-    """
-
-    def __init__(
-        self,
-        trace: Union[bytes, str, os.PathLike, Sequence[ControlFlowEvent],
-                     Iterable[ControlFlowEvent], _EventSource],
-    ) -> None:
-        self._one_shot: Optional[Iterator[ControlFlowEvent]] = None
-        self._consumed = False
-        if isinstance(trace, (bytes, bytearray)):
-            data = bytes(trace)
-            self._source: _EventSource = (
-                lambda: iter(TraceReader(io.BytesIO(data))))
-        elif isinstance(trace, (str, os.PathLike)):
-            path = os.fspath(trace)
-            self._source = lambda: iter_trace_file(path)
-        elif callable(trace):
-            self._source = trace
-        elif isinstance(trace, Sequence):
-            self._source = lambda: iter(trace)
-        else:
-            self._one_shot = iter(trace)
-            self._source = self._consume_one_shot
-
-    def _consume_one_shot(self) -> Iterator[ControlFlowEvent]:
-        if self._consumed:
-            raise ReproError(
-                "trace iterator already consumed; pass bytes, a path, a "
-                "sequence, or an iterator factory to evaluate more than once")
-        self._consumed = True
-        assert self._one_shot is not None
-        return self._one_shot
-
-    @property
-    def events(self) -> List[ControlFlowEvent]:
-        """The full event list (materialises one streaming pass)."""
-        return list(self._source())
-
-    def evaluate(
-        self,
-        ras_entries: int = 32,
-        mechanism: RepairMechanism = RepairMechanism.NONE,
-        btb_fallback: bool = True,
-    ) -> TraceRasResult:
-        """Measure return accuracy for one stack configuration."""
-        return replay_events(self._source(), ras_entries, mechanism,
-                             btb_fallback)
-
-    def depth_sweep(
-        self,
-        sizes: Iterable[int],
-        mechanism: RepairMechanism = RepairMechanism.NONE,
-    ) -> "dict[int, TraceRasResult]":
-        """Capacity sweep: accuracy and overflow counts per stack size.
-
-        Runs all sizes in one pass over the source (see
-        :func:`replay_events_multi`); results are identical to calling
-        :meth:`evaluate` per size.
-        """
-        return replay_events_multi(self._source(), list(sizes), mechanism)
-
-    def call_return_counts(self) -> "tuple[int, int]":
-        calls = 0
-        returns = 0
-        for event in self._source():
-            if event.control.is_call:
-                calls += 1
-            elif event.control is ControlClass.RETURN:
-                returns += 1
-        return calls, returns

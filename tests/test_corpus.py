@@ -7,7 +7,7 @@ import pathlib
 import pytest
 
 from repro.config.options import RepairMechanism
-from repro.core import WorkloadSpec, build_program, trace_depth_sweep
+from repro.core import WorkloadSpec, build_program
 from repro.core.executor import (
     ExperimentJob,
     ResultCache,
@@ -30,17 +30,16 @@ from repro.corpus.champsim import (
     REG_INSTRUCTION_POINTER,
     REG_STACK_POINTER,
 )
-from repro.errors import ConfigError, ReproError
+from repro.errors import ConfigError
 from repro.isa.opcodes import ControlClass
 from repro.trace import (
     ControlFlowEvent,
     TraceFormatError,
-    TraceRasEvaluator,
     TraceReader,
-    TraceWriter,
+    iter_trace_file,
     record_trace,
-    replay_shard,
-    replay_shard_multi,
+    replay_events,
+    replay_events_multi,
     write_trace,
 )
 from repro.trace.replay import TraceShardSpec
@@ -60,26 +59,13 @@ def _events(n=40):
 
 
 class TestV2Container:
-    def test_v1_v2_roundtrip_bit_identical_events(self):
-        events = _events()
-        v1, v2 = io.BytesIO(), io.BytesIO()
-        assert write_trace(v1, events, version=1) == len(events)
-        assert write_trace(v2, events, version=2, block_events=7) == len(events)
-        v1.seek(0)
-        v2.seek(0)
-        from_v1 = TraceReader(v1).read_all()
-        from_v2 = TraceReader(v2).read_all()
-        assert from_v1 == events
-        assert from_v2 == events
-        assert from_v1 == from_v2
-
     def test_v2_multiblock_header_and_index(self):
         events = _events(20)
         buffer = io.BytesIO()
-        write_trace(buffer, events, version=2, block_events=7)
+        write_trace(buffer, events, block_events=7)
         buffer.seek(0)
         reader = TraceReader(buffer)
-        assert reader.version == 2
+        assert reader.block_events == 7
         assert reader.count == 20
         index = reader.index()
         assert len(index) == 3  # 7 + 7 + 6
@@ -89,19 +75,14 @@ class TestV2Container:
     def test_v2_64bit_pcs(self):
         big = ControlFlowEvent(ControlClass.RETURN, 2**40 + 4, 2**40 + 8, 1)
         buffer = io.BytesIO()
-        write_trace(buffer, [big], version=2)
+        write_trace(buffer, [big])
         buffer.seek(0)
         assert TraceReader(buffer).read_all() == [big]
-
-    def test_v1_rejects_64bit_pcs(self):
-        with pytest.raises(TraceFormatError, match="32-bit"):
-            write_trace(io.BytesIO(), [
-                ControlFlowEvent(ControlClass.RETURN, 2**40, 0)], version=1)
 
     def test_corrupt_block_is_typed_crc_error_not_truncation(self):
         events = _events(30)
         buffer = io.BytesIO()
-        write_trace(buffer, events, version=2, block_events=32)
+        write_trace(buffer, events, block_events=32)
         corrupted = bytearray(buffer.getvalue())
         # Flip a byte inside the compressed payload (past the 24-byte
         # header and 16-byte block header).
@@ -112,7 +93,7 @@ class TestV2Container:
 
     def test_truncated_v2_body_rejected(self):
         buffer = io.BytesIO()
-        write_trace(buffer, _events(30), version=2, block_events=32)
+        write_trace(buffer, _events(30), block_events=32)
         reader = TraceReader(io.BytesIO(buffer.getvalue()[:-60]))
         with pytest.raises(TraceFormatError):
             reader.read_all()
@@ -126,47 +107,30 @@ class TestV2Container:
         with pytest.raises(TraceFormatError, match="found 9"):
             TraceReader(io.BytesIO(b"RASTRACE" + b"\x09\x00\x00\x00" * 3))
 
-    def test_record_trace_v2_matches_v1(self):
-        program = build_program(WorkloadSpec("li", 1, 0.05))
-        v1 = TraceReader(io.BytesIO(record_trace(program))).read_all()
-        v2_bytes = record_trace(program, version=2)
-        v2 = TraceReader(io.BytesIO(v2_bytes)).read_all()
-        assert v1 == v2
-        assert len(v2_bytes) < len(record_trace(program))  # compressed
-
 
 class TestStreamingReplay:
-    def test_evaluator_accepts_one_shot_iterator(self):
-        result = TraceRasEvaluator(iter(_events())).evaluate(ras_entries=8)
-        assert result.returns > 0
-
-    def test_one_shot_iterator_reuse_raises_not_silently_empty(self):
-        evaluator = TraceRasEvaluator(iter(_events()))
-        evaluator.evaluate()
-        with pytest.raises(ReproError, match="already consumed"):
-            evaluator.evaluate()
-
     def test_bytes_source_supports_repeated_evaluation(self):
         trace = record_trace(build_program(WorkloadSpec("li", 1, 0.05)))
-        evaluator = TraceRasEvaluator(trace)
-        first = evaluator.evaluate(ras_entries=4)
-        second = evaluator.evaluate(ras_entries=4)
+        first = replay_events(TraceReader(io.BytesIO(trace)), ras_entries=4)
+        second = replay_events(TraceReader(io.BytesIO(trace)), ras_entries=4)
+        assert first.returns > 0
         assert (first.returns, first.hits) == (second.returns, second.hits)
 
     def test_path_source_streams_from_disk(self, tmp_path):
         path = tmp_path / "t.rastrace"
-        write_trace(str(path), _events(), version=2)
-        evaluator = TraceRasEvaluator(str(path))
-        assert evaluator.evaluate(ras_entries=8).returns > 0
-        calls, returns = evaluator.call_return_counts()
-        assert calls > 0 and returns > 0
+        write_trace(str(path), _events())
+        assert replay_events(iter_trace_file(str(path)),
+                             ras_entries=8).returns > 0
+        controls = [event.control for event in iter_trace_file(str(path))]
+        assert sum(control.is_call for control in controls) > 0
+        assert controls.count(ControlClass.RETURN) > 0
 
     def test_depth_sweep_single_pass_equals_per_size(self):
         trace = record_trace(build_program(WorkloadSpec("vortex", 1, 0.05)))
-        evaluator = TraceRasEvaluator(trace)
-        swept = evaluator.depth_sweep((1, 4, 64))
+        events = TraceReader(io.BytesIO(trace)).read_all()
+        swept = replay_events_multi(events, (1, 4, 64))
         for size in (1, 4, 64):
-            alone = evaluator.evaluate(ras_entries=size)
+            alone = replay_events(events, ras_entries=size)
             assert (swept[size].returns, swept[size].hits,
                     swept[size].overflows, swept[size].underflows) == \
                    (alone.returns, alone.hits, alone.overflows,
@@ -289,8 +253,7 @@ class TestChampSimImport:
     def test_sample_trace_ras_behaviour(self, tmp_path):
         store = CorpusStore.create(tmp_path / "corpus")
         store.import_champsim(SAMPLE_CHAMPSIM, name="sample")
-        spec = store.spec("sample")
-        swept = replay_shard_multi(spec, (2, 64))
+        swept = replay_events_multi(store.events("sample"), (2, 64))
         assert swept[64].accuracy == pytest.approx(1.0)
         assert swept[64].overflows == 0
         assert swept[2].overflows > 0
@@ -379,9 +342,9 @@ class TestExecutorTraceEngine:
     def test_corpus_replay_equals_inmemory_replay(self, tmp_path):
         spec = WorkloadSpec("vortex", 1, 0.1)
         store = self._store(tmp_path, spec)
-        direct = TraceRasEvaluator(
-            record_trace(build_program(spec))).depth_sweep(
-                self.SIZES, RepairMechanism.NONE)
+        direct = replay_events_multi(
+            TraceReader(io.BytesIO(record_trace(build_program(spec)))),
+            self.SIZES, RepairMechanism.NONE)
         executor = SweepExecutor(jobs=1, cache=None)
         results = corpus_depth_results(store, self.SIZES,
                                        executor=executor)
@@ -422,14 +385,14 @@ class TestExecutorTraceEngine:
         store = self._store(tmp_path, WorkloadSpec("li", 1, 0.05))
         spec = store.specs()[0]
         config = baseline_config()
-        original_key = ExperimentJob(spec, config, "trace").cache_key()
+        original_key = ExperimentJob(spec, config, "batch").cache_key()
         altered = TraceShardSpec(name=spec.name, path=spec.path,
                                  checksum="0" * 64, events=spec.events)
-        assert ExperimentJob(altered, config, "trace").cache_key() \
+        assert ExperimentJob(altered, config, "batch").cache_key() \
             != original_key
         moved = TraceShardSpec(name=spec.name, path="/elsewhere/x.rastrace",
                                checksum=spec.checksum, events=spec.events)
-        assert ExperimentJob(moved, config, "trace").cache_key() \
+        assert ExperimentJob(moved, config, "batch").cache_key() \
             == original_key  # path is not identity
 
     def test_engine_workload_pairing_enforced(self, tmp_path):
@@ -439,18 +402,18 @@ class TestExecutorTraceEngine:
         with pytest.raises(ConfigError, match="incompatible"):
             ExperimentJob(spec, baseline_config(), "frontend")
         with pytest.raises(ConfigError, match="incompatible"):
-            ExperimentJob(WorkloadSpec("li"), baseline_config(), "trace")
-        assert ExperimentJob(spec, baseline_config(), "trace").cache_key() \
+            ExperimentJob(WorkloadSpec("li"), baseline_config(), "batch")
+        assert ExperimentJob(spec, baseline_config(), "batch").cache_key() \
             is None  # no checksum -> uncacheable
 
     def test_trace_depth_sweep_mechanism_respected(self, tmp_path):
         store = self._store(tmp_path, WorkloadSpec("li", 1, 0.05))
-        shards = store.specs()
+        (name,) = store.manifest.names()
         executor = SweepExecutor(jobs=1, cache=None)
-        linked = trace_depth_sweep(shards, (64,),
-                                   mechanism=RepairMechanism.SELF_CHECKPOINT,
-                                   executor=executor)
-        direct = replay_shard(shards[0], ras_entries=64,
-                              mechanism=RepairMechanism.SELF_CHECKPOINT)
-        job = linked[shards[0].name][64]
+        linked = corpus_depth_results(
+            store, (64,), mechanism=RepairMechanism.SELF_CHECKPOINT,
+            executor=executor)
+        direct = replay_events(store.events(name), ras_entries=64,
+                               mechanism=RepairMechanism.SELF_CHECKPOINT)
+        job = linked[name][64]
         assert job.counter("return_hits") == direct.hits

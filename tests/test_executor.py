@@ -338,8 +338,9 @@ class TestCliFlags:
     def test_cli_import_loads_no_network_stack(self):
         """The CLI runs sweeps locally: importing it and running a cold
         table in-process loads no asyncio, no repro.service /
-        repro.cluster package, no numpy and no process-pool stack. The
-        first block decode loads numpy, wherever numpy imports."""
+        repro.cluster package, no numpy, no process-pool stack and no
+        concurrent.futures or logging. The first block decode loads
+        numpy, wherever numpy imports."""
         probe = textwrap.dedent("""
             import contextlib, io, json, sys
             import repro.cli
@@ -350,8 +351,9 @@ class TestCliFlags:
             loaded = sorted(
                 name for name in sys.modules
                 if name in ("asyncio", "numpy", "multiprocessing",
-                            "concurrent.futures.process")
+                            "concurrent.futures", "logging")
                 or name.startswith(("asyncio.", "numpy.", "multiprocessing.",
+                                    "concurrent.futures.", "logging.",
                                     "repro.service", "repro.cluster")))
             from repro.fastsim.batch import decoder_backend
             print(json.dumps({"status": status, "loaded": loaded,

@@ -9,10 +9,11 @@ from repro.emu import Emulator
 from repro.isa.opcodes import ControlClass
 from repro.trace import (
     ControlFlowEvent,
-    TraceRasEvaluator,
     TraceReader,
     TraceWriter,
     record_trace,
+    replay_events,
+    replay_events_multi,
 )
 from repro.trace.format import TraceFormatError
 from repro.workloads import build_workload
@@ -55,9 +56,11 @@ class TestFormatRoundtrip:
         writer = TraceWriter(buffer)
         writer.append(self._events()[0])
         writer.close()
-        truncated = buffer.getvalue()[:-2]
+        # keep the 24-byte header, the 16-byte block header and two
+        # bytes of the compressed payload
+        truncated = buffer.getvalue()[:24 + 16 + 2]
         reader = TraceReader(io.BytesIO(truncated))
-        with pytest.raises(TraceFormatError):
+        with pytest.raises(TraceFormatError, match="truncated payload"):
             reader.read_all()
 
 
@@ -92,27 +95,32 @@ class TestRecording:
 
 
 class TestTraceRasEvaluator:
-    @pytest.fixture(scope="class")
-    def evaluator(self):
-        program = build_workload("vortex", seed=1, scale=0.1)
-        return TraceRasEvaluator(record_trace(program))
+    """Capacity behaviour of the event-at-a-time replay, the oracle the
+    batch engine is held to."""
 
-    def test_calls_balance_returns(self, evaluator):
-        calls, returns = evaluator.call_return_counts()
+    @pytest.fixture(scope="class")
+    def events(self):
+        program = build_workload("vortex", seed=1, scale=0.1)
+        return TraceReader(io.BytesIO(record_trace(program))).read_all()
+
+    def test_calls_balance_returns(self, events):
+        calls = sum(1 for event in events if event.control.is_call)
+        returns = sum(1 for event in events
+                      if event.control is ControlClass.RETURN)
         assert calls == returns > 50
 
-    def test_large_stack_is_perfect_without_wrong_paths(self, evaluator):
-        result = evaluator.evaluate(ras_entries=128)
+    def test_large_stack_is_perfect_without_wrong_paths(self, events):
+        result = replay_events(events, ras_entries=128)
         assert result.accuracy == pytest.approx(1.0)
         assert result.overflows == 0
 
-    def test_tiny_stack_overflows(self, evaluator):
-        result = evaluator.evaluate(ras_entries=2)
+    def test_tiny_stack_overflows(self, events):
+        result = replay_events(events, ras_entries=2)
         assert result.overflows > 0
         assert result.accuracy < 1.0
 
-    def test_depth_sweep_monotone_ends(self, evaluator):
-        sweep = evaluator.depth_sweep((1, 4, 64))
+    def test_depth_sweep_monotone_ends(self, events):
+        sweep = replay_events_multi(events, (1, 4, 64))
         assert sweep[64].accuracy >= sweep[1].accuracy
 
     def test_accepts_event_list(self):
@@ -120,16 +128,16 @@ class TestTraceRasEvaluator:
             ControlFlowEvent(ControlClass.CALL_DIRECT, 0, 100),
             ControlFlowEvent(ControlClass.RETURN, 140, 4),
         ]
-        result = TraceRasEvaluator(events).evaluate(ras_entries=8)
+        result = replay_events(events, ras_entries=8)
         assert result.returns == 1
         assert result.accuracy == pytest.approx(1.0)
 
     def test_empty_trace(self):
-        result = TraceRasEvaluator([]).evaluate()
+        result = replay_events([])
         assert result.returns == 0
         assert result.accuracy is None
 
-    def test_linked_ras_mechanism(self, evaluator):
-        result = evaluator.evaluate(
-            ras_entries=64, mechanism=RepairMechanism.SELF_CHECKPOINT)
+    def test_linked_ras_mechanism(self, events):
+        result = replay_events(
+            events, ras_entries=64, mechanism=RepairMechanism.SELF_CHECKPOINT)
         assert result.accuracy > 0.99
