@@ -6,6 +6,8 @@ from typing import List, Tuple
 
 from repro.config.machine import MachineConfig
 
+_BASELINE = MachineConfig()
+
 
 def baseline_config() -> MachineConfig:
     """Return the paper's Table 1 baseline machine.
@@ -14,8 +16,13 @@ def baseline_config() -> MachineConfig:
     RUU, 32-entry LSQ, McFarling hybrid direction predictor (4K GAg + 1K
     by 10-bit PAg + 4K selector), decoupled 512x4 BTB, 32-entry RAS, and
     a two-level cache hierarchy.
+
+    Every call returns the same instance. The config and its parts are
+    frozen, and their fingerprint memos sit outside the fields, so the
+    sharing is invisible except that configs derived from it reuse its
+    sub-configs' encodings (:meth:`MachineConfig.fingerprint`).
     """
-    return MachineConfig()
+    return _BASELINE
 
 
 def table1_rows(config: MachineConfig) -> List[Tuple[str, str]]:

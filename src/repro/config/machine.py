@@ -36,6 +36,19 @@ def _plain(value: object) -> object:
     return value
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _canonical_json(config: object) -> str:
+    """Canonical JSON of one frozen sub-config, kept in its ``__dict__``
+    (per instance, like :meth:`MachineConfig.fingerprint`'s digest)."""
+    text = config.__dict__.get("_canonical_json")
+    if text is None:
+        text = _CANONICAL.encode(_plain(config))
+        object.__setattr__(config, "_canonical_json", text)
+    return text
+
+
 @dataclass(frozen=True)
 class BranchPredictorConfig:
     """McFarling hybrid + decoupled BTB + return-address stack.
@@ -246,14 +259,20 @@ class MachineConfig:
         The config is frozen, so the digest is computed once per
         instance and kept in the instance's ``__dict__``, outside the
         dataclass fields, where ``==``, ``hash``, ``repr`` and ``asdict``
-        never see it. It is not memoised on the config's value: two
-        equal configs may hold different digests, and a value memo would
-        hand each the digest of whichever was fingerprinted first.
+        never see it. The payload is assembled from one canonical-JSON
+        fragment per sub-config, each kept on its sub-config the same
+        way, so a ``with_*`` copy encodes only the part it replaced. No
+        memo is keyed on a config's value: two equal configs may hold
+        different digests, and a value memo would hand each the digest
+        of whichever was fingerprinted first.
         """
         digest = self.__dict__.get("_fingerprint")
         if digest is None:
-            payload = json.dumps(_plain(self), sort_keys=True,
-                                 separators=(",", ":"))
+            # the bytes of json.dumps(_plain(self), sort_keys=True,
+            # separators=(",", ":")), one memoised fragment per field
+            payload = "{" + ",".join(
+                f'"{name}":{_canonical_json(getattr(self, name))}'
+                for name in _MACHINE_FIELDS) + "}"
             digest = hashlib.sha256(payload.encode()).hexdigest()
             object.__setattr__(self, "_fingerprint", digest)
         return digest
@@ -296,3 +315,7 @@ class MachineConfig:
                 stack_organization=stack_organization,
             ),
         )
+
+
+#: ``MachineConfig``'s field names in the order ``sort_keys`` puts them.
+_MACHINE_FIELDS = tuple(sorted(f.name for f in fields(MachineConfig)))

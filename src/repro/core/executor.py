@@ -89,6 +89,10 @@ TRACE_ENGINES = ("batch", "diffcheck")
 #: Bump when the cached JobResult schema changes shape.
 CACHE_SCHEMA = 1
 
+#: ``json.dumps(payload, sort_keys=True)`` without building an encoder
+#: per call; cache keys hash its output.
+_KEY_ENCODER = json.JSONEncoder(sort_keys=True)
+
 #: In-process count of actual simulator invocations (cache misses that
 #: really simulated). Worker processes keep their own copies; with the
 #: serial path this is an exact invocation counter, which the tests use
@@ -185,17 +189,14 @@ class ExperimentJob:
             }
         else:
             return None
-        payload = json.dumps(
-            {
-                "schema": CACHE_SCHEMA,
-                "workload": workload_id,
-                "config": self.config.fingerprint(),
-                "engine": self.engine,
-                "max_instructions": self.max_instructions,
-                "code": code_fingerprint(),
-            },
-            sort_keys=True,
-        )
+        payload = _KEY_ENCODER.encode({
+            "schema": CACHE_SCHEMA,
+            "workload": workload_id,
+            "config": self.config.fingerprint(),
+            "engine": self.engine,
+            "max_instructions": self.max_instructions,
+            "code": code_fingerprint(),
+        })
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -450,6 +451,9 @@ class ResultCache:
         #: survive schema bumps (the run ledger) live directly under it.
         self.base_root = pathlib.Path(root)
         self.root = self.base_root / f"v{CACHE_SCHEMA}"
+        # entry paths are plain strings: a probe's two pathlib joins
+        # cost about as much as reading the entry
+        self._prefix = os.path.join(self.root, "")
 
     @classmethod
     def default(cls) -> Optional["ResultCache"]:
@@ -475,8 +479,8 @@ class ResultCache:
         from repro.telemetry import LEDGER_FILENAME
         return self.base_root / LEDGER_FILENAME
 
-    def _path(self, key: str) -> pathlib.Path:
-        return self.root / key[:2] / f"{key}.json"
+    def _path(self, key: str) -> str:
+        return f"{self._prefix}{key[:2]}{os.sep}{key}.json"
 
     def get(self, key: str) -> Optional[JobResult]:
         with span("cache/get") as probe:
@@ -486,9 +490,9 @@ class ResultCache:
             return result
 
     def _read(self, key: str) -> Optional[JobResult]:
-        path = self._path(key)
         try:
-            payload = json.loads(path.read_text())
+            with open(self._path(key), "rb") as handle:
+                payload = json.loads(handle.read())
             if payload.get("key") != key:  # stale or hash-collided entry
                 return None
             return JobResult.from_json_dict(payload["result"])
@@ -517,7 +521,7 @@ class ResultCache:
         partial entry.
         """
         with span("cache/put"):
-            path = self._path(key)
+            path = pathlib.Path(self._path(key))
             tmp: Optional[pathlib.Path] = None
             try:
                 path.parent.mkdir(parents=True, exist_ok=True)
@@ -702,6 +706,7 @@ class SweepExecutor:
         a serial one.
         """
         counters: Dict[str, int] = {}
+        totals: Dict[str, int] = {}
 
         def count(key: str, value: int = 1) -> None:
             counters[key] = counters.get(key, 0) + value
@@ -716,17 +721,20 @@ class SweepExecutor:
                 count("executor.uncached_jobs")
             count("executor.instructions", result.instructions)
             for name, value in result.counters.items():
-                count(f"result.{name}", value)
+                totals[name] = totals.get(name, 0) + value
+        for name, value in totals.items():
+            counters[f"result.{name}"] = value
         return dict(sorted(counters.items()))
 
     def _record_run(self, jobs: List[ExperimentJob],
                     results: List[JobResult],
                     hits: int, misses: int, wall: float,
                     capture: Optional[TraceCapture] = None) -> None:
-        seen: Dict[str, Dict[str, object]] = {}
+        seen: Dict[tuple, Dict[str, object]] = {}
         for job in jobs:
             descriptor = self._workload_descriptor(job)
-            seen.setdefault(json.dumps(descriptor, sort_keys=True), descriptor)
+            # repr keeps 1 and 1.0 (or True) apart, as a JSON key would
+            seen.setdefault(tuple(map(repr, descriptor.values())), descriptor)
         probed = hits + misses
         entry: Dict[str, object] = {
             "kind": "sweep",

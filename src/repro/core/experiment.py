@@ -4,16 +4,18 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.config.machine import MachineConfig
 from repro.config.options import StackOrganization
 from repro.fastsim.frontend_sim import FastFrontEndSim, FastSimResult
 from repro.isa.program import Program
-from repro.multipath.cpu import MultipathCPU
-from repro.pipeline.cpu import SinglePathCPU
 from repro.pipeline.results import SimResult
 from repro.workloads.generator import build_workload
+
+if TYPE_CHECKING:
+    from repro.multipath.cpu import MultipathCPU
+    from repro.pipeline.cpu import SinglePathCPU
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,6 +70,10 @@ def run_cycle(
     the bit-identical columnar twin (``"cycle-fast"``, ~3x faster —
     see docs/engines.md).
     """
+    # the reference engines load on first use: the tables run on the
+    # columnar twins, so most commands never import them
+    from repro.pipeline.cpu import SinglePathCPU
+
     cpu = SinglePathCPU(program, config, max_instructions=max_instructions)
     return cpu.run(), cpu
 
@@ -87,6 +93,8 @@ def run_multipath(
     :func:`repro.fastsim.multipath.run_multipath_fast` is the
     bit-identical work-list twin (``"multipath-fast"``).
     """
+    from repro.multipath.cpu import MultipathCPU
+
     cpu = MultipathCPU(program, config, max_instructions=max_instructions)
     return cpu.run(), cpu
 

@@ -144,11 +144,9 @@ def table4_btb_only(
     found in the BTB only a little over half the time."
     """
     specs = _specs(names, seed, scale)
-    jobs: List[ExperimentJob] = []
-    for spec in specs:
-        jobs.append(ExperimentJob(spec, baseline_config().without_ras(),
-                                  "cycle-fast"))
-        jobs.append(ExperimentJob(spec, baseline_config(), "cycle-fast"))
+    configs = [baseline_config().without_ras(), baseline_config()]
+    jobs = [ExperimentJob(spec, config, "cycle-fast")
+            for spec in specs for config in configs]
     results = _executor(executor).run(jobs)
     rows = []
     for spec, (btb_only, with_ras) in zip(specs, _chunks(results, 2)):
@@ -198,18 +196,13 @@ def fig_speedup(
     BTB-only prediction for the pointer+contents mechanism.
     """
     specs = _specs(names, seed, scale)
-    jobs: List[ExperimentJob] = []
-    for spec in specs:
-        jobs.append(ExperimentJob(spec, baseline_config().without_ras(),
-                                  "cycle-fast"))
-        jobs.append(ExperimentJob(
-            spec, baseline_config().with_repair(RepairMechanism.NONE),
-            "cycle-fast"))
-        jobs.append(ExperimentJob(
-            spec,
-            baseline_config().with_repair(
-                RepairMechanism.TOS_POINTER_AND_CONTENTS),
-            "cycle-fast"))
+    configs = [
+        baseline_config().without_ras(),
+        baseline_config().with_repair(RepairMechanism.NONE),
+        baseline_config().with_repair(RepairMechanism.TOS_POINTER_AND_CONTENTS),
+    ]
+    jobs = [ExperimentJob(spec, config, "cycle-fast")
+            for spec in specs for config in configs]
     results = _executor(executor).run(jobs)
     rows = []
     for spec, (btb_only, none, repaired) in zip(specs, _chunks(results, 3)):
@@ -415,17 +408,17 @@ def ablation_direction_predictors(
     specs = _specs(names, seed, scale)
     base = baseline_config()
     grid = [(spec, kind) for spec in specs for kind in kinds]
-    jobs: List[ExperimentJob] = []
-    for spec, kind in grid:
-        for mechanism in (RepairMechanism.NONE,
-                          RepairMechanism.TOS_POINTER_AND_CONTENTS):
-            repaired = base.with_repair(mechanism)
-            config = dataclasses.replace(
-                repaired,
-                predictor=dataclasses.replace(
-                    repaired.predictor, direction_kind=kind),
-            )
-            jobs.append(ExperimentJob(spec, config, "cycle-fast"))
+    configs = {
+        kind: [
+            dataclasses.replace(base, predictor=dataclasses.replace(
+                base.predictor, ras_repair=mechanism, direction_kind=kind))
+            for mechanism in (RepairMechanism.NONE,
+                              RepairMechanism.TOS_POINTER_AND_CONTENTS)
+        ]
+        for kind in kinds
+    }
+    jobs = [ExperimentJob(spec, config, "cycle-fast")
+            for spec, kind in grid for config in configs[kind]]
     results = _executor(executor).run(jobs)
     rows = []
     for (spec, kind), (none, reference) in zip(grid, _chunks(results, 2)):
@@ -455,11 +448,10 @@ def ablation_fastsim_crosscheck(
     mechanisms = list(PRIMARY_MECHANISMS)
     specs = _specs(names, seed, scale)
     grid = [(spec, mechanism) for spec in specs for mechanism in mechanisms]
-    jobs: List[ExperimentJob] = []
-    for spec, mechanism in grid:
-        config = baseline_config().with_repair(mechanism)
-        jobs.append(ExperimentJob(spec, config, "cycle"))
-        jobs.append(ExperimentJob(spec, config, "frontend"))
+    configs = {mechanism: baseline_config().with_repair(mechanism)
+               for mechanism in mechanisms}
+    jobs = [ExperimentJob(spec, configs[mechanism], engine)
+            for spec, mechanism in grid for engine in ("cycle", "frontend")]
     results = _executor(executor).run(jobs)
     rows = []
     for (spec, mechanism), (cycle_result, frontend_result) in zip(

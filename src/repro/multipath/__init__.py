@@ -13,6 +13,16 @@ fork.
 
 from repro.multipath.path import PathContext
 from repro.multipath.stacks import StackOrganizer
-from repro.multipath.cpu import MultipathCPU
+
+
+def __getattr__(name: str) -> object:
+    # the reference CPU loads on first access: the columnar engine
+    # imports this package for ``path`` and ``stacks`` alone, and should
+    # not pay for it
+    if name == "MultipathCPU":
+        from repro.multipath.cpu import MultipathCPU
+        return MultipathCPU
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = ["MultipathCPU", "PathContext", "StackOrganizer"]

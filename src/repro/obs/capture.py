@@ -35,8 +35,7 @@ import os
 import threading
 import time
 import uuid
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from repro.config import env
 from repro.obs import profile as profiling
@@ -91,31 +90,46 @@ class Span:
         return payload
 
 
-@contextmanager
-def span(name: str, **attrs: object) -> Iterator[Optional[Span]]:
-    """Time a named operation; yields the :class:`Span` or ``None``.
+class span:
+    """Time a named operation; the ``with`` block receives the
+    :class:`Span`, or ``None`` outside a capture.
 
     The span is recorded when the block exits — including on
-    exceptions, so failed operations still show their duration.
+    exceptions, so failed operations still show their duration. A
+    class rather than a ``@contextmanager`` generator: every cache
+    probe opens a span, and outside a capture the generator's set-up
+    cost more than the span's own work.
     """
-    capture = _active.capture
-    if capture is None:
-        yield None
-        return
-    stack = capture.open_spans
-    item = Span(name, attrs, stack[-1] if stack else None)
-    depth = len(stack)
-    stack.append(item.span_id)
-    started = time.perf_counter()
-    try:
-        yield item
-    finally:
+
+    __slots__ = ("_name", "_attrs", "_capture", "_item", "_depth",
+                 "_started")
+
+    def __init__(self, name: str, **attrs: object) -> None:
+        self._name = name
+        self._attrs = attrs
+
+    def __enter__(self) -> Optional[Span]:
+        capture = self._capture = _active.capture
+        if capture is None:
+            return None
+        stack = capture.open_spans
+        item = self._item = Span(self._name, self._attrs,
+                                 stack[-1] if stack else None)
+        self._depth = len(stack)
+        stack.append(item.span_id)
+        self._started = time.perf_counter()
+        return item
+
+    def __exit__(self, *exc_info: object) -> None:
+        capture = self._capture
+        if capture is None:
+            return
         ended = time.perf_counter()
         # truncate rather than pop: a span leaked by an abandoned
         # generator cannot parent the spans that follow this one
-        del stack[depth:]
-        capture.spans.append(item.to_json_dict(capture.trace_id, started,
-                                               ended))
+        del capture.open_spans[self._depth:]
+        capture.spans.append(self._item.to_json_dict(
+            capture.trace_id, self._started, ended))
 
 
 class TraceCapture:

@@ -24,6 +24,9 @@ PROFILE_SUFFIX = ".prof"
 
 _ID_RE = re.compile(r"^[0-9a-f]{8,64}$")
 
+#: ``json.dumps(span, default=str)`` without building an encoder per span.
+_SPAN_ENCODER = json.JSONEncoder(default=str)
+
 
 def valid_trace_id(trace_id: object) -> bool:
     return isinstance(trace_id, str) and bool(_ID_RE.match(trace_id))
@@ -64,7 +67,7 @@ class TraceStore:
             if item.get("trace_id") != trace_id:
                 continue
             try:
-                lines.append(json.dumps(item, default=str))
+                lines.append(_SPAN_ENCODER.encode(item))
             except (TypeError, ValueError):
                 continue
         if not lines:

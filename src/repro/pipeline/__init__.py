@@ -12,8 +12,20 @@ corrupt the RAS — the phenomenon the paper measures.
 
 from repro.pipeline.inflight import InflightInstruction, dest_reg, source_regs
 from repro.pipeline.results import SimResult
-from repro.pipeline.cpu import SinglePathCPU
-from repro.pipeline.timeline import TimelineRecorder, render_timeline
+
+
+def __getattr__(name: str) -> object:
+    # the reference CPU and its timeline load on first access: the
+    # columnar engines import this package for ``inflight`` and
+    # ``results`` alone, and should not pay for them
+    if name == "SinglePathCPU":
+        from repro.pipeline.cpu import SinglePathCPU
+        return SinglePathCPU
+    if name in ("TimelineRecorder", "render_timeline"):
+        from repro.pipeline import timeline
+        return getattr(timeline, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "InflightInstruction",

@@ -16,8 +16,8 @@ import pytest
 
 from repro import telemetry
 from repro.cli import main as cli_main
-from repro.config import (CoreConfig, MachineConfig, RepairMechanism,
-                          StackOrganization)
+from repro.config import (BranchPredictorConfig, CoreConfig, MachineConfig,
+                          MultipathConfig, RepairMechanism, StackOrganization)
 from repro.config import machine as machine_module
 from repro.config.defaults import baseline_config
 from repro.core import ExperimentJob, JobResult, ResultCache, SweepExecutor
@@ -145,6 +145,34 @@ class TestFingerprint:
         assert (widened.fingerprint()
                 == GOLDEN_FINGERPRINTS["with_ras_entries(16)"])
 
+    def test_baseline_is_one_shared_instance(self):
+        assert baseline_config() is baseline_config()
+
+    @pytest.mark.parametrize("method, args, part", [
+        ("with_repair", (RepairMechanism.NONE,), BranchPredictorConfig),
+        ("with_ras_entries", (16,), BranchPredictorConfig),
+        ("without_ras", (), BranchPredictorConfig),
+        ("with_multipath", (4, StackOrganization.UNIFIED), MultipathConfig),
+    ], ids=["with_repair", "with_ras_entries", "without_ras",
+            "with_multipath"])
+    def test_derived_config_encodes_only_the_replaced_part(
+            self, method, args, part, monkeypatch):
+        base = baseline_config()
+        base.fingerprint()
+        derived = getattr(base, method)(*args)
+        walked = []
+        plain = machine_module._plain
+
+        def counting_plain(value):
+            walked.append(value)
+            return plain(value)
+
+        monkeypatch.setattr(machine_module, "_plain", counting_plain)
+        derived.fingerprint()
+        configs = [type(value) for value in walked
+                   if dataclasses.is_dataclass(value)]
+        assert configs == [part]
+
     def test_warm_rerun_hashes_each_config_object_once(self, tmp_path,
                                                        monkeypatch):
         # cache_key fingerprints each submitted config; the ledger's
@@ -193,6 +221,21 @@ class TestJobs:
         keys = {job.cache_key(), other_engine.cache_key(),
                 other_config.cache_key(), other_spec.cache_key()}
         assert len(keys) == 4
+
+    def test_key_is_sha256_of_the_sorted_json_payload(self):
+        # cached entries outlive code versions only through their keys,
+        # so the key bytes must stay those of json.dumps(sort_keys=True)
+        config = baseline_config().with_ras_entries(16)
+        job = ExperimentJob(SPEC, config, "cycle-fast", max_instructions=500)
+        payload = json.dumps({
+            "schema": executor_module.CACHE_SCHEMA,
+            "workload": {"name": "li", "seed": 1, "scale": 0.05},
+            "config": GOLDEN_FINGERPRINTS["with_ras_entries(16)"],
+            "engine": "cycle-fast",
+            "max_instructions": 500,
+            "code": executor_module.code_fingerprint(),
+        }, sort_keys=True)
+        assert job.cache_key() == hashlib.sha256(payload.encode()).hexdigest()
 
 
 class TestExecutor:
@@ -338,9 +381,10 @@ class TestCliFlags:
     def test_cli_import_loads_no_network_stack(self):
         """The CLI runs sweeps locally: importing it and running a cold
         table in-process loads no asyncio, no repro.service /
-        repro.cluster package, no numpy, no process-pool stack and no
-        concurrent.futures or logging. The first block decode loads
-        numpy, wherever numpy imports."""
+        repro.cluster package, no numpy, no process-pool stack, no
+        concurrent.futures or logging, and neither reference cycle
+        engine (the table runs on ``cycle-fast``). The first block
+        decode loads numpy, wherever numpy imports."""
         probe = textwrap.dedent("""
             import contextlib, io, json, sys
             import repro.cli
@@ -351,7 +395,9 @@ class TestCliFlags:
             loaded = sorted(
                 name for name in sys.modules
                 if name in ("asyncio", "numpy", "multiprocessing",
-                            "concurrent.futures", "logging")
+                            "concurrent.futures", "logging",
+                            "repro.pipeline.cpu", "repro.pipeline.timeline",
+                            "repro.multipath.cpu")
                 or name.startswith(("asyncio.", "numpy.", "multiprocessing.",
                                     "concurrent.futures.", "logging.",
                                     "repro.service", "repro.cluster")))

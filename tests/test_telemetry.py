@@ -275,6 +275,19 @@ class TestSweepLedger:
         probes = [s["attrs"] for s in spans if s["name"] == "cache/get"]
         assert probes == [{"outcome": "miss"}] * len(SIZES)
 
+        # a warm rerun: one sweep/run and a hit probe per job under it,
+        # nothing simulated or written, each span keyed as on the cold run
+        executor.run(_jobs())
+        warm = TraceStore.at_cache_root(tmp_path).load(
+            executor.last_trace_id)
+        assert (sorted(s["name"] for s in warm)
+                == ["cache/get"] * len(SIZES) + ["sweep/run"])
+        sweep, = [s for s in warm if s["name"] == "sweep/run"]
+        probes = [s for s in warm if s["name"] == "cache/get"]
+        assert [s["attrs"] for s in probes] == [{"outcome": "hit"}] * len(SIZES)
+        assert all(s["parent_id"] == sweep["span_id"] for s in probes)
+        assert {frozenset(s) for s in warm} == {frozenset(s) for s in spans}
+
 
 class TestCompare:
     def test_compare_reports_config_and_metric_deltas(self, tmp_path):
