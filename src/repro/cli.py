@@ -32,7 +32,6 @@ import json
 import sys
 from typing import List, Optional, TextIO
 
-from repro import telemetry
 from repro.config import env
 from repro.config.defaults import baseline_config
 from repro.config.options import RepairMechanism, StackOrganization
@@ -106,10 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(default: $REPRO_JOBS or 1)")
         p.add_argument("--no-cache", action="store_true",
                        help="ignore and don't update the on-disk result "
-                            "cache (see docs/performance.md)")
-        p.add_argument("--no-telemetry", action="store_true",
-                       help="disable metrics, spans, and the run ledger "
-                            "(see docs/observability.md)")
+                            "cache, and record no run (see "
+                            "docs/performance.md)")
 
     def sweep_flags(p: argparse.ArgumentParser) -> None:
         executor_flags(p)
@@ -512,10 +509,8 @@ def _make_executor(args: argparse.Namespace) -> SweepExecutor:
     return SweepExecutor(jobs=args.jobs, cache=cache)
 
 
-def _print_sweep_summary(executor: Optional[SweepExecutor]) -> None:
+def _print_sweep_summary(executor: SweepExecutor) -> None:
     """One stderr line with cache hits/misses, wall time, run id."""
-    if executor is None or not telemetry.enabled():
-        return
     line = executor.summary_line()
     if line:
         print(line, file=sys.stderr)
@@ -559,7 +554,7 @@ def _write_file(path: str, text: str, written: str,
     return 0
 
 
-def _trace_resolve(ref: str, store) -> Optional[str]:
+def _trace_resolve(ref: str, ledger: RunLedger, store) -> Optional[str]:
     """A trace id from a raw id, a run-id prefix, or a ledger index."""
     from repro.errors import ReproError
     from repro.obs.store import valid_trace_id
@@ -571,7 +566,7 @@ def _trace_resolve(ref: str, store) -> Optional[str]:
         except (ValueError, OSError):
             pass
     try:
-        entry = RunLedger(ResultCache.default_ledger_path()).get(ref)
+        entry = ledger.get(ref)
     except ReproError:
         return None
     trace_id = entry.get("trace_id")
@@ -582,7 +577,8 @@ def _trace_command(args: argparse.Namespace) -> int:
     from repro.obs import analysis
     from repro.obs.store import TraceStore
 
-    store = TraceStore.at_cache_root(env.cache_root())
+    ledger = RunLedger.at_root(env.cache_root())
+    store = TraceStore.beside(ledger.path)
     if args.trace_command == "list":
         rows = []
         for trace_id in store.trace_ids()[:max(1, args.limit)]:
@@ -595,10 +591,10 @@ def _trace_command(args: argparse.Namespace) -> int:
         print(format_table(["trace", "spans", "processes", "wall ms"], rows,
                            title=f"Traces at {store.root}"))
         return 0
-    trace_id = _trace_resolve(args.ref, store)
+    trace_id = _trace_resolve(args.ref, ledger, store)
     if trace_id is None:
-        print(f"repro-sim trace: no trace for {args.ref!r} (is telemetry "
-              f"on? REPRO_TELEMETRY=0 disables it)", file=sys.stderr)
+        print(f"repro-sim trace: no trace for {args.ref!r} (sweeps run "
+              f"with --no-cache record none)", file=sys.stderr)
         return 1
     if args.trace_command == "flame":
         from repro.obs.profile import render_flame
@@ -643,7 +639,8 @@ def _trace_command(args: argparse.Namespace) -> int:
 def _runs_command(args: argparse.Namespace) -> int:
     from repro.errors import ReproError
 
-    ledger = RunLedger(args.ledger or ResultCache.default_ledger_path())
+    ledger = (RunLedger(args.ledger) if args.ledger
+              else RunLedger.at_root(env.cache_root()))
     try:
         if args.runs_command == "list":
             entries = ledger.entries(limit=args.limit)
@@ -749,11 +746,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if error is not None:
             print(error, file=sys.stderr)
             return 1
-        if getattr(args, "no_telemetry", False):
-            # scope the opt-out to this invocation: main() is re-entrant
-            # in tests and long-lived embedding processes
-            with telemetry.disabled():
-                return _dispatch(args)
         return _dispatch(args)
     except ConfigError as error:
         print(f"repro-sim: {error}", file=sys.stderr)

@@ -1,6 +1,6 @@
 """The ``REPRO_*`` environment knobs, read in one place.
 
-The seven variables of docs/performance.md §3 are read here and in no
+The six variables of docs/performance.md §3 are read here and in no
 other module. Each function reads its variable on every call, never at
 import, so a process may change a knob between calls: the benchmark
 harness points ``REPRO_CACHE_DIR`` at a fresh root between CLI
@@ -77,13 +77,9 @@ def cache_root() -> pathlib.Path:
 
 
 def cache_enabled() -> bool:
-    """``REPRO_CACHE``: off disables the default result cache."""
+    """``REPRO_CACHE``: off disables the default result cache, and with
+    it the default run ledger and traces."""
     return _switch("REPRO_CACHE", True)
-
-
-def telemetry_enabled() -> bool:
-    """``REPRO_TELEMETRY``: off disables metrics, traces and the ledger."""
-    return _switch("REPRO_TELEMETRY", True)
 
 
 def profiling_enabled() -> bool:

@@ -22,14 +22,16 @@ scheduling point:
   platform refuses to give us a pool. Results always come back in
   submission order, so parallel and serial runs are bit-identical.
 
-Telemetry (see docs/observability.md): every ``SweepExecutor.run``
-records one trace (:mod:`repro.obs.capture`) — a ``sweep/run`` span,
-a ``sweep/job`` span per job, wherever it ran, and ``cache/get``/
-``cache/put`` spans for cache probes — next to the ledger. Each sweep
-also counts deterministic per-sweep metrics from its results (in
-submission order, so parallel == serial bit-for-bit) and appends one
-entry to the run ledger under the cache root.
-``--no-telemetry`` or ``REPRO_TELEMETRY=0`` turns all of it off.
+Run records (see docs/observability.md): the run ledger is the one
+switch. An executor with a ledger traces each sweep
+(:mod:`repro.obs.capture`) — a ``sweep/run`` span, a ``sweep/job``
+span per job, wherever it ran, and ``cache/get``/``cache/put`` spans
+for cache probes — into ``traces/`` beside the ledger file, counts
+deterministic per-sweep metrics from its results (in submission order,
+so parallel == serial bit-for-bit) and appends one entry naming that
+trace to the ledger. By default the ledger lives under the cache root,
+so a sweep without a cache (``--no-cache``, ``REPRO_CACHE=0``) records
+nothing.
 
 The defaults for the worker count (``REPRO_JOBS``), the cache root
 (``REPRO_CACHE_DIR``) and the cache itself (``REPRO_CACHE``) come from
@@ -65,7 +67,6 @@ from repro.obs.capture import TraceCapture, span
 from repro.obs.store import TraceStore
 from repro.stats.counters import Counter, Rate
 from repro.telemetry import RunLedger, metric_key
-from repro.telemetry import state as telemetry_state
 from repro.trace.replay import TraceShardSpec
 
 #: Engines a job may name: the three simulator families, their
@@ -276,10 +277,8 @@ class JobResult:
                 str(k): (None if v is None else float(v))
                 for k, v in data["rates"].items()  # type: ignore[union-attr]
             },
-            # absent in pre-telemetry cache entries; default sanely so
-            # old entries still load as (uncosted) fresh-looking results
-            wall_time_s=float(data.get("wall_time_s", 0.0) or 0.0),
-            from_cache=bool(data.get("from_cache", False)),
+            wall_time_s=float(data["wall_time_s"]),  # type: ignore[arg-type]
+            from_cache=bool(data["from_cache"]),
         )
 
 
@@ -447,8 +446,8 @@ class ResultCache:
     """
 
     def __init__(self, root: Union[str, os.PathLike]) -> None:
-        #: The un-versioned cache root; shared artifacts that must
-        #: survive schema bumps (the run ledger) live directly under it.
+        #: The un-versioned cache root; the default run ledger, which
+        #: must survive schema bumps, lives directly under it.
         self.base_root = pathlib.Path(root)
         self.root = self.base_root / f"v{CACHE_SCHEMA}"
         # entry paths are plain strings: a probe's two pathlib joins
@@ -461,23 +460,6 @@ class ResultCache:
         if not env.cache_enabled():
             return None
         return cls(env.cache_root())
-
-    @classmethod
-    def default_ledger_path(cls) -> pathlib.Path:
-        """Where the run ledger lives under the default cache root.
-
-        The one public spelling of the ledger location: the CLI's
-        ``runs`` and ``trace`` commands resolve it here instead of
-        joining private path pieces themselves.
-        """
-        from repro.telemetry import LEDGER_FILENAME
-        return env.cache_root() / LEDGER_FILENAME
-
-    @property
-    def ledger_path(self) -> pathlib.Path:
-        """The run-ledger file paired with this cache root."""
-        from repro.telemetry import LEDGER_FILENAME
-        return self.base_root / LEDGER_FILENAME
 
     def _path(self, key: str) -> str:
         return f"{self._prefix}{key[:2]}{os.sep}{key}.json"
@@ -587,51 +569,45 @@ class SweepExecutor:
         self.wall_time_s = 0.0
         #: Ledger ids appended by this executor, oldest first.
         self.run_ids: List[str] = []
-        #: Last sweep's ledger entry.
-        self.last_entry: Optional[Dict[str, object]] = None
         #: Active trace capture while a sweep is in flight (see
-        #: repro.obs.capture); the last sweep's trace id survives it.
+        #: repro.obs.capture).
         self._capture: Optional[TraceCapture] = None
-        self.last_trace_id: Optional[str] = None
-
-    def _trace_store(self) -> Optional[TraceStore]:
-        """Where this executor persists merged traces (beside the
-        ledger), or ``None`` without a durable cache root."""
-        if self.cache is None:
-            return None
-        return TraceStore.at_cache_root(self.cache.base_root)
 
     def run(self, jobs: Sequence[ExperimentJob]) -> List[JobResult]:
-        """Run every job, returning results in submission order."""
+        """Run every job, returning results in submission order.
+
+        With a ledger, a non-empty sweep is traced into ``traces/``
+        beside the ledger file and recorded as one ledger entry naming
+        that trace; without one, or when the sweep raises, it records
+        neither.
+        """
         jobs = list(jobs)
         started = time.perf_counter()
         hits_before, misses_before = self.cache_hits, self.cache_misses
-        capture = TraceCapture.begin(self._trace_store())
-        self._capture = capture
-        if capture is not None:
-            self.last_trace_id = capture.trace_id
+        if self.ledger is None or not jobs:
+            results = self._resolve(jobs)
+            self.wall_time_s += time.perf_counter() - started
+            return results
+        capture = self._capture = TraceCapture.begin(
+            TraceStore.beside(self.ledger.path))
         try:
             with span("sweep/run", workers=self.jobs,
                       submitted=len(jobs)) as sweep_span:
                 results = self._resolve(jobs)
-                if sweep_span is not None:
-                    sweep_span.set(
-                        cache_hits=self.cache_hits - hits_before,
-                        cache_misses=self.cache_misses - misses_before)
-            if capture is not None:
-                capture.seal()
+                sweep_span.set(cache_hits=self.cache_hits - hits_before,
+                               cache_misses=self.cache_misses - misses_before)
+            capture.seal()
             wall = time.perf_counter() - started
             self.wall_time_s += wall
-            if jobs and telemetry_state.enabled():
-                self._record_run(jobs, results,
-                                 hits=self.cache_hits - hits_before,
-                                 misses=self.cache_misses - misses_before,
-                                 wall=wall, capture=capture)
+            self._record_run(jobs, results,
+                             hits=self.cache_hits - hits_before,
+                             misses=self.cache_misses - misses_before,
+                             wall=wall, capture=capture)
+            capture.close()
             return results
         finally:
             self._capture = None
-            if capture is not None:
-                capture.close()
+            capture.seal()
 
     def _resolve(self, jobs: List[ExperimentJob]) -> List[JobResult]:
         results: List[Optional[JobResult]] = [None] * len(jobs)
@@ -729,7 +705,7 @@ class SweepExecutor:
     def _record_run(self, jobs: List[ExperimentJob],
                     results: List[JobResult],
                     hits: int, misses: int, wall: float,
-                    capture: Optional[TraceCapture] = None) -> None:
+                    capture: TraceCapture) -> None:
         seen: Dict[tuple, Dict[str, object]] = {}
         for job in jobs:
             descriptor = self._workload_descriptor(job)
@@ -756,22 +732,17 @@ class SweepExecutor:
             "sim_time_s": round(sum(r.wall_time_s for r in results), 6),
             "headline": self._headline(results),
             "metrics": {"counters": self.sweep_metrics(jobs, results)},
-        }
-        if capture is not None:
             # trace identity and the optional sampling profile are run
             # artifacts, not results — both sit behind
             # NONDETERMINISTIC_KEYS so deterministic_view is identical
-            # with tracing on or off (asserted in tests)
-            entry["trace_id"] = capture.trace_id
-            profile = capture.profile_summary()
-            if profile is not None:
-                entry["profile"] = profile
-        if self.ledger is not None:
-            entry = self.ledger.append(entry)
-            run_id = entry.get("run_id")
-            if isinstance(run_id, str):
-                self.run_ids.append(run_id)
-        self.last_entry = entry
+            # with profiling on or off (asserted in tests)
+            "trace_id": capture.trace_id,
+        }
+        profile = capture.profile_summary()
+        if profile is not None:
+            entry["profile"] = profile
+        entry = self.ledger.append(entry)  # type: ignore[union-attr]
+        self.run_ids.append(str(entry["run_id"]))
 
     def cache_stats(self) -> Dict[str, object]:
         """Cumulative cache statistics for CLI/JSON summaries."""

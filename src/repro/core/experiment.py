@@ -6,6 +6,7 @@ import dataclasses
 import functools
 from typing import TYPE_CHECKING, Optional, Tuple
 
+from repro.config.defaults import baseline_config
 from repro.config.machine import MachineConfig
 from repro.config.options import StackOrganization
 from repro.fastsim.frontend_sim import FastFrontEndSim, FastSimResult
@@ -126,9 +127,11 @@ def multipath_machine(
     rename, and issue bandwidth"; without it every fork halves the
     per-path fetch rate and the organisation comparison is drowned in
     front-end starvation. We scale fetch/decode width and the IFQ with
-    the path budget, leaving the window and backend untouched.
+    the path budget, leaving the window and backend untouched. The
+    default ``base`` is :func:`baseline_config`, whose predictor and
+    memory sub-configs the result shares.
     """
-    config = (base or MachineConfig()).with_multipath(paths, organization)
+    config = (base or baseline_config()).with_multipath(paths, organization)
     factor = max(1, paths // 2)
     return dataclasses.replace(
         config,

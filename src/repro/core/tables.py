@@ -266,11 +266,11 @@ def fig_multipath(
     organizations = list(StackOrganization)
     specs = _specs(names, seed, scale)
     grid = [(spec, paths) for spec in specs for paths in path_counts]
-    jobs = [
-        ExperimentJob(spec, multipath_machine(paths, organization),
-                      "multipath-fast")
-        for spec, paths in grid for organization in organizations
-    ]
+    configs = {paths: [multipath_machine(paths, organization)
+                       for organization in organizations]
+               for paths in path_counts}
+    jobs = [ExperimentJob(spec, config, "multipath-fast")
+            for spec, paths in grid for config in configs[paths]]
     results = _executor(executor).run(jobs)
     rows = []
     for (spec, paths), chunk in zip(grid,

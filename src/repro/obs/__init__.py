@@ -5,7 +5,7 @@ single trace:
 
 - ``repro.obs.capture`` — ``span()``, and the per-sweep
   :class:`~repro.obs.capture.TraceCapture` every span records into.
-- ``repro.obs.store`` — JSONL trace store next to the result cache.
+- ``repro.obs.store`` — JSONL trace store beside the run ledger.
 - ``repro.obs.analysis`` — waterfall / critical-path / Chrome-trace
   rendering of merged traces.
 - ``repro.obs.profile`` — opt-in sampling profiler (``REPRO_PROFILE=1``).

@@ -9,11 +9,12 @@ one job, a cache probe, a shard replay. Usage::
             sp.set(outcome="hit")      # attach attrs mid-flight
 
 ``SweepExecutor.run`` opens a :class:`TraceCapture` around each
-sweep. Creating a capture makes it the active one on its thread, and
-the capture owns the stack of open span ids: every ``span()`` on that
-thread appends one dict to ``capture.spans``, parented under the
-innermost open span. Outside a capture ``span()`` yields ``None`` and
-records nothing, at the cost of one thread-local read.
+sweep it records in a run ledger. Creating a capture makes it the
+active one on its thread, and the capture owns the stack of open span
+ids: every ``span()`` on that thread appends one dict to
+``capture.spans``, parented under the innermost open span. Outside a
+capture ``span()`` yields ``None`` and records nothing, at the cost of
+one thread-local read.
 
 A pool worker runs its job under a capture with no store, joined to
 the submitter's trace (:func:`repro.core.executor._run_job_traced`);
@@ -40,7 +41,6 @@ from typing import Dict, List, Optional
 from repro.config import env
 from repro.obs import profile as profiling
 from repro.obs.store import TraceStore
-from repro.telemetry import state
 
 # Captured back to back: _EPOCH_WALL + (perf_counter() - _EPOCH)
 # approximates wall time for any span this process records.
@@ -150,11 +150,8 @@ class TraceCapture:
         _active.capture = self
 
     @classmethod
-    def begin(cls, store: Optional[TraceStore]) -> Optional["TraceCapture"]:
-        """Start capturing a sweep under a fresh ``trace_id``, or return
-        None when telemetry is off."""
-        if not state.enabled():
-            return None
+    def begin(cls, store: Optional[TraceStore]) -> "TraceCapture":
+        """Start capturing a sweep under a fresh ``trace_id``."""
         capture = cls(store, uuid.uuid4().hex)
         if env.profiling_enabled():
             capture._profiler = profiling.SamplingProfiler().start()

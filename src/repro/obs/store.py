@@ -1,10 +1,11 @@
 """On-disk trace store: one JSONL file of span dicts per trace.
 
-Traces live next to the result cache and ledger, under
-``<cache root>/traces/<trace_id>.jsonl``. The submitter that owns a
-trace is the only writer (pool workers return their spans with their
-results), so appends from one sweep never race; appends are one ``write`` call per
-line, so even a concurrent writer cannot tear a line on POSIX.
+Traces live beside the run ledger whose entries name them, under
+``<ledger dir>/traces/<trace_id>.jsonl`` (the cache root, for the
+default ledger). The submitter that owns a trace is the only writer
+(pool workers return their spans with their results), so appends from
+one sweep never race; appends are one ``write`` call per line, so even
+a concurrent writer cannot tear a line on POSIX.
 
 Reads are defensive: torn or non-JSON lines are skipped, and any span
 whose ``trace_id`` does not match the file it sits in is dropped — a
@@ -39,9 +40,10 @@ class TraceStore:
         self.root = Path(root)
 
     @classmethod
-    def at_cache_root(cls, base_root) -> "TraceStore":
-        """The store co-located with a ``ResultCache``/ledger root."""
-        return cls(Path(base_root) / TRACES_DIRNAME)
+    def beside(cls, ledger_path) -> "TraceStore":
+        """The store holding the traces a run ledger's entries name:
+        ``traces/`` in the ledger file's directory."""
+        return cls(Path(ledger_path).parent / TRACES_DIRNAME)
 
     def path(self, trace_id: str) -> Path:
         if not valid_trace_id(trace_id):

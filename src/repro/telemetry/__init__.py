@@ -1,18 +1,17 @@
-"""Telemetry: the switch, per-sweep metrics, and the run ledger.
+"""Telemetry: per-sweep metrics and the run ledger.
 
-Default-on, stdlib-only, and cheap enough to leave on (<3% overhead on
-the smoke sweep, asserted in the tests — metrics and ledger entries
-are built per *sweep*, never per simulated instruction):
+Stdlib-only and cheap enough to leave on (<3% overhead on the smoke
+sweep, asserted in the tests — metrics and ledger entries are built
+per *sweep*, never per simulated instruction). The run ledger is the
+one switch: an executor with a ledger records each sweep and its
+trace, one without records nothing.
 
-* **switch** — ``REPRO_TELEMETRY=0`` in the environment, the CLI's
-  ``--no-telemetry``, or :func:`set_enabled`/:func:`disabled` in code.
-  Off means no metrics, no ledger entry, and no sweep trace;
 * **metrics** — per-sweep counters under :func:`metric_key` labels,
   counted from results in submission order, so they are identical at
   every ``--jobs`` setting;
-* **run ledger** — :class:`RunLedger`: append-only JSONL under the
-  cache root recording every sweep (configs, cache hits, wall time,
-  headline rates, metrics), with content-hash run ids and a
+* **run ledger** — :class:`RunLedger`: append-only JSONL, by default
+  under the cache root, recording every sweep (configs, cache hits,
+  wall time, headline rates, metrics), with content-hash run ids and a
   ``repro-sim runs list/show/compare`` CLI.
 
 Spans and sweep traces live in :mod:`repro.obs.capture`; this package
@@ -31,7 +30,6 @@ from repro.telemetry.ledger import (
     numeric_leaves,
 )
 from repro.telemetry.metrics import metric_key
-from repro.telemetry.state import disabled, enabled, set_enabled
 
 __all__ = [
     "LEDGER_FILENAME",
@@ -40,10 +38,7 @@ __all__ = [
     "RunLedger",
     "compare_entries",
     "deterministic_view",
-    "disabled",
-    "enabled",
     "entry_digest",
     "metric_key",
     "numeric_leaves",
-    "set_enabled",
 ]

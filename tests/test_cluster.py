@@ -8,7 +8,6 @@ in-process, starts no second pool, and its rows match a clean run.
 import concurrent.futures
 import concurrent.futures.process
 
-from repro import telemetry
 from repro.config.defaults import baseline_config
 from repro.core import ExperimentJob, SweepExecutor
 from repro.core import executor as executor_module
@@ -57,25 +56,23 @@ class _FlakyPool:
 class TestBrokenPoolRetry:
     """A BrokenProcessPool re-runs only the jobs it swallowed."""
 
-    def _executor(self, plan, log):
-        executor = SweepExecutor(jobs=2, cache=None, ledger=None)
+    def _executor(self, plan, log, ledger=None):
+        executor = SweepExecutor(jobs=2, cache=None, ledger=ledger)
         executor._pool_factory = _FlakyPool(plan, log)
         return executor
 
-    def test_only_failed_jobs_retried(self):
-        telemetry.set_enabled(True)
-        try:
-            log = []
-            # the pool breaks the futures of jobs 1 and 2
-            executor = self._executor({0: (1, 2)}, log)
-            calls = executor_module.simulation_calls()
-            results = executor.run(_jobs())
-            assert all(r.instructions > 0 for r in results)
-            # every job simulated exactly once: job 0 in the pool, the
-            # two broken ones re-run in-process
-            assert executor_module.simulation_calls() == calls + 3
-        finally:
-            telemetry.set_enabled(None)
+    def test_only_failed_jobs_retried(self, tmp_path):
+        log = []
+        # the pool breaks the futures of jobs 1 and 2; the ledger makes
+        # the sweep a traced one
+        executor = self._executor({0: (1, 2)}, log,
+                                  ledger=tmp_path / "ledger.jsonl")
+        calls = executor_module.simulation_calls()
+        results = executor.run(_jobs())
+        assert all(r.instructions > 0 for r in results)
+        # every job simulated exactly once: job 0 in the pool, the
+        # two broken ones re-run in-process
+        assert executor_module.simulation_calls() == calls + 3
 
     def test_rows_identical_to_clean_run(self):
         broken = self._executor({0: (0, 1, 2)}, [])

@@ -5,7 +5,6 @@ import pathlib
 
 import pytest
 
-from repro import telemetry
 from repro.cli import main as cli_main
 from repro.config import (
     BranchPredictorConfig,
@@ -123,9 +122,8 @@ class TestEnvKnobs:
     """repro.config.env: one reader, one rule for every REPRO_* value."""
 
     KNOBS = ("REPRO_SCALE", "REPRO_SEED", "REPRO_JOBS", "REPRO_CACHE_DIR",
-             "REPRO_CACHE", "REPRO_TELEMETRY", "REPRO_PROFILE")
-    SWITCHES = (env.cache_enabled, env.telemetry_enabled,
-                env.profiling_enabled)
+             "REPRO_CACHE", "REPRO_PROFILE")
+    SWITCHES = (env.cache_enabled, env.profiling_enabled)
 
     @pytest.mark.parametrize("value", [None, ""])
     def test_unset_or_empty_means_default(self, monkeypatch, value):
@@ -137,7 +135,7 @@ class TestEnvKnobs:
         assert (env.scale(), env.seed(), env.jobs()) == (0.25, 1, 1)
         assert env.cache_root() == (
             pathlib.Path.home() / ".cache" / "repro-sim")
-        assert [read() for read in self.SWITCHES] == [True, True, False]
+        assert [read() for read in self.SWITCHES] == [True, False]
 
     @pytest.mark.parametrize("raw, expected", [
         ("1", True), ("TRUE", True), ("on", True), ("Yes", True),
@@ -145,14 +143,9 @@ class TestEnvKnobs:
     ])
     def test_every_switch_reads_the_same_spellings(self, monkeypatch, raw,
                                                    expected):
-        for name in ("REPRO_CACHE", "REPRO_TELEMETRY", "REPRO_PROFILE"):
+        for name in ("REPRO_CACHE", "REPRO_PROFILE"):
             monkeypatch.setenv(name, raw)
-        assert [read() for read in self.SWITCHES] == [expected] * 3
-
-    def test_telemetry_false_turns_telemetry_off(self, monkeypatch):
-        telemetry.set_enabled(None)  # no override: the env decides
-        monkeypatch.setenv("REPRO_TELEMETRY", "false")
-        assert not telemetry.enabled()
+        assert [read() for read in self.SWITCHES] == [expected] * 2
 
     def test_malformed_switch_is_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "maybe")

@@ -144,7 +144,7 @@ class TestCliGate:
         store = _sample_store(tmp_path)
         out = tmp_path / "diffreport.json"
         rc = main(["corpus", "diffcheck", str(store.root),
-                   "--report", str(out), "--no-cache", "--no-telemetry"])
+                   "--report", str(out), "--no-cache"])
         assert rc == 0
         payload = json.loads(out.read_text())
         assert payload["ok"] is True
@@ -154,9 +154,10 @@ class TestCliGate:
         store = _sample_store(tmp_path)
         out = tmp_path / "missing" / "diffreport.json"
         rc = main(["corpus", "diffcheck", str(store.root),
-                   "--report", str(out), "--no-cache", "--no-telemetry"])
+                   "--report", str(out), "--no-cache"])
         assert rc == 1
-        [line] = capsys.readouterr().err.splitlines()
+        summary, line = capsys.readouterr().err.splitlines()
+        assert summary.startswith("cache: ")  # the sweep summary line
         assert line.startswith(f"repro-sim: cannot write {out}: ")
 
     def test_injected_divergence_turns_the_gate_red(self, tmp_path,
@@ -169,7 +170,7 @@ class TestCliGate:
         out = tmp_path / "corrupted.json"
         _mispredict_return(monkeypatch, 7)
         rc = main(["corpus", "diffcheck", str(store.root),
-                   "--report", str(out), "--no-cache", "--no-telemetry"])
+                   "--report", str(out), "--no-cache"])
         assert rc == 1
         payload = json.loads(out.read_text())
         assert payload["ok"] is False

@@ -79,7 +79,7 @@ class TestCliReport:
                             lambda **kwargs: "report text")
         path = tmp_path / "missing" / "report.txt"
         assert cli_main([
-            "report", "--names", "li", "--no-telemetry", "--out", str(path),
+            "report", "--names", "li", "--out", str(path),
         ]) == 1
         captured = capsys.readouterr()
         assert "written to" not in captured.out
