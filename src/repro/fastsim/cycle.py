@@ -125,12 +125,10 @@ class ColumnarCycleCPU:
         ruu_cap, ifq_cap = self._ruu_cap, self._ifq_cap
         self._cols = {
             name: [0] * ruu_cap
-            for name in ("seq", "pc", "inst", "next_pc", "mem",
-                         "dispatched", "complete", "dep1", "dep1_seq",
-                         "dep2", "dep2_seq")
+            for name in ("seq", "pc", "inst", "next_pc", "mem", "complete",
+                         "dep1", "dep1_seq", "dep2", "dep2_seq")
         }
-        for name in ("issued", "completed", "taken", "misp", "halt",
-                     "mem_valid"):
+        for name in ("issued", "completed", "taken", "misp", "halt"):
             self._cols[name] = [False] * ruu_cap
         self._ifq_cols = {name: [0] * ifq_cap
                           for name in ("pc", "inst", "ready")}
@@ -195,8 +193,6 @@ class ColumnarCycleCPU:
         r_inst = cols["inst"]
         r_next = cols["next_pc"]
         r_mem = cols["mem"]
-        r_memv = cols["mem_valid"]
-        r_disp = cols["dispatched"]
         r_comp = cols["complete"]
         r_dep1 = cols["dep1"]
         r_dep1s = cols["dep1_seq"]
@@ -234,9 +230,10 @@ class ColumnarCycleCPU:
         writer_seq = [0] * 32
         # Event-driven work-lists, so the per-cycle stages walk only the
         # entries that can possibly act rather than the whole window.
-        # Entries are (slot, seq) pairs; a pair is dead (committed or
-        # squashed) when the slot left the ring window or was reseeded
-        # with a different seq, and dead pairs are pruned lazily.
+        # Entries are (slot, seq) pairs. A slot's seq is zeroed when it
+        # commits or is squashed (live seqs start at 1), so a pair is
+        # dead exactly when ``r_seq[slot] != seq``; dead pairs are
+        # pruned lazily.
         #: Dispatched-but-unissued entries, in program order.
         pending = []
         #: Issued-but-incomplete entries, plus the earliest completion.
@@ -287,6 +284,7 @@ class ColumnarCycleCPU:
                     writer_slot[dest] = -1
                 if d_memory[ii]:
                     lsq_count -= 1
+                r_seq[slot] = 0
                 r_undo[slot] = None
                 committed += 1
                 activity = True
@@ -326,9 +324,7 @@ class ColumnarCycleCPU:
                     keep = []
                     for item in inflight:
                         slot, sq = item
-                        if (r_seq[slot] != sq
-                                or not (slot - ruu_head) % ruu_cap
-                                < ruu_count):
+                        if r_seq[slot] != sq:
                             continue  # squashed; prune
                         if r_comp[slot] <= cycle:
                             resolvable.append(slot)
@@ -368,6 +364,7 @@ class ColumnarCycleCPU:
                                     break
                                 tail = last
                                 ruu_count -= 1
+                                r_seq[last] = 0
                                 undo = r_undo[last]
                                 if undo:
                                     for rec in reversed(undo):
@@ -407,9 +404,7 @@ class ColumnarCycleCPU:
                     min_complete = 0
                     for item in keep:
                         slot, sq = item
-                        if (r_seq[slot] != sq
-                                or not (slot - ruu_head) % ruu_cap
-                                < ruu_count):
+                        if r_seq[slot] != sq:
                             continue
                         cc = r_comp[slot]
                         if not incomplete or cc < min_complete:
@@ -432,12 +427,8 @@ class ColumnarCycleCPU:
                         still.extend(pending[idx:])
                         break
                     cur, sq = item
-                    if (r_seq[cur] != sq
-                            or not (cur - ruu_head) % ruu_cap < ruu_count):
+                    if r_seq[cur] != sq:
                         continue  # squashed; prune
-                    if r_disp[cur] >= cycle:
-                        hold(item)
-                        continue
                     d1 = r_dep1[cur]
                     if d1 >= 0 and r_seq[d1] == r_dep1s[cur] and not r_done[d1]:
                         hold(item)
@@ -460,9 +451,7 @@ class ColumnarCycleCPU:
                         if lst:
                             for i in range(len(lst) - 1, -1, -1):
                                 s, ssq = lst[i]
-                                if (r_seq[s] != ssq
-                                        or not (s - ruu_head) % ruu_cap
-                                        < ruu_count):
+                                if r_seq[s] != ssq:
                                     del lst[i]
                                 elif ssq < sq:
                                     store = s
@@ -531,7 +520,6 @@ class ColumnarCycleCPU:
                 r_inst[slot] = ii
                 r_next[slot] = next_pc
                 r_taken[slot] = taken
-                r_disp[slot] = cycle
                 r_issued[slot] = False
                 r_done[slot] = False
                 halt = d_halt[ii]
@@ -540,11 +528,7 @@ class ColumnarCycleCPU:
                 r_undo[slot] = undo
                 r_misp[slot] = (pred is not None and not halt
                                 and pred.target != next_pc)
-                if mem_addr is not None:
-                    r_mem[slot] = mem_addr
-                    r_memv[slot] = True
-                else:
-                    r_memv[slot] = False
+                r_mem[slot] = mem_addr
                 src = d_src1[ii]
                 if src >= 0:
                     w = writer_slot[src]

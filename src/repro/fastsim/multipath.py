@@ -31,9 +31,20 @@ as the columnar single-path engine (:mod:`repro.fastsim.cycle`):
   a representation change.
 
 Path state stays in :class:`~repro.multipath.path.PathContext` objects
-(the ancestry/visibility machinery is shared with the reference), and
-the per-entry record is a slim ``__slots__`` row instead of
-:class:`~repro.pipeline.inflight.InflightInstruction`.
+(the ancestry/visibility machinery is shared with the reference). Per
+instruction the engine allocates as little as the model needs:
+
+* an IFQ row is a plain tuple ``(pc, ii, prediction, ready_cycle,
+  forked_child)``; the fork decision is taken before the row is built,
+  and only conditional branches are offered to it;
+* an RUU row is a slim ``__slots__`` :class:`_Entry` (instead of
+  :class:`~repro.pipeline.inflight.InflightInstruction`), built in one
+  call with its final values. Its ``deps`` is a tuple of at most two
+  producers, and its ``undo`` is the log the exec function just wrote.
+
+Issue runs before dispatch in every cycle, so an entry is never issued
+in the cycle it dispatched; the reference's dispatch-cycle hold can
+never fire here, and the entry does not record its dispatch cycle.
 
 The differential harness in :mod:`repro.fastsim.parity` checks this
 engine against the reference across every repair mechanism, stack
@@ -44,6 +55,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
+from operator import attrgetter
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.bpred.confidence import JrsConfidenceEstimator
@@ -73,46 +85,39 @@ class _Entry:
 
     __slots__ = (
         "seq", "pc", "ii", "next_pc", "taken", "prediction", "undo",
-        "deps", "dest", "mem_address", "is_load", "is_store",
-        "store_value", "dispatched_cycle", "issued", "complete_cycle",
-        "completed", "squashed", "mispredicted", "path", "fork_child",
+        "deps", "dest", "mem_address", "is_store", "store_value",
+        "mispredicted", "path", "fork_child", "complete_cycle",
+        "completed", "squashed",
     )
 
-    def __init__(self, seq, pc, ii, prediction, dispatched_cycle, path):
+    def __init__(self, seq, pc, ii, next_pc, taken, prediction, undo, deps,
+                 dest, mem_address, is_store, store_value, mispredicted,
+                 path, fork_child):
         self.seq = seq
         self.pc = pc
         self.ii = ii
-        self.next_pc = 0
-        self.taken = False
+        self.next_pc = next_pc
+        self.taken = taken
         self.prediction = prediction
-        self.undo: List = []
-        self.deps: List["_Entry"] = []
-        self.dest: Optional[int] = None
-        self.mem_address: Optional[int] = None
-        self.is_load = False
-        self.is_store = False
-        self.store_value: Optional[int] = None
-        self.dispatched_cycle = dispatched_cycle
-        self.issued = False
+        #: The exec function's undo log (register records only).
+        self.undo = undo
+        #: In-flight producers of the sources: at most two entries.
+        self.deps: Tuple["_Entry", ...] = deps
+        #: Destination register, -1 for none (the decode column's code).
+        self.dest = dest
+        self.mem_address: Optional[int] = mem_address
+        self.is_store = is_store
+        self.store_value: Optional[int] = store_value
+        self.mispredicted = mispredicted
+        self.path = path
+        self.fork_child: Optional[PathContext] = fork_child
         self.complete_cycle = -1
         self.completed = False
         self.squashed = False
-        self.mispredicted = False
-        self.path = path
-        self.fork_child: Optional[PathContext] = None
 
 
-class _Fetched:
-    """One IFQ slot (pc, decoded index, prediction, readiness)."""
-
-    __slots__ = ("pc", "ii", "prediction", "ready_cycle", "forked_child")
-
-    def __init__(self, pc, ii, prediction, ready_cycle):
-        self.pc = pc
-        self.ii = ii
-        self.prediction = prediction
-        self.ready_cycle = ready_cycle
-        self.forked_child: Optional[PathContext] = None
+#: Writeback resolves completions in program order.
+_by_seq = attrgetter("seq")
 
 
 class FastMultipathCPU:
@@ -192,9 +197,6 @@ class FastMultipathCPU:
     # ------------------------------------------------------------------
     # Helpers.
 
-    def _alive_paths(self) -> List[PathContext]:
-        return [p for p in self._paths if p.alive]
-
     def _load(self, address: int) -> int:
         """Architectural memory + store forwarding for the bound path.
 
@@ -239,11 +241,11 @@ class FastMultipathCPU:
 
     def _release_ifq(self, path: PathContext) -> None:
         """Drop a path's IFQ, releasing slots and pending fork children."""
-        for fetched in path.ifq:
-            if fetched.prediction is not None:
-                self.frontend.release(fetched.prediction)
-            if fetched.forked_child is not None:
-                self._kill_subtree(fetched.forked_child)
+        for _, _, prediction, _, child in path.ifq:
+            if prediction is not None:
+                self.frontend.release(prediction)
+            if child is not None:
+                self._kill_subtree(child)
         path.ifq.clear()
 
     def _kill_subtree(self, root: PathContext) -> None:
@@ -301,7 +303,7 @@ class FastMultipathCPU:
         """Recompute reg -> youngest visible in-flight producer."""
         writers: Dict[int, _Entry] = {}
         for entry in self._ruu:
-            if (entry.squashed or entry.dest is None or entry.completed):
+            if entry.squashed or entry.dest < 0 or entry.completed:
                 continue
             if path.can_see(entry.path, entry.seq) or entry.path is path:
                 writers[entry.dest] = entry
@@ -355,21 +357,26 @@ class FastMultipathCPU:
         path.fetch_stalled_until = self.cycle + 1
         path.last_fetch_line = None
 
-    def _maybe_fork(self, path: PathContext, fetched: _Fetched) -> None:
-        """Fork at a low-confidence conditional branch, context permitting."""
-        if self.decode.control[fetched.ii] != _COND:
-            return
-        if len(self._alive_paths()) >= self.config.multipath.max_paths:
-            return
-        if not self.confidence.is_low_confidence(fetched.pc):
-            return
-        prediction = fetched.prediction
-        assert prediction is not None
-        inst = self.program.text[fetched.ii]
-        alternate = (fetched.pc + WORD_SIZE if prediction.taken
-                     else inst.target)
-        if alternate is None or not self.program.in_text(alternate):
-            return
+    def _maybe_fork(self, path: PathContext, pc: int, ii: int,
+                    prediction) -> Optional[PathContext]:
+        """Fork at a low-confidence conditional branch, context permitting.
+
+        Offered conditional branches only; returns the child path, or
+        None when the branch does not fork.
+        """
+        alive = 0
+        for other in self._paths:
+            if other.alive:
+                alive += 1
+        if alive >= self.config.multipath.max_paths:
+            return None
+        if not self.confidence.is_low_confidence(pc):
+            return None
+        alternate = (pc + WORD_SIZE if prediction.taken
+                     else self.program.text[ii].target)
+        if (alternate is None or not 0 <= alternate < self.decode.text_limit
+                or alternate % WORD_SIZE):
+            return None
         child = PathContext(
             self._next_path_id, alternate, regs=None, parent=path,
             ras=self.organizer.stack_for_fork(path),
@@ -378,8 +385,8 @@ class FastMultipathCPU:
         child.alternate_target = alternate
         self._next_path_id += 1
         self._paths.append(child)
-        fetched.forked_child = child
         self._forks += 1
+        return child
 
     def _prune_paths(self) -> None:
         """Collapse drained zombies out of ancestry chains, drop corpses.
@@ -433,8 +440,8 @@ class FastMultipathCPU:
 
         program = self.program
         text = program.text
-        in_text = program.in_text
         decode = self.decode
+        text_limit = decode.text_limit
         d_control = decode.control
         d_memory = decode.is_memory
         d_load = decode.is_load
@@ -460,6 +467,7 @@ class FastMultipathCPU:
         confidence_update = self.confidence.update
         arch_memory = self._arch_memory
         load_fn = self._load
+        maybe_fork = self._maybe_fork
         ruu = self._ruu
         store_map = self._store_map
         pending = self._pending
@@ -496,10 +504,10 @@ class FastMultipathCPU:
                 entry = ruu[0]
                 if entry.squashed:
                     ruu.popleft()
-                    if entry.is_load or entry.is_store:
+                    if d_memory[entry.ii]:
                         lsq_count -= 1
-                    if entry.is_store:
-                        self._drop_store(entry)
+                        if entry.is_store:
+                            self._drop_store(entry)
                     self._bubbles += 1
                     budget -= 1
                     activity = True
@@ -508,12 +516,12 @@ class FastMultipathCPU:
                     break
                 ruu.popleft()
                 activity = True
-                if entry.is_load or entry.is_store:
-                    lsq_count -= 1
-                if entry.is_store:
-                    self._drop_store(entry)
-                    arch_memory[entry.mem_address] = entry.store_value
                 ii = entry.ii
+                if d_memory[ii]:
+                    lsq_count -= 1
+                    if entry.is_store:
+                        self._drop_store(entry)
+                        arch_memory[entry.mem_address] = entry.store_value
                 if d_control[ii]:
                     train(entry.pc, text[ii], entry.taken, entry.next_pc,
                           entry.prediction)
@@ -542,7 +550,7 @@ class FastMultipathCPU:
                     if resolvable:
                         activity = True
                         inflight = keep
-                        resolvable.sort(key=_entry_seq)
+                        resolvable.sort(key=_by_seq)
                         for entry in resolvable:
                             if entry.squashed:
                                 entry.completed = True
@@ -586,9 +594,6 @@ class FastMultipathCPU:
                             break
                         if entry.squashed:
                             continue  # bubbles never issue; prune
-                        if entry.dispatched_cycle >= cycle:
-                            hold(entry)
-                            continue
                         blocked = False
                         for dep in entry.deps:
                             if not dep.completed:
@@ -628,7 +633,6 @@ class FastMultipathCPU:
                                 continue
                             alus -= 1
                             latency = d_lat[ii]
-                        entry.issued = True
                         cc = cycle + latency
                         entry.complete_cycle = cc
                         if not inflight or cc < min_complete:
@@ -643,7 +647,7 @@ class FastMultipathCPU:
                 candidates = [
                     p for p in self._paths
                     if p.alive and p.dispatch_enabled and p.ifq
-                    and p.ifq[0].ready_cycle <= cycle
+                    and p.ifq[0][3] <= cycle
                 ]
                 if candidates:
                     start = self._rr_offset % len(candidates)
@@ -656,13 +660,12 @@ class FastMultipathCPU:
                             if budget == 0:
                                 break
                             ifq = path.ifq
-                            if not ifq or ifq[0].ready_cycle > cycle:
+                            if not ifq or ifq[0][3] > cycle:
                                 continue
                             if len(ruu) >= ruu_cap:
                                 full = True
                                 break
-                            fetched = ifq[0]
-                            ii = fetched.ii
+                            pc, ii, prediction, _, child = ifq[0]
                             if d_memory[ii] and lsq_count >= lsq_cap:
                                 continue
                             ifq.popleft()
@@ -672,57 +675,50 @@ class FastMultipathCPU:
                             self._load_path = path
                             next_pc, taken, mem_addr, store_value = (
                                 exec_fns[ii](path.regs, load_fn, undo,
-                                             text[ii],
-                                             fetched.pc + WORD_SIZE))
-                            entry = _Entry(seq, fetched.pc, ii,
-                                           fetched.prediction, cycle, path)
-                            entry.next_pc = next_pc
-                            entry.taken = taken
-                            entry.undo = undo
-                            entry.mem_address = mem_addr
-                            prediction = fetched.prediction
-                            if prediction is not None and not d_halt[ii]:
-                                entry.mispredicted = (
-                                    prediction.target != next_pc)
+                                             text[ii], pc + WORD_SIZE))
                             last_writer = path.last_writer
+                            deps = ()
                             src = d_src1[ii]
                             if src >= 0:
                                 writer = last_writer.get(src)
                                 if (writer is not None
                                         and not writer.completed
                                         and not writer.squashed):
-                                    entry.deps.append(writer)
+                                    deps = (writer,)
                                 src = d_src2[ii]
                                 if src >= 0:
                                     writer = last_writer.get(src)
                                     if (writer is not None
                                             and not writer.completed
                                             and not writer.squashed):
-                                        entry.deps.append(writer)
+                                        deps += (writer,)
+                            if child is not None and not child.alive:
+                                child = None
+                            mispredicted = (prediction is not None
+                                            and not d_halt[ii]
+                                            and prediction.target != next_pc)
                             dest = d_dest[ii]
+                            is_store = d_store[ii]
+                            entry = _Entry(
+                                seq, pc, ii, next_pc, taken, prediction,
+                                undo, deps, dest, mem_addr, is_store,
+                                store_value, mispredicted, path, child)
                             if dest >= 0:
-                                entry.dest = dest
                                 last_writer[dest] = entry
                             if d_memory[ii]:
                                 lsq_count += 1
-                                if d_store[ii]:
-                                    entry.is_store = True
-                                    entry.store_value = store_value
+                                if is_store:
                                     bucket = store_map.get(mem_addr)
                                     if bucket is None:
                                         store_map[mem_addr] = [entry]
                                     else:
                                         bucket.append(entry)
-                                else:
-                                    entry.is_load = True
-                            child = fetched.forked_child
-                            if child is not None and child.alive:
+                            if child is not None:
                                 # The fork's register snapshot exists now.
                                 child.regs = list(path.regs)
-                                child.origin_seq = entry.seq
+                                child.origin_seq = seq
                                 child.dispatch_enabled = True
                                 child.last_writer = dict(last_writer)
-                                entry.fork_child = child
                             ruu.append(entry)
                             pending.append(entry)
                             dispatched += 1
@@ -731,12 +727,13 @@ class FastMultipathCPU:
                             activity = True
 
                 # ---- fetch (round-robin over alive paths) ------------
-                paths = self._alive_paths()
+                paths = [p for p in self._paths if p.alive]
                 if paths:
                     self._rr_offset += 1
                     start = self._rr_offset % len(paths)
                     order = paths[start:] + paths[:start]
                     budget = fetch_width
+                    ready_at = cycle + frontend_lag
                     for path in order:
                         if budget == 0:
                             break
@@ -745,7 +742,7 @@ class FastMultipathCPU:
                         ifq = path.ifq
                         while budget and len(ifq) < ifq_cap:
                             pc = path.fetch_pc
-                            if not in_text(pc):
+                            if not 0 <= pc < text_limit or pc % WORD_SIZE:
                                 path.fetch_halted = True
                                 break
                             line = pc >> fetch_line_shift
@@ -757,17 +754,17 @@ class FastMultipathCPU:
                                     path.fetch_stalled_until = cycle + latency
                                     break
                             ii = pc // WORD_SIZE
-                            prediction = None
-                            next_pc = pc + WORD_SIZE
-                            if d_control[ii]:
+                            control = d_control[ii]
+                            if control:
                                 prediction = predict(pc, text[ii],
                                                      ras=path.ras)
                                 next_pc = prediction.target
-                            fetched = _Fetched(pc, ii, prediction,
-                                               cycle + frontend_lag)
-                            if prediction is not None:
-                                self._maybe_fork(path, fetched)
-                            ifq.append(fetched)
+                                child = (maybe_fork(path, pc, ii, prediction)
+                                         if control == COND else None)
+                            else:
+                                prediction = child = None
+                                next_pc = pc + WORD_SIZE
+                            ifq.append((pc, ii, prediction, ready_at, child))
                             fetched_n += 1
                             path.fetch_pc = next_pc
                             budget -= 1
@@ -775,7 +772,7 @@ class FastMultipathCPU:
                             if d_halt[ii]:
                                 path.fetch_halted = True
                                 break
-                            if d_control[ii] and next_pc != pc + WORD_SIZE:
+                            if control and next_pc != pc + WORD_SIZE:
                                 break  # stop this path at a taken transfer
 
             cycle += 1
@@ -813,7 +810,7 @@ class FastMultipathCPU:
                         continue
                     ifq = path.ifq
                     if ifq and path.dispatch_enabled:
-                        ready = ifq[0].ready_cycle
+                        ready = ifq[0][3]
                         if ready >= cycle and (target < 0 or ready < target):
                             target = ready
                     if (not path.fetch_halted and len(ifq) < ifq_cap
@@ -832,7 +829,7 @@ class FastMultipathCPU:
                 if target > cycle:
                     skipped = target - cycle
                     cycle = target
-                    if self._alive_paths():
+                    if paths:  # fetch's alive list: still alive now
                         self._rr_offset += skipped
                     if cycle - last_commit_cycle > _DEADLOCK_LIMIT:
                         self.cycle = cycle
@@ -896,10 +893,6 @@ class FastMultipathCPU:
         group.counter("ras_overflows").increment(overflow)
         group.counter("ras_underflows").increment(underflow)
         return SimResult(group)
-
-
-def _entry_seq(entry: _Entry) -> int:
-    return entry.seq
 
 
 def run_multipath_fast(

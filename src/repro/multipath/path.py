@@ -8,7 +8,7 @@ and (its proposal) a return-address stack — noting that the stack is
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional
 
 from repro.bpred.ras import BaseRas
 
@@ -66,27 +66,25 @@ class PathContext:
 
     # ------------------------------------------------------------------
 
-    def ancestry_horizons(self) -> Iterator[Tuple["PathContext", int]]:
-        """Yield (ancestor, visibility_horizon_seq) pairs, self first.
-
-        An in-flight instruction on ancestor A is program-order-visible
-        to this path iff its seq is strictly below the horizon paired
-        with A (the fork seq of the child on the chain toward us). The
-        path itself has an unbounded horizon.
-        """
-        horizon = float("inf")
-        path: Optional[PathContext] = self
-        while path is not None:
-            yield path, horizon  # type: ignore[misc]
-            horizon = min(horizon, path.origin_seq)
-            path = path.parent
-
     def can_see(self, other_path: "PathContext", seq: int) -> bool:
         """Is an instruction (on ``other_path``, at ``seq``) a program-
-        order predecessor of this path's next instruction?"""
-        for ancestor, horizon in self.ancestry_horizons():
-            if ancestor is other_path:
+        order predecessor of this path's next instruction?
+
+        Everything on the path itself is visible. On an ancestor A, an
+        instruction is visible iff its seq is strictly below A's
+        horizon: the smallest fork seq on the chain from this path up
+        to (but excluding) A.
+        """
+        if other_path is self:
+            return True
+        horizon = self.origin_seq
+        path = self.parent
+        while path is not None:
+            if path is other_path:
                 return seq < horizon
+            if path.origin_seq < horizon:
+                horizon = path.origin_seq
+            path = path.parent
         return False
 
     def is_descendant_of(self, other: "PathContext") -> bool:

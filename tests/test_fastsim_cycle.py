@@ -87,6 +87,17 @@ class TestMultipathParity:
         fast, _ = run_multipath_fast(program, config)
         assert flatten_group(reference.group) == flatten_group(fast.group)
 
+    @pytest.mark.parametrize("organization", list(StackOrganization))
+    def test_fork_heavy_program(self, organization):
+        """go forks 522-558 times a cell here (li: 143-247), so forks,
+        fork-child IFQ rows and cross-path visibility get exercised."""
+        config = multipath_machine(4, organization)
+        program = _program("go")
+        reference, _ = run_multipath(program, config)
+        fast, _ = run_multipath_fast(program, config)
+        assert fast.counter("forks") > 400
+        assert flatten_group(reference.group) == flatten_group(fast.group)
+
 
 class TestExecutorWiring:
     def test_fast_engines_registered(self):

@@ -143,10 +143,15 @@ class TestPathContext:
         child.origin_seq = 50
         grandchild = PathContext(2, 200, None, parent=child)
         grandchild.origin_seq = 80
-        horizons = list(grandchild.ancestry_horizons())
-        assert horizons[0][0] is grandchild
-        assert horizons[1] == (child, 80)
-        assert horizons[2] == (root, 50)
+        # Each ancestor's horizon is the smallest fork seq below it.
+        assert grandchild.can_see(grandchild, 10 ** 9)
+        assert grandchild.can_see(child, 79)
+        assert not grandchild.can_see(child, 80)
+        assert grandchild.can_see(root, 49)
+        assert not grandchild.can_see(root, 50)
+        grandchild.origin_seq = 30
+        assert not grandchild.can_see(root, 49)
+        assert grandchild.can_see(root, 29)
 
     def test_can_see_respects_horizons(self):
         root = PathContext(0, 0, [0] * 32)
