@@ -110,8 +110,6 @@ class FrontEndPredictor:
             "return_accuracy", "committed returns predicted correctly")
         self._returns_from_btb = self.stats.counter(
             "returns_from_btb", "returns predicted by BTB fallback")
-        self._returns_unpredicted = self.stats.counter(
-            "returns_unpredicted", "returns with no prediction at all")
         self._indirect_accuracy = self.stats.rate(
             "indirect_accuracy", "committed indirect jumps/calls correct")
         self._cond_accuracy = self.stats.rate(

@@ -61,8 +61,23 @@ from repro.stats import StatGroup
 _DEADLOCK_LIMIT = 20_000
 
 #: Stall-attribution bucket indices (see _finalize for the names).
-_STALL_FRONTEND, _STALL_MEMORY, _STALL_EXECUTE = 0, 1, 2
-_STALL_DEPENDENCY, _STALL_ISSUE = 3, 4
+#: Bucket 3, ``stall_dependency``, is never charged: the RUU head's
+#: producers are older than the head, so they have already committed.
+_STALL_FRONTEND, _STALL_MEMORY, _STALL_EXECUTE, _STALL_ISSUE = 0, 1, 2, 4
+
+
+def _window_rows(cols, head: int, count: int, cap: int) -> list:
+    """The RUU's live rows, oldest first, for ``debug_state``.
+
+    Built here rather than in ``run``: up to Python 3.11 a comprehension
+    there would make every column it reads a closure cell of the hot
+    loop, and each access to it a ``LOAD_DEREF``.
+    """
+    seq, pc, issued, done, comp = (
+        cols[name] for name in ("seq", "pc", "issued", "completed",
+                                "complete"))
+    return [(seq[s], pc[s], issued[s], done[s], comp[s] if issued[s] else -1)
+            for s in ((head + j) % cap for j in range(count))]
 
 
 class ColumnarCycleCPU:
@@ -300,21 +315,12 @@ class ColumnarCycleCPU:
                 # ---- stall attribution (no commit this cycle) --------
                 if ruu_count == 0:
                     stall_bucket = _STALL_FRONTEND
+                elif r_issued[ruu_head]:
+                    stall_bucket = (_STALL_MEMORY
+                                    if d_memory[r_inst[ruu_head]]
+                                    else _STALL_EXECUTE)
                 else:
-                    head = ruu_head
-                    if r_issued[head]:
-                        stall_bucket = (_STALL_MEMORY
-                                        if d_memory[r_inst[head]]
-                                        else _STALL_EXECUTE)
-                    else:
-                        d1, d2 = r_dep1[head], r_dep2[head]
-                        blocked = (
-                            (d1 >= 0 and r_seq[d1] == r_dep1s[head]
-                             and not r_done[d1])
-                            or (d2 >= 0 and r_seq[d2] == r_dep2s[head]
-                                and not r_done[d2]))
-                        stall_bucket = (_STALL_DEPENDENCY if blocked
-                                        else _STALL_ISSUE)
+                    stall_bucket = _STALL_ISSUE
                 stalls[stall_bucket] += 1
 
             # ---- writeback (resolve completions, oldest first) -------
@@ -678,12 +684,7 @@ class ColumnarCycleCPU:
             "fetch_pc": fetch_pc, "fetch_stall": fetch_stall,
             "fetch_halted": fetch_halted, "ifq": ifq_count,
             "ruu": ruu_count, "seq": seq, "lsq": lsq_count,
-            "ruu_rows": [
-                (r_seq[s], r_pc[s], r_issued[s], r_done[s],
-                 r_comp[s] if r_issued[s] else -1)
-                for s in ((ruu_head + j) % ruu_cap
-                          for j in range(ruu_count))
-            ],
+            "ruu_rows": _window_rows(cols, ruu_head, ruu_count, ruu_cap),
         }
         return self._finalize()
 

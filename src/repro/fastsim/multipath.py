@@ -644,11 +644,14 @@ class FastMultipathCPU:
 
                 # ---- dispatch (round-robin over ready paths) ---------
                 budget = decode_width
-                candidates = [
-                    p for p in self._paths
-                    if p.alive and p.dispatch_enabled and p.ifq
-                    and p.ifq[0][3] <= cycle
-                ]
+                # A plain loop, not a comprehension: up to Python 3.11 a
+                # comprehension reading `cycle` makes it a closure cell,
+                # and every hot-loop access to it a LOAD_DEREF.
+                candidates = []
+                for p in self._paths:
+                    if (p.alive and p.dispatch_enabled and p.ifq
+                            and p.ifq[0][3] <= cycle):
+                        candidates.append(p)
                 if candidates:
                     start = self._rr_offset % len(candidates)
                     order = candidates[start:] + candidates[:start]

@@ -3,6 +3,10 @@
 Instructions are created once at assembly time and shared by every
 simulator; the hot simulation loops read their attributes directly, so
 the class uses ``__slots__`` and precomputes its control classification.
+:meth:`ProgramBuilder.build <repro.isa.assembler.ProgramBuilder.build>`
+gives every position with equal fields the same record, so a record
+refuses assignment: changing one position's fields would change all of
+them.
 """
 
 from __future__ import annotations
@@ -18,13 +22,18 @@ from repro.isa.opcodes import (
 )
 from repro.errors import AssemblyError
 
+#: Sets a field past :meth:`Instruction.__setattr__`, which refuses.
+_init = object.__setattr__
+
 
 class Instruction:
     """One decoded instruction.
 
     Fields not meaningful for an opcode are left at their defaults
     (``0`` / ``None``); the assembler is responsible for populating the
-    meaningful ones.
+    meaningful ones. Records are immutable, and several positions of a
+    program may share one: read an instruction's fields, never its
+    identity.
 
     Attributes:
         opcode: the operation.
@@ -50,13 +59,25 @@ class Instruction:
         for name, reg in (("rd", rd), ("rs", rs), ("rt", rt)):
             if not 0 <= reg < NUM_REGS:
                 raise AssemblyError(f"{name}={reg} out of range for {opcode}")
-        self.opcode = opcode
-        self.rd = rd
-        self.rs = rs
-        self.rt = rt
-        self.imm = imm
-        self.target = target
-        self.control = control_class(opcode)
+        _init(self, "opcode", opcode)
+        _init(self, "rd", rd)
+        _init(self, "rs", rs)
+        _init(self, "rt", rt)
+        _init(self, "imm", imm)
+        _init(self, "target", target)
+        _init(self, "control", control_class(opcode))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Instruction is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Instruction is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        # Pickle as a constructor call: the default restore of slot
+        # state would go through the __setattr__ above.
+        return (Instruction, (self.opcode, self.rd, self.rs, self.rt,
+                              self.imm, self.target))
 
     @property
     def is_control(self) -> bool:

@@ -126,8 +126,12 @@ class SinglePathCPU:
             "stall_memory", "no commit: head is an in-flight memory op")
         self._stall_execute = self.stats.counter(
             "stall_execute", "no commit: head issued, still executing")
-        self._stall_dependency = self.stats.counter(
-            "stall_dependency", "no commit: head waits on operands")
+        # Never charged: the head's producers are older than the head,
+        # so they have committed (see _attribute_stall). Kept, at 0,
+        # because job counters and the benchmark digests carry it.
+        self.stats.counter(
+            "stall_dependency",
+            "always 0: the RUU head's producers have all committed")
         self._stall_issue = self.stats.counter(
             "stall_issue", "no commit: head ready but not yet issued")
 
@@ -362,7 +366,13 @@ class SinglePathCPU:
     # Driver.
 
     def _attribute_stall(self) -> None:
-        """Blame this zero-commit cycle on the oldest obstacle."""
+        """Blame this zero-commit cycle on the oldest obstacle.
+
+        Never on a dependency: every producer of the RUU head is older
+        than the head, so it has already committed, and a head that has
+        not issued waits on issue resources alone. ``stall_dependency``
+        stays in the counter set, always 0.
+        """
         if not self._ruu:
             self._stall_frontend.increment()
             return
@@ -372,10 +382,8 @@ class SinglePathCPU:
                 self._stall_memory.increment()
             else:
                 self._stall_execute.increment()
-        elif head.deps_completed():
-            self._stall_issue.increment()
         else:
-            self._stall_dependency.increment()
+            self._stall_issue.increment()
 
     def step(self) -> None:
         """Advance the machine by one cycle."""

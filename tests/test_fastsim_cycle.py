@@ -7,6 +7,7 @@ the harness that performs the comparison is itself tested in
 ``tests/test_parity_harness.py``.
 """
 
+import functools
 import gc
 import inspect
 
@@ -24,9 +25,9 @@ from repro.core.experiment import (
     run_cycle,
     run_multipath,
 )
-from repro.fastsim.cycle import run_cycle_fast
+from repro.fastsim.cycle import ColumnarCycleCPU, run_cycle_fast
 from repro.fastsim.decode import DecodeTable, decode_table
-from repro.fastsim.multipath import run_multipath_fast
+from repro.fastsim.multipath import FastMultipathCPU, run_multipath_fast
 from repro.fastsim.parity import (
     check_cycle_parity,
     check_multipath_parity,
@@ -42,17 +43,34 @@ def _program(name="li", scale=0.02):
     return build_workload(name, seed=1, scale=scale)
 
 
+@functools.lru_cache(maxsize=None)
+def _matrix_cell(mechanism, entries):
+    """Flat counters of ``(reference, fast)`` for one matrix cell, so the
+    parity and stall tests below simulate each cell once."""
+    config = (baseline_config()
+              .with_repair(mechanism)
+              .with_ras_entries(entries))
+    program = _program()
+    reference, _ = run_cycle(program, config)
+    fast, _ = run_cycle_fast(program, config)
+    return flatten_group(reference.group), flatten_group(fast.group)
+
+
 class TestCycleParityMatrix:
     @pytest.mark.parametrize("mechanism", list(RepairMechanism))
     @pytest.mark.parametrize("entries", [8, 32])
     def test_every_mechanism_and_stack_size(self, mechanism, entries):
-        config = (baseline_config()
-                  .with_repair(mechanism)
-                  .with_ras_entries(entries))
-        program = _program()
-        reference, _ = run_cycle(program, config)
-        fast, _ = run_cycle_fast(program, config)
-        assert flatten_group(reference.group) == flatten_group(fast.group)
+        reference, fast = _matrix_cell(mechanism, entries)
+        assert reference == fast
+
+    @pytest.mark.parametrize("mechanism", list(RepairMechanism))
+    @pytest.mark.parametrize("entries", [8, 32])
+    def test_stall_dependency_is_never_charged(self, mechanism, entries):
+        """The RUU head's producers are older than the head, so they have
+        committed: a stalled head waits on issue, never on operands."""
+        reference, fast = _matrix_cell(mechanism, entries)
+        assert reference["stall_dependency"] == fast["stall_dependency"] == 0
+        assert reference["stall_issue"] > 0
 
     def test_no_ras_machine(self):
         config = baseline_config().without_ras()
@@ -97,6 +115,14 @@ class TestMultipathParity:
         fast, _ = run_multipath_fast(program, config)
         assert fast.counter("forks") > 400
         assert flatten_group(reference.group) == flatten_group(fast.group)
+
+
+class TestHotLoopLocals:
+    @pytest.mark.parametrize("engine", [ColumnarCycleCPU, FastMultipathCPU])
+    def test_run_has_no_closure_cells(self, engine):
+        """A variable a nested comprehension or generator reads becomes a
+        closure cell, and every hot-loop access to it a LOAD_DEREF."""
+        assert engine.run.__code__.co_cellvars == ()
 
 
 class TestExecutorWiring:

@@ -1,5 +1,7 @@
 """Unit tests for the ISA: opcodes, instructions, programs, assembler."""
 
+import pickle
+
 import pytest
 
 from repro.errors import AssemblyError, EmulationError
@@ -12,6 +14,7 @@ from repro.isa import (
     WORD_SIZE,
 )
 from repro.isa.opcodes import control_class
+from repro.workloads import BENCHMARK_NAMES, build_workload
 
 
 class TestControlClass:
@@ -61,6 +64,14 @@ class TestInstruction:
     def test_repr_forms(self):
         assert "r1, r2, r3" in repr(Instruction(Opcode.ADD, rd=1, rs=2, rt=3))
         assert "4(r2)" in repr(Instruction(Opcode.LOAD, rd=1, rs=2, imm=4))
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        inst = Instruction(Opcode.ADDI, rd=1, rs=2, imm=3)
+        with pytest.raises(AttributeError):
+            inst.imm = 4
+        with pytest.raises(AttributeError):
+            del inst.rd
+        assert (inst.rd, inst.imm) == (1, 3)
 
 
 class TestProgram:
@@ -177,3 +188,87 @@ class TestProgramBuilder:
         p = b.build()
         with pytest.raises(AssemblyError):
             p.address_of("ghost")
+
+
+def _fields(inst):
+    return (inst.opcode, inst.rd, inst.rs, inst.rt, inst.imm, inst.target,
+            inst.control)
+
+
+class TestRecordSharing:
+    """``ProgramBuilder.build`` gives equal positions one record.
+
+    Structural checks only: what sharing saves in bytes depends on the
+    Python version, so no memory figure is asserted here.
+    """
+
+    def test_equal_instructions_are_one_record(self):
+        b = ProgramBuilder()
+        b.label("top")
+        b.addi(1, 1, 1)
+        b.addi(1, 1, 1)
+        b.bnez(1, "top")
+        b.bnez(1, 0)
+        b.halt()
+        text = b.build().text
+        assert text[0] is text[1]
+        # A label and the address it names resolve to the same target.
+        assert text[2] is text[3]
+
+    def test_unequal_instructions_are_separate_records(self):
+        b = ProgramBuilder()
+        b.addi(1, 1, 1)
+        b.addi(1, 1, 2)
+        b.addi(2, 1, 1)
+        b.xori(1, 1, 1)
+        b.halt()
+        text = b.build().text
+        assert len({id(inst) for inst in text}) == len(text)
+
+    def test_equal_values_of_different_type_are_separate_records(self):
+        b = ProgramBuilder()
+        for imm in (1, 1.0, True, 1, 1.0, True):
+            b.li(1, imm)
+        b.halt()
+        text = b.build().text
+        assert len({id(inst) for inst in text[:6]}) == 3
+        for first, second in zip(text[:3], text[3:6]):
+            assert first is second
+            assert type(first.imm) is type(second.imm)
+        assert [type(inst.imm) for inst in text[:3]] == [int, float, bool]
+
+    def test_generated_programs_read_what_the_builder_resolved(
+            self, monkeypatch):
+        built = []
+        build = ProgramBuilder.build
+
+        def recording_build(builder, entry=0):
+            program = build(builder, entry)
+            built.append((builder, program))
+            return program
+
+        monkeypatch.setattr(ProgramBuilder, "build", recording_build)
+        for name in BENCHMARK_NAMES:
+            build_workload(name, seed=1, scale=0.02)
+        assert len(built) == len(BENCHMARK_NAMES) == 8
+        for builder, program in built:
+            resolved = [
+                (opcode, rd, rs, rt, imm,
+                 None if target is None else builder._resolve(target),
+                 control_class(opcode))
+                for opcode, rd, rs, rt, imm, target in builder._text]
+            assert [_fields(inst) for inst in program.text] == resolved
+            records = {id(inst) for inst in program.text}
+            distinct = {(fields, tuple(map(type, fields)))
+                        for fields in resolved}
+            assert len(records) == len(distinct) < len(program.text) / 2
+
+    def test_pickle_round_trip_keeps_fields_and_sharing(self):
+        program = build_workload("li", seed=1, scale=0.02)
+        copy = pickle.loads(pickle.dumps(program))
+        assert ([_fields(inst) for inst in copy.text]
+                == [_fields(inst) for inst in program.text])
+        assert (len({id(inst) for inst in copy.text})
+                == len({id(inst) for inst in program.text}))
+        assert (copy.entry, copy.data, copy.labels, copy.name) == (
+            program.entry, program.data, program.labels, program.name)
