@@ -24,14 +24,12 @@ class BranchTargetBuffer:
             raise ValueError("assoc must be >= 1")
         self.sets = sets
         self.assoc = assoc
+        self._set_mask = sets - 1
         # Each set: list of (tag, target), most-recently-used last.
         self._ways: List[List[Tuple[int, int]]] = [[] for _ in range(sets)]
         self.stats = StatGroup("btb")
         self._lookups = self.stats.counter("lookups")
         self._hits = self.stats.counter("hits")
-
-    def _set_index(self, pc: int) -> int:
-        return (pc // WORD_SIZE) & (self.sets - 1)
 
     def lookup(self, pc: int) -> Optional[int]:
         """Return the predicted target for ``pc``, or None on a miss.
@@ -39,20 +37,20 @@ class BranchTargetBuffer:
         A hit refreshes the entry's LRU position (a lookup models a
         fetch-stage probe of the BTB).
         """
-        self._lookups.increment()
-        ways = self._ways[self._set_index(pc)]
+        self._lookups.value += 1
+        ways = self._ways[(pc // WORD_SIZE) & self._set_mask]
         if ways:
             tag, target = ways[-1]
             if tag == pc:
                 # MRU hit: loops and repeated returns re-probe the same
                 # entry; skip the scan-and-rotate (a no-op for the MRU).
-                self._hits.increment()
+                self._hits.value += 1
                 return target
         for position, (tag, target) in enumerate(ways):
             if tag == pc:
                 if position != len(ways) - 1:
                     ways.append(ways.pop(position))
-                self._hits.increment()
+                self._hits.value += 1
                 return target
         return None
 
@@ -63,7 +61,7 @@ class BranchTargetBuffer:
         a not-taken outcome for an existing entry leaves it in place —
         the entry still records the taken-path target.
         """
-        ways = self._ways[self._set_index(pc)]
+        ways = self._ways[(pc // WORD_SIZE) & self._set_mask]
         for position, (tag, _) in enumerate(ways):
             if tag == pc:
                 if taken:

@@ -67,7 +67,6 @@ class BaseRas:
         self._pops = self.stats.counter("pops")
         self._overflows = self.stats.counter("overflows")
         self._underflows = self.stats.counter("underflows")
-        self._restores = self.stats.counter("restores")
 
     # -- interface -----------------------------------------------------
     def push(self, address: int) -> None:
@@ -150,7 +149,7 @@ class CircularRas(BaseRas):
 
     # -- stack operations ----------------------------------------------
     def push(self, address: int) -> None:
-        self._pushes.increment()
+        self._pushes.value += 1
         self._push_counter += 1
         tos = (self._tos + 1) % self.entries
         self._tos = tos
@@ -158,19 +157,19 @@ class CircularRas(BaseRas):
         self._valid[tos] = True
         self._writer[tos] = self._push_counter
         if self._depth == self.entries:
-            self._overflows.increment()
+            self._overflows.value += 1
         else:
             self._depth += 1
 
     def pop(self) -> Optional[int]:
-        self._pops.increment()
+        self._pops.value += 1
         tos = self._tos
         value: Optional[int] = self._stack[tos]
         if self.repair is RepairMechanism.VALID_BITS and not self._valid[tos]:
             value = None
         self._tos = (tos - 1) % self.entries
         if self._depth == 0:
-            self._underflows.increment()
+            self._underflows.value += 1
         else:
             self._depth -= 1
         return value
@@ -214,10 +213,10 @@ class CircularRas(BaseRas):
                     depth += 1
         self._tos = tos
         self._depth = depth
-        self._pops.increment(returns)
-        self._pushes.increment(len(classes) - returns)
-        self._overflows.increment(overflows)
-        self._underflows.increment(underflows)
+        self._pops.value += returns
+        self._pushes.value += len(classes) - returns
+        self._overflows.value += overflows
+        self._underflows.value += underflows
         return returns, hits
 
     # -- repair ----------------------------------------------------------
@@ -243,7 +242,6 @@ class CircularRas(BaseRas):
     def restore(self, token: Optional[Checkpoint]) -> None:
         if token is None:
             return
-        self._restores.increment()
         repair = self.repair
         self._tos = token[0]
         self._depth = token[1]
@@ -304,11 +302,11 @@ class LinkedRas(BaseRas):
         self._alloc = 0
 
     def push(self, address: int) -> None:
-        self._pushes.increment()
+        self._pushes.value += 1
         slot = self._alloc
         self._alloc = (self._alloc + 1) % self.pool_size
         if slot == self._tos or self._is_live(slot):
-            self._overflows.increment()
+            self._overflows.value += 1
         self._address[slot] = address
         self._next[slot] = self._tos
         self._tos = slot
@@ -328,9 +326,9 @@ class LinkedRas(BaseRas):
         return False
 
     def pop(self) -> Optional[int]:
-        self._pops.increment()
+        self._pops.value += 1
         if self._tos == -1:
-            self._underflows.increment()
+            self._underflows.value += 1
             return None
         value = self._address[self._tos]
         self._tos = self._next[self._tos]
@@ -350,7 +348,6 @@ class LinkedRas(BaseRas):
     def restore(self, token: Optional[Checkpoint]) -> None:
         if token is None:
             return
-        self._restores.increment()
         self._tos = token[0]
 
     def clone(self) -> "LinkedRas":
@@ -438,11 +435,11 @@ class ChampSimRas(BaseRas):
 
     def push_call(self, ip: int) -> None:
         """Record a call instruction's address (C++ ``push``)."""
-        self._pushes.increment()
+        self._pushes.value += 1
         self._stack.append(ip)
         if len(self._stack) > self.entries:
             del self._stack[0]  # deque pop_front: drop the oldest
-            self._overflows.increment()
+            self._overflows.value += 1
 
     def calibrate_call_size(self, branch_target: int) -> None:
         """Consume the top call at return time and learn its size.
@@ -454,18 +451,18 @@ class ChampSimRas(BaseRas):
         plausible call encoding (``<= MAX_CALL_SIZE``).
         """
         if not self._stack:
-            self._underflows.increment()
+            self._underflows.value += 1
             return
-        self._pops.increment()
+        self._pops.value += 1
         call_ip = self._stack.pop()
         if call_ip > branch_target:
-            self._backwards.increment()
+            self._backwards.value += 1
             size = call_ip - branch_target
         else:
             size = branch_target - call_ip
         if size <= self.MAX_CALL_SIZE:
             self._trackers[call_ip & self._mask] = size
-            self._calibrations.increment()
+            self._calibrations.value += 1
 
     # -- BaseRas interface -----------------------------------------------
     def push(self, address: int) -> None:
@@ -476,9 +473,9 @@ class ChampSimRas(BaseRas):
     def pop(self) -> Optional[int]:
         # Predict-time pop: the resolved target is not known yet, so no
         # calibration happens (retire_return does calibrate).
-        self._pops.increment()
+        self._pops.value += 1
         if not self._stack:
-            self._underflows.increment()
+            self._underflows.value += 1
             return None
         value = self.prediction()
         self._stack.pop()
