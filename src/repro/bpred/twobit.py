@@ -2,27 +2,38 @@
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
+
+
+def counter_encoding(bits: int) -> Tuple[int, int, int]:
+    """``(maximum, threshold, initial)`` of an n-bit saturating counter.
+
+    It saturates at ``maximum``, predicts taken while its value is above
+    ``threshold`` and powers on at ``initial`` (weakly taken). Every
+    counter of every direction predictor uses this encoding; the hybrid
+    reads and trains its 2-bit tables with these values directly.
+    """
+    maximum = (1 << bits) - 1
+    return maximum, maximum // 2, (maximum + 1) // 2
 
 
 class SaturatingCounter:
     """An n-bit saturating up/down counter (default: the classic 2-bit)."""
 
-    __slots__ = ("value", "maximum")
+    __slots__ = ("value", "maximum", "_threshold")
 
     def __init__(self, bits: int = 2, initial: int = None) -> None:  # type: ignore[assignment]
         if bits < 1:
             raise ValueError("counter needs at least one bit")
-        self.maximum = (1 << bits) - 1
-        # Weakly-taken initialisation, the conventional power-on state.
-        self.value = (self.maximum + 1) // 2 if initial is None else initial
+        self.maximum, self._threshold, power_on = counter_encoding(bits)
+        self.value = power_on if initial is None else initial
         if not 0 <= self.value <= self.maximum:
             raise ValueError(f"initial value {self.value} out of range")
 
     @property
     def taken(self) -> bool:
         """The prediction this counter currently encodes."""
-        return self.value > self.maximum // 2
+        return self.value > self._threshold
 
     def update(self, outcome: bool) -> None:
         if outcome:
@@ -47,10 +58,9 @@ class CounterTable:
         if bits < 1:
             raise ValueError("bits must be >= 1")
         self.bits = bits
-        self.maximum = (1 << bits) - 1
+        self.maximum, self._threshold, power_on = counter_encoding(bits)
         self.entries = entries
-        self._threshold = self.maximum // 2
-        self._table: List[int] = [(self.maximum + 1) // 2] * entries
+        self._table: List[int] = [power_on] * entries
 
     def predict(self, key: int) -> bool:
         """True when the counter at ``key`` predicts taken."""
