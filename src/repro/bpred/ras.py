@@ -419,7 +419,6 @@ class ChampSimRas(BaseRas):
             [self.DEFAULT_CALL_SIZE] * num_call_size_trackers)
         self._mask = num_call_size_trackers - 1
         self._backwards = self.stats.counter("backwards_returns")
-        self._calibrations = self.stats.counter("calibrations")
 
     # -- native ChampSim API ---------------------------------------------
     def prediction(self) -> Optional[int]:
@@ -462,7 +461,6 @@ class ChampSimRas(BaseRas):
             size = branch_target - call_ip
         if size <= self.MAX_CALL_SIZE:
             self._trackers[call_ip & self._mask] = size
-            self._calibrations.value += 1
 
     # -- BaseRas interface -----------------------------------------------
     def push(self, address: int) -> None:

@@ -16,11 +16,8 @@ Examples:
     repro-sim corpus diffcheck traces/ --report diffreport.json
     repro-sim corpus report traces/
     repro-sim runs list
+    repro-sim runs show -1                      # last run, with its cost split
     repro-sim runs compare -2 -1
-    repro-sim trace show -1                     # waterfall of the last run
-    repro-sim trace critical-path -1
-    repro-sim trace export -1 --out trace.json  # Perfetto / chrome://tracing
-    REPRO_PROFILE=1 repro-sim speedup && repro-sim trace flame -1
     repro-sim report --full                     # every EXPERIMENTS.md table
 """
 
@@ -244,7 +241,8 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--json", metavar="OUT", default=None,
                    help="also write the table as JSON to OUT")
 
-    r = rsub.add_parser("show", help="one ledger entry in full")
+    r = rsub.add_parser("show", help="one ledger entry in full, with its "
+                                     "counters and cost split")
     ledger_opt(r)
     r.add_argument("ref", help="run id (prefix) or index (-1 = latest)")
     r.add_argument("--json", metavar="OUT", default=None,
@@ -259,44 +257,6 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("b", help="run id (prefix) or index")
     r.add_argument("--json", metavar="OUT", default=None,
                    help="also write the full diff as JSON to OUT")
-
-    p = sub.add_parser("trace",
-                       help="inspect sweep traces recorded next to the "
-                            "run ledger (docs/observability.md)")
-    tsub = p.add_subparsers(dest="trace_command", required=True)
-
-    def trace_ref(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("ref", nargs="?", default="-1",
-                        help="trace id, run id (prefix), or ledger index "
-                             "(-1 = latest run; default)")
-
-    t = tsub.add_parser("list", help="known traces, newest first")
-    t.add_argument("--limit", type=int, default=20)
-
-    t = tsub.add_parser("show", help="ASCII waterfall of one trace")
-    trace_ref(t)
-    t.add_argument("--width", type=int, default=100,
-                   help="render width in columns (default 100)")
-
-    t = tsub.add_parser("critical-path",
-                        help="the span chain bounding end-to-end latency")
-    trace_ref(t)
-    t.add_argument("--json", metavar="OUT", default=None,
-                   help="also write the path as JSON to OUT")
-
-    t = tsub.add_parser("export",
-                        help="write Chrome trace-event JSON "
-                             "(open in Perfetto / chrome://tracing)")
-    trace_ref(t)
-    t.add_argument("--out", default=None,
-                   help="output file (default trace-<id>.json)")
-
-    t = tsub.add_parser("flame",
-                        help="hottest stacks from the sweep's sampling "
-                             "profile (REPRO_PROFILE=1)")
-    trace_ref(t)
-    t.add_argument("--top", type=int, default=20,
-                   help="rows per section (default 20)")
 
     p = sub.add_parser("parity",
                        help="prove fast-engine counters bit-identical to "
@@ -554,88 +514,6 @@ def _write_file(path: str, text: str, written: str,
     return 0
 
 
-def _trace_resolve(ref: str, ledger: RunLedger, store) -> Optional[str]:
-    """A trace id from a raw id, a run-id prefix, or a ledger index."""
-    from repro.errors import ReproError
-    from repro.obs.store import valid_trace_id
-
-    if valid_trace_id(ref):
-        try:
-            if store.path(ref).exists():
-                return ref
-        except (ValueError, OSError):
-            pass
-    try:
-        entry = ledger.get(ref)
-    except ReproError:
-        return None
-    trace_id = entry.get("trace_id")
-    return trace_id if valid_trace_id(trace_id) else None
-
-
-def _trace_command(args: argparse.Namespace) -> int:
-    from repro.obs import analysis
-    from repro.obs.store import TraceStore
-
-    ledger = RunLedger.at_root(env.cache_root())
-    store = TraceStore.beside(ledger.path)
-    if args.trace_command == "list":
-        rows = []
-        for trace_id in store.trace_ids()[:max(1, args.limit)]:
-            rollup = analysis.summarize(store.load(trace_id))
-            rows.append([trace_id[:16], rollup["spans"],
-                         rollup["processes"], rollup["wall_ms"]])
-        if not rows:
-            print(f"no traces recorded under {store.root}", file=sys.stderr)
-            return 1
-        print(format_table(["trace", "spans", "processes", "wall ms"], rows,
-                           title=f"Traces at {store.root}"))
-        return 0
-    trace_id = _trace_resolve(args.ref, ledger, store)
-    if trace_id is None:
-        print(f"repro-sim trace: no trace for {args.ref!r} (sweeps run "
-              f"with --no-cache record none)", file=sys.stderr)
-        return 1
-    if args.trace_command == "flame":
-        from repro.obs.profile import render_flame
-        profile = store.load_profile(trace_id)
-        if not profile:
-            print(f"repro-sim trace: no profile for {trace_id} "
-                  f"(rerun with REPRO_PROFILE=1)", file=sys.stderr)
-            return 1
-        print(f"profile for trace {trace_id}")
-        print(render_flame(profile.splitlines(), limit=args.top))
-        return 0
-    spans = store.load(trace_id)
-    if not spans:
-        print(f"repro-sim trace: trace {trace_id} is empty",
-              file=sys.stderr)
-        return 1
-    if args.trace_command == "show":
-        print(analysis.waterfall(spans, width=args.width))
-        return 0
-    if args.trace_command == "critical-path":
-        info = analysis.critical_path(spans)
-        rows = [[index, step["name"], step["ms"], step["pid"]]
-                for index, step in enumerate(info["path"])]
-        print(format_table(
-            ["#", "span", "ms", "pid"], rows,
-            title=f"Critical path of {trace_id[:16]}: "
-                  f"{info['duration_ms']:.1f} of {info['trace_ms']:.1f} ms "
-                  f"({info['coverage']:.1%})"))
-        if args.json:
-            return _write_file(args.json,
-                               _json_text({"trace_id": trace_id, **info}),
-                               f"json written to {args.json}")
-        return 0
-    # export
-    out = args.out or f"trace-{trace_id[:12]}.json"
-    return _write_file(
-        out, json.dumps(analysis.chrome_trace(spans), default=str) + "\n",
-        f"chrome trace written to {out} ({len(spans)} spans; open in "
-        f"Perfetto)", sys.stdout)
-
-
 def _runs_command(args: argparse.Namespace) -> int:
     from repro.errors import ReproError
 
@@ -675,8 +553,8 @@ def _runs_command(args: argparse.Namespace) -> int:
             integrity = "ok" if info["integrity_ok"] else "MISMATCH"
             rows = []
             for key in sorted(entry):
-                if key == "metrics":
-                    continue  # its own table below
+                if key in ("metrics", "spans"):
+                    continue  # their own tables below
                 value = entry[key]
                 if key == "configs":
                     value = ",".join(str(f)[:12] for f in value)
@@ -695,6 +573,13 @@ def _runs_command(args: argparse.Namespace) -> int:
                     ["metric", "value"],
                     [[name, value] for name, value in metrics.items()],
                     title="Metrics (counters)"))
+            spans = entry.get("spans") or {}
+            if spans:
+                print(format_table(
+                    ["span", "calls", "ms"],
+                    [[name, total["calls"], round(1000 * total["s"], 3)]
+                     for name, total in spans.items()],
+                    title="Cost split (span totals)"))
             if args.json:
                 return _write_file(args.json, _json_text(info),
                                    f"json written to {args.json}")
@@ -785,8 +670,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _corpus_command(args)
     if args.command == "runs":
         return _runs_command(args)
-    if args.command == "trace":
-        return _trace_command(args)
     if args.command in TABLES:
         return _table_command(args)
     if args.command in ANALYSES:

@@ -1,6 +1,6 @@
 """The ``REPRO_*`` environment knobs, read in one place.
 
-The six variables of docs/performance.md §3 are read here and in no
+The five variables of docs/performance.md §3 are read here and in no
 other module. Each function reads its variable on every call, never at
 import, so a process may change a knob between calls: the benchmark
 harness points ``REPRO_CACHE_DIR`` at a fresh root between CLI
@@ -69,7 +69,7 @@ def jobs() -> int:
 
 def cache_root() -> pathlib.Path:
     """``REPRO_CACHE_DIR``: the result-cache root, which also holds the
-    run ledger and traces (default ``~/.cache/repro-sim``)."""
+    run ledger (default ``~/.cache/repro-sim``)."""
     raw = os.environ.get("REPRO_CACHE_DIR")
     if raw:
         return pathlib.Path(raw)
@@ -78,10 +78,5 @@ def cache_root() -> pathlib.Path:
 
 def cache_enabled() -> bool:
     """``REPRO_CACHE``: off disables the default result cache, and with
-    it the default run ledger and traces."""
+    it the default run ledger."""
     return _switch("REPRO_CACHE", True)
-
-
-def profiling_enabled() -> bool:
-    """``REPRO_PROFILE``: on samples every sweep (default off)."""
-    return _switch("REPRO_PROFILE", False)

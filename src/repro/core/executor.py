@@ -23,15 +23,14 @@ scheduling point:
   submission order, so parallel and serial runs are bit-identical.
 
 Run records (see docs/observability.md): the run ledger is the one
-switch. An executor with a ledger traces each sweep
-(:mod:`repro.obs.capture`) — a ``sweep/run`` span, a ``sweep/job``
-span per job, wherever it ran, and ``cache/get``/``cache/put`` spans
-for cache probes — into ``traces/`` beside the ledger file, counts
-deterministic per-sweep metrics from its results (in submission order,
-so parallel == serial bit-for-bit) and appends one entry naming that
-trace to the ledger. By default the ledger lives under the cache root,
-so a sweep without a cache (``--no-cache``, ``REPRO_CACHE=0``) records
-nothing.
+switch. An executor with a ledger appends one entry per sweep. The
+entry holds deterministic per-sweep metrics counted from the results
+(in submission order, so parallel == serial bit-for-bit) and the
+sweep's cost split: the calls and seconds of each span
+(:mod:`repro.obs.capture`) — one ``sweep/run``, a ``sweep/job`` per
+job wherever it ran, and a ``cache/get``/``cache/put`` per cache
+probe. By default the ledger lives under the cache root, so a sweep
+without a cache (``--no-cache``, ``REPRO_CACHE=0``) records nothing.
 
 The defaults for the worker count (``REPRO_JOBS``), the cache root
 (``REPRO_CACHE_DIR``) and the cache itself (``REPRO_CACHE``) come from
@@ -64,7 +63,6 @@ from repro.errors import ConfigError
 from repro.fastsim.batch import replay_shard_batched
 from repro.isa.program import Program
 from repro.obs.capture import TraceCapture, span
-from repro.obs.store import TraceStore
 from repro.stats.counters import Counter, Rate
 from repro.telemetry import RunLedger, metric_key
 from repro.trace.replay import TraceShardSpec
@@ -352,45 +350,38 @@ def _run_trace_job(job: ExperimentJob) -> JobResult:
     )
 
 
-def _workload_label(job: ExperimentJob) -> str:
-    if isinstance(job.workload, (WorkloadSpec, TraceShardSpec)):
-        return job.workload.name
-    return "program"
-
-
 def run_job(job: ExperimentJob) -> JobResult:
     """Execute one job in this process and summarise the outcome.
 
     This is the worker entry point for both the serial path and the
     process pool (it is module-level precisely so spawn-based platforms
     can pickle it). Each invocation is timed (``wall_time_s`` on the
-    result) and traced as one ``sweep/job`` span.
+    result) and counted as one ``sweep/job`` span.
     """
     global SIMULATION_CALLS
     SIMULATION_CALLS += 1
     started = time.perf_counter()
-    with span("sweep/job", engine=job.engine, workload=_workload_label(job)):
+    with span("sweep/job"):
         result = _dispatch_job(job)
     return dataclasses.replace(
         result, wall_time_s=time.perf_counter() - started, from_cache=False)
 
 
-def _run_job_traced(job: ExperimentJob, trace_id: str,
-                    parent_id: Optional[str],
-                    ) -> "tuple[JobResult, List[Dict[str, object]]]":
-    """Pool-worker entry point for a traced sweep.
+def _run_job_traced(job: ExperimentJob
+                    ) -> "tuple[JobResult, Dict[str, List[float]]]":
+    """Pool-worker entry point for a recorded sweep.
 
-    Runs the job under a store-less capture joined to the submitter's
-    trace below ``parent_id`` and returns its spans with the result, so
-    the submitter can merge them into its own capture. Module-level so
-    spawn-based platforms can pickle it, like :func:`run_job`.
+    Runs the job under a capture of its own and returns its span totals
+    with the result, so the submitter can add them into its capture.
+    Module-level so spawn-based platforms can pickle it, like
+    :func:`run_job`.
     """
-    capture = TraceCapture(None, trace_id, parent_id)
+    capture = TraceCapture.begin()
     try:
         result = run_job(job)
     finally:
         capture.seal()
-    return result, capture.spans
+    return result, capture.totals
 
 
 def _dispatch_job(job: ExperimentJob) -> JobResult:
@@ -465,11 +456,8 @@ class ResultCache:
         return f"{self._prefix}{key[:2]}{os.sep}{key}.json"
 
     def get(self, key: str) -> Optional[JobResult]:
-        with span("cache/get") as probe:
-            result = self._read(key)
-            if probe is not None:
-                probe.set(outcome="miss" if result is None else "hit")
-            return result
+        with span("cache/get"):
+            return self._read(key)
 
     def _read(self, key: str) -> Optional[JobResult]:
         try:
@@ -569,17 +557,16 @@ class SweepExecutor:
         self.wall_time_s = 0.0
         #: Ledger ids appended by this executor, oldest first.
         self.run_ids: List[str] = []
-        #: Active trace capture while a sweep is in flight (see
+        #: Active span capture while a recorded sweep is in flight (see
         #: repro.obs.capture).
         self._capture: Optional[TraceCapture] = None
 
     def run(self, jobs: Sequence[ExperimentJob]) -> List[JobResult]:
         """Run every job, returning results in submission order.
 
-        With a ledger, a non-empty sweep is traced into ``traces/``
-        beside the ledger file and recorded as one ledger entry naming
-        that trace; without one, or when the sweep raises, it records
-        neither.
+        With a ledger, a non-empty sweep is recorded as one ledger
+        entry carrying its span totals; without one, or when the sweep
+        raises, it records nothing.
         """
         jobs = list(jobs)
         started = time.perf_counter()
@@ -588,22 +575,17 @@ class SweepExecutor:
             results = self._resolve(jobs)
             self.wall_time_s += time.perf_counter() - started
             return results
-        capture = self._capture = TraceCapture.begin(
-            TraceStore.beside(self.ledger.path))
+        capture = self._capture = TraceCapture.begin()
         try:
-            with span("sweep/run", workers=self.jobs,
-                      submitted=len(jobs)) as sweep_span:
+            with span("sweep/run"):
                 results = self._resolve(jobs)
-                sweep_span.set(cache_hits=self.cache_hits - hits_before,
-                               cache_misses=self.cache_misses - misses_before)
-            capture.seal()
+            spans = capture.close()
             wall = time.perf_counter() - started
             self.wall_time_s += wall
             self._record_run(jobs, results,
                              hits=self.cache_hits - hits_before,
                              misses=self.cache_misses - misses_before,
-                             wall=wall, capture=capture)
-            capture.close()
+                             wall=wall, spans=spans)
             return results
         finally:
             self._capture = None
@@ -705,7 +687,7 @@ class SweepExecutor:
     def _record_run(self, jobs: List[ExperimentJob],
                     results: List[JobResult],
                     hits: int, misses: int, wall: float,
-                    capture: TraceCapture) -> None:
+                    spans: Dict[str, Dict[str, float]]) -> None:
         seen: Dict[tuple, Dict[str, object]] = {}
         for job in jobs:
             descriptor = self._workload_descriptor(job)
@@ -732,15 +714,10 @@ class SweepExecutor:
             "sim_time_s": round(sum(r.wall_time_s for r in results), 6),
             "headline": self._headline(results),
             "metrics": {"counters": self.sweep_metrics(jobs, results)},
-            # trace identity and the optional sampling profile are run
-            # artifacts, not results — both sit behind
-            # NONDETERMINISTIC_KEYS so deterministic_view is identical
-            # with profiling on or off (asserted in tests)
-            "trace_id": capture.trace_id,
+            # the cost split is timing, not a result: it sits behind
+            # NONDETERMINISTIC_KEYS with wall_time_s
+            "spans": spans,
         }
-        profile = capture.profile_summary()
-        if profile is not None:
-            entry["profile"] = profile
         entry = self.ledger.append(entry)  # type: ignore[union-attr]
         self.run_ids.append(str(entry["run_id"]))
 
@@ -804,19 +781,15 @@ class SweepExecutor:
 
         results: List[Optional[JobResult]] = [None] * len(jobs)
         broken: List[int] = []
-        # a traced sweep ships its trace id and open span to the pool
-        # workers, whose sweep/job spans come home with the results
+        # in a recorded sweep each pool job counts its spans in a capture
+        # of its own, whose totals come home with the result
         capture = self._capture
         with self._make_pool(min(self.jobs, len(jobs))) as pool:
             futures: Dict[int, concurrent.futures.Future] = {}
             for index, job in enumerate(jobs):
                 try:
-                    if capture is None:
-                        futures[index] = pool.submit(run_job, job)
-                    else:
-                        futures[index] = pool.submit(
-                            _run_job_traced, job, capture.trace_id,
-                            capture.open_spans[-1])
+                    futures[index] = pool.submit(
+                        run_job if capture is None else _run_job_traced, job)
                 except (concurrent.futures.BrokenExecutor, RuntimeError):
                     broken.append(index)
             for index, future in futures.items():
@@ -826,8 +799,8 @@ class SweepExecutor:
                     broken.append(index)
                     continue
                 if capture is not None:
-                    outcome, spans = outcome
-                    capture.spans.extend(spans)
+                    outcome, totals = outcome
+                    capture.add(totals)
                 results[index] = outcome
         for index in sorted(broken):
             results[index] = run_job(jobs[index])

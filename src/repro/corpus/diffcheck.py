@@ -263,8 +263,7 @@ def diff_shard(
     else:
         path = os.fspath(shard)
         name, checksum = path, None
-    with span("corpus/diffcheck", shard=name, entries=ras_entries,
-              variant=mechanism.value):
+    with span("corpus/diffcheck"):
         return diff_events(
             iter_trace_file(path), ras_entries=ras_entries,
             mechanism=mechanism, btb_fallback=btb_fallback,

@@ -188,26 +188,15 @@ def _iter_stream(stream: BinaryIO, decode) -> Iterator[EventBatch]:
 # Replay: each RAS configuration is a repro.trace.replay lane fed one
 # block at a time.
 
-def _shard_parts(shard: Union[TraceShardSpec, str, os.PathLike]
-                 ) -> "tuple[str, str]":
-    """A shard's path and its label for spans."""
+def _replay_shard(shard: Union[TraceShardSpec, str, os.PathLike],
+                  lanes: Sequence[_Lane]) -> None:
+    """Decode the shard once into every lane."""
     if isinstance(shard, TraceShardSpec):
-        return shard.path, shard.name
-    path = os.fspath(shard)
-    return path, path
-
-
-def _replay_shard(path: str, lanes: Sequence[_Lane], trace_span) -> None:
-    """Decode ``path`` once into every lane; record blocks and events."""
-    blocks = events = 0
-    for batch in iter_event_batches(path):
-        blocks += 1
-        events += batch.events
+        shard = shard.path
+    for batch in iter_event_batches(shard):
         for lane in lanes:
             lane.replay_block(batch.classes, batch.pcs, batch.next_pcs,
                               _RETURN_IDX)
-    if trace_span is not None:
-        trace_span.set(blocks=blocks, events=events)
 
 
 def replay_shard_batched(
@@ -219,11 +208,9 @@ def replay_shard_batched(
     """Replay one on-disk shard through one RAS configuration; the
     counters equal :func:`repro.trace.replay.replay_events` over the
     shard's events."""
-    path, label = _shard_parts(shard)
     lane = _Lane(ras_entries, mechanism, btb_fallback)
-    with span("replay/batch", shard=label, entries=ras_entries,
-              decoder=decoder_backend()) as trace_span:
-        _replay_shard(path, [lane], trace_span)
+    with span("replay/batch"):
+        _replay_shard(shard, [lane])
     return lane.result()
 
 
@@ -236,9 +223,7 @@ def replay_shard_batched_multi(
     """Every stack size in one decode pass; independent lane state per
     size, so the counters equal
     :func:`repro.trace.replay.replay_events_multi`."""
-    path, label = _shard_parts(shard)
     lanes = [_Lane(size, mechanism, btb_fallback) for size in sizes]
-    with span("replay/batch-multi", shard=label, sizes=len(sizes),
-              decoder=decoder_backend()) as trace_span:
-        _replay_shard(path, lanes, trace_span)
+    with span("replay/batch-multi"):
+        _replay_shard(shard, lanes)
     return {size: lane.result() for size, lane in zip(sizes, lanes)}

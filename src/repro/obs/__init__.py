@@ -1,23 +1,14 @@
-"""Sweep tracing and profiling.
+"""Sweep cost split.
 
-One sweep's spans — the submitter's and its pool workers' — form a
-single trace:
+``repro.obs.capture`` holds ``span()`` and the per-sweep
+:class:`~repro.obs.capture.TraceCapture` every span adds its time to.
+A recorded sweep's totals go into its run-ledger entry as ``spans``
+(:mod:`repro.telemetry.ledger`); nothing else is written.
 
-- ``repro.obs.capture`` — ``span()``, and the per-sweep
-  :class:`~repro.obs.capture.TraceCapture` every span records into.
-- ``repro.obs.store`` — JSONL trace store beside the run ledger.
-- ``repro.obs.analysis`` — waterfall / critical-path / Chrome-trace
-  rendering of merged traces.
-- ``repro.obs.profile`` — opt-in sampling profiler (``REPRO_PROFILE=1``).
-
-Submodules are imported by path (``from repro.obs.capture import
-span``) rather than re-exported here, so importing one does not load
-the others.
+The submodule is imported by path (``from repro.obs.capture import
+span``) rather than re-exported here.
 """
 
 __all__ = [
-    "analysis",
     "capture",
-    "profile",
-    "store",
 ]

@@ -4,10 +4,12 @@ Each :meth:`SweepExecutor.run <repro.core.executor.SweepExecutor.run>`
 appends one entry to ``<cache root>/ledger.jsonl`` recording what ran
 and what came out: timestamp, workload descriptors, the distinct
 ``MachineConfig.fingerprint()``s, engines, worker count, cache
-hits/misses, wall time, the code fingerprint, headline rates, and the
+hits/misses, wall time, the code fingerprint, headline rates, the
 sweep's deterministic counters (``metrics.counters``, keyed by
-:func:`repro.telemetry.metrics.metric_key`). The schema is documented
-in docs/observability.md.
+:func:`repro.telemetry.metrics.metric_key`) and its cost split
+(``spans``: calls and seconds per span name, from
+:mod:`repro.obs.capture`). The schema is documented in
+docs/observability.md.
 
 Integrity: an entry's ``run_id`` is the truncated SHA-256 of its own
 canonical JSON (everything but the ``run_id`` field), so every record
@@ -38,14 +40,13 @@ LEDGER_SCHEMA = 1
 LEDGER_FILENAME = "ledger.jsonl"
 
 #: Entry keys that legitimately differ between two runs of the same
-#: sweep: wall-clock identity and timing. ``trace_id`` and the sampling
-#: ``profile`` (repro.obs) are run artifacts of the same kind: stripping
-#: them keeps deterministic_view bit-identical with tracing or
-#: profiling on or off. ``cluster`` is the scheduling-attribution block
-#: that ledgers written by the retired remote-worker backend carry; it
-#: stays listed so those entries still compare equal to local ones.
+#: sweep: wall-clock identity and timing, the span totals (``spans``)
+#: among it. ``cluster`` (the retired remote-worker backend's
+#: scheduling block), ``trace_id`` and ``profile`` (the retired trace
+#: files and sampling profiler) appear only in older ledgers; they stay
+#: listed so those entries still compare equal to new ones.
 NONDETERMINISTIC_KEYS = ("run_id", "ts", "utc", "wall_time_s", "sim_time_s",
-                         "cluster", "trace_id", "profile")
+                         "spans", "cluster", "trace_id", "profile")
 
 Entry = Dict[str, object]
 
@@ -158,7 +159,7 @@ _IDENTITY_FIELDS = ("schema", "kind", "engines", "jobs", "submitted",
 
 #: Numeric-valued entry keys flattened into the metric delta.
 _NUMERIC_FIELDS = ("cache", "headline", "metrics", "wall_time_s",
-                   "sim_time_s")
+                   "sim_time_s", "spans")
 
 
 def _numeric_leaves(value: object, prefix: str,

@@ -122,8 +122,7 @@ class TestEnvKnobs:
     """repro.config.env: one reader, one rule for every REPRO_* value."""
 
     KNOBS = ("REPRO_SCALE", "REPRO_SEED", "REPRO_JOBS", "REPRO_CACHE_DIR",
-             "REPRO_CACHE", "REPRO_PROFILE")
-    SWITCHES = (env.cache_enabled, env.profiling_enabled)
+             "REPRO_CACHE")
 
     @pytest.mark.parametrize("value", [None, ""])
     def test_unset_or_empty_means_default(self, monkeypatch, value):
@@ -135,7 +134,7 @@ class TestEnvKnobs:
         assert (env.scale(), env.seed(), env.jobs()) == (0.25, 1, 1)
         assert env.cache_root() == (
             pathlib.Path.home() / ".cache" / "repro-sim")
-        assert [read() for read in self.SWITCHES] == [True, False]
+        assert env.cache_enabled() is True
 
     @pytest.mark.parametrize("raw, expected", [
         ("1", True), ("TRUE", True), ("on", True), ("Yes", True),
@@ -143,9 +142,8 @@ class TestEnvKnobs:
     ])
     def test_every_switch_reads_the_same_spellings(self, monkeypatch, raw,
                                                    expected):
-        for name in ("REPRO_CACHE", "REPRO_PROFILE"):
-            monkeypatch.setenv(name, raw)
-        assert [read() for read in self.SWITCHES] == [expected] * 2
+        monkeypatch.setenv("REPRO_CACHE", raw)
+        assert env.cache_enabled() is expected
 
     def test_malformed_switch_is_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "maybe")

@@ -26,7 +26,6 @@ from repro.core.experiment import (WorkloadSpec, build_program,
 from repro.core.sweep import mechanism_sweep, stack_depth_sweep
 from repro.core.tables import (fig_hit_rates, fig_multipath, fig_speedup,
                                table3_baseline)
-from repro.obs.store import TraceStore
 from repro.telemetry import RunLedger
 
 SPEC = WorkloadSpec("li", seed=1, scale=0.05)
@@ -484,8 +483,6 @@ class TestLedgerPaths:
     def test_ledger_path_beside_cache_root(self, tmp_path):
         executor = SweepExecutor(jobs=1, cache=ResultCache(tmp_path / "cache"))
         assert executor.ledger.path.parent == tmp_path / "cache"
-        assert (TraceStore.beside(executor.ledger.path).root
-                == tmp_path / "cache" / "traces")
 
     def test_default_ledger_path_honours_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "alt"))

@@ -1,11 +1,11 @@
 """Tests for the telemetry subsystem: metrics, spans, ledger, CLI.
 
-Covers the acceptance criteria of the telemetry PR: deterministic
-metric aggregation (parallel == serial, bit-identical), ledger
+Covers deterministic metric aggregation (parallel == serial,
+bit-identical), the span totals each ledger entry carries, ledger
 round-trip across process "restarts" (fresh RunLedger instances),
-``runs compare`` diff output, cache-provenance fields on JobResult,
-the temp-file race fix in ResultCache.put, and the <3% overhead budget
-on the scale-0.05 smoke sweep.
+``runs show``/``runs compare`` output, cache-provenance fields on
+JobResult, the temp-file race fix in ResultCache.put, and the <3%
+overhead budget on the scale-0.05 smoke sweep.
 """
 
 import json
@@ -21,8 +21,8 @@ from repro.core import executor as executor_module
 from repro.core.experiment import WorkloadSpec
 from repro.core.sweep import stack_depth_sweep
 from repro.errors import TelemetryError
+from repro.obs import capture as capture_module
 from repro.obs.capture import TraceCapture, span
-from repro.obs.store import TraceStore
 from repro.telemetry import (
     RunLedger,
     compare_entries,
@@ -41,10 +41,13 @@ def _jobs(sizes=SIZES, engine="frontend"):
             for size in sizes]
 
 
-def _last_trace(executor):
-    """The spans of the trace the executor's last ledger entry names."""
-    trace_id = executor.ledger.get(executor.run_ids[-1])["trace_id"]
-    return TraceStore.beside(executor.ledger.path).load(trace_id)
+def _last_spans(executor):
+    """The span totals of the executor's last ledger entry."""
+    return executor.ledger.get(executor.run_ids[-1])["spans"]
+
+
+def _calls(spans):
+    return {name: total["calls"] for name, total in spans.items()}
 
 
 class TestMetricsRegistry:
@@ -56,47 +59,35 @@ class TestMetricsRegistry:
 
 
 class TestSpans:
-    def test_span_records_timing_and_attrs(self):
-        capture = TraceCapture.begin(None)
-        with span("test/op", flavour="plain") as sp:
-            sp.set(extra=1)
-        capture.seal()
-        record, = capture.spans
-        assert record["name"] == "test/op"
-        assert record["attrs"] == {"flavour": "plain", "extra": 1}
-        assert record["ms"] >= 0.0
+    def test_span_adds_one_call_and_its_time(self):
+        capture = TraceCapture.begin()
+        with span("test/op"):
+            time.sleep(0.002)
+        with span("test/op"):
+            pass
+        calls, seconds = capture.totals["test/op"]
+        assert calls == 2 and seconds >= 0.002
+        assert capture.close() == {"test/op": {"calls": 2,
+                                               "s": round(seconds, 6)}}
 
     def test_disabled_spans_record_nothing(self):
         # outside a capture, as in a sweep without a run ledger, a span
-        # yields None; sealing a capture turns spans off again
-        with span("test/op") as sp:
-            assert sp is None
-        capture = TraceCapture.begin(None)
+        # counts nowhere; sealing a capture turns spans off again
+        with span("test/op"):
+            pass
+        capture = TraceCapture.begin()
         capture.seal()
-        with span("test/op") as sp:
-            assert sp is None
-        assert capture.spans == []
+        with span("test/op"):
+            pass
+        assert capture.totals == {}
+        assert capture_module._active.capture is None
 
     def test_span_survives_exceptions(self):
-        capture = TraceCapture.begin(None)
+        capture = TraceCapture.begin()
         with pytest.raises(ValueError):
             with span("test/fail"):
                 raise ValueError("boom")
-        capture.seal()
-        assert [s["name"] for s in capture.spans] == ["test/fail"]
-
-    def test_jsonl_sink(self, tmp_path):
-        store = TraceStore(tmp_path)
-        capture = TraceCapture.begin(store)
-        with span("test/sink", n=2):
-            pass
-        capture.close()
-        lines = [json.loads(line) for line in
-                 store.path(capture.trace_id).read_text().splitlines()
-                 if line]
-        assert lines and lines[-1]["name"] == "test/sink"
-        assert lines[-1]["attrs"] == {"n": 2}
-        assert "ms" in lines[-1] and "pid" in lines[-1]
+        assert _calls(capture.close()) == {"test/fail": 1}
 
 
 class TestJobResultProvenance:
@@ -255,35 +246,32 @@ class TestSweepLedger:
     def test_spans_and_global_metrics_flow(self, tmp_path):
         executor = SweepExecutor(jobs=1, cache=ResultCache(tmp_path))
         executor.run(_jobs())
-        spans = _last_trace(executor)
-        names = [s["name"] for s in spans]
-        assert names.count("sweep/run") == 1
-        assert names.count("sweep/job") == len(SIZES)
-        assert names.count("cache/put") == len(SIZES)
-        probes = [s["attrs"] for s in spans if s["name"] == "cache/get"]
-        assert probes == [{"outcome": "miss"}] * len(SIZES)
+        cold = _last_spans(executor)
+        assert _calls(cold) == {"cache/get": len(SIZES),
+                                "cache/put": len(SIZES),
+                                "sweep/job": len(SIZES), "sweep/run": 1}
 
-        # a warm rerun: one sweep/run and a hit probe per job under it,
-        # nothing simulated or written, each span keyed as on the cold run
+        # a warm rerun: one sweep/run and a probe per job, nothing
+        # simulated or written, each total shaped as on the cold run
         executor.run(_jobs())
-        warm = _last_trace(executor)
-        assert (sorted(s["name"] for s in warm)
-                == ["cache/get"] * len(SIZES) + ["sweep/run"])
-        sweep, = [s for s in warm if s["name"] == "sweep/run"]
-        probes = [s for s in warm if s["name"] == "cache/get"]
-        assert [s["attrs"] for s in probes] == [{"outcome": "hit"}] * len(SIZES)
-        assert all(s["parent_id"] == sweep["span_id"] for s in probes)
-        assert {frozenset(s) for s in warm} == {frozenset(s) for s in spans}
+        warm = _last_spans(executor)
+        assert _calls(warm) == {"cache/get": len(SIZES), "sweep/run": 1}
+        assert {frozenset(total) for total in warm.values()} \
+            == {frozenset(total) for total in cold.values()} \
+            == {frozenset({"calls", "s"})}
+        assert warm["sweep/run"]["s"] >= warm["cache/get"]["s"]
 
 
 class TestOneSwitch:
     """The run ledger alone decides whether a sweep leaves a record.
 
-    With a ledger, every entry names a trace in ``traces/`` beside the
-    ledger file and every trace there is named by one entry; the cache
-    root matters only as the default ledger's directory. Without one,
-    no capture starts, no entry is built, and a span opened inside a
-    job yields ``None``.
+    With a ledger, each sweep appends one entry, and the entry carries
+    that sweep's trace: the totals of the spans it counted, those of its
+    jobs included. Nothing else is written: the cache root matters only
+    as the default ledger's directory, and a recorded sweep adds no file
+    to the tree but ``ledger.jsonl`` and the cache's ``v1/``. Without a
+    ledger, no capture starts, no entry is built, and a span opened
+    inside a job counts nowhere.
     """
 
     @pytest.mark.parametrize("cache, ledger, ledger_dir", [
@@ -300,19 +288,19 @@ class TestOneSwitch:
         begin = TraceCapture.begin.__func__
         record_run = SweepExecutor._record_run
         dispatch = executor_module._dispatch_job
-        probes = []
+        active = []
 
-        def counted_begin(cls, store):
+        def counted_begin(cls):
             calls["begin"] += 1
-            return begin(cls, store)
+            return begin(cls)
 
         def counted_record_run(self, *args, **kwargs):
             calls["record"] += 1
             return record_run(self, *args, **kwargs)
 
         def probed_dispatch(job):
-            with span("test/in-job") as probe:
-                probes.append(probe)
+            with span("test/in-job"):
+                active.append(capture_module._active.capture)
             return dispatch(job)
 
         monkeypatch.setattr(TraceCapture, "begin", classmethod(counted_begin))
@@ -325,24 +313,30 @@ class TestOneSwitch:
         executor.run(_jobs())
         executor.run(_jobs())  # warm, where there is a cache
 
-        traces = sorted(tmp_path.rglob("traces/*.jsonl"))
-        ledgers = sorted(tmp_path.rglob("ledger.jsonl"))
-        assert probes
+        written = [path.relative_to(tmp_path).parts
+                   for path in tmp_path.rglob("*") if path.is_file()]
+        # every file written but the cache's v1/ entries
+        records = sorted(parts for parts in written
+                         if parts[:2] != (cache, "v1"))
+        assert active
         if ledger_dir is None:
             assert calls == {"begin": 0, "record": 0}
-            assert probes == [None] * len(probes)
+            assert active == [None] * len(active)
             assert executor.run_ids == []
-            assert list(tmp_path.rglob("*.jsonl")) == []
+            assert records == []
             return
         root = tmp_path / ledger_dir
         entries = RunLedger(root / "ledger.jsonl").entries()
         assert [entry["run_id"] for entry in entries] == executor.run_ids
-        assert len(entries) == 2 and ledgers == [root / "ledger.jsonl"]
-        assert ({entry["trace_id"] for entry in entries}
-                == {path.stem for path in traces})
-        assert {path.parent for path in traces} == {root / "traces"}
-        assert calls == {"begin": 2, "record": 2}
-        assert None not in probes
+        assert len(entries) == 2 and calls == {"begin": 2, "record": 2}
+        assert records == [(ledger_dir, "ledger.jsonl")]
+        # each entry holds its own sweep's trace, jobs' spans included
+        simulated = [len(SIZES), 0 if cache else len(SIZES)]
+        for entry, jobs in zip(entries, simulated):
+            assert entry["spans"]["sweep/run"]["calls"] == 1
+            assert entry["spans"].get("test/in-job", {}).get("calls", 0) \
+                == jobs
+        assert None not in active
 
 
 class TestCompare:
@@ -386,6 +380,10 @@ class TestRunsCli:
         assert cli_main(["runs", "show", "-1", "--ledger", ledger_path]) == 0
         shown = capsys.readouterr().out
         assert "content hash ok" in shown
+        # the warm sweep's cost split, under its counters
+        assert shown.index("Metrics (counters)") \
+            < shown.index("Cost split (span totals)") < shown.index("sweep/run")
+        assert "sweep/job" not in shown
         out = tmp_path / "diff.json"
         assert cli_main(["runs", "compare", "-2", "-1",
                          "--ledger", ledger_path,
@@ -395,6 +393,8 @@ class TestRunsCli:
         assert "cache.hits" in compared
         diff = json.loads(out.read_text())
         assert diff["metrics"]["cache.hit_rate"]["b"] == 1.0
+        assert diff["metrics"]["spans.sweep/run.calls"]["delta"] == 0.0
+        assert diff["metrics"]["spans.sweep/job.calls"]["b"] is None
 
     def test_runs_show_json(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
@@ -567,10 +567,13 @@ class TestOverheadBudget:
         for _ in range(self.RUNS):
             off.append(sweep(False)[0])
             added.append(sweep(True)[1])
-        # the instrumented runs really did trace and ledger their sweeps
+        # the instrumented runs really did count spans and ledger them
         assert traced == [False, True] * (self.RUNS + 1)
-        assert len(RunLedger(ledger_path).entries()) == self.RUNS + 1
-        assert len(TraceStore.beside(ledger_path).trace_ids()) == self.RUNS + 1
+        entries = RunLedger(ledger_path).entries()
+        assert len(entries) == self.RUNS + 1
+        assert all(_calls(entry["spans"]) == {"sweep/job": len(self.SIZES),
+                                              "sweep/run": 1}
+                   for entry in entries)
         return min(added), max(0.03 * statistics.median(off), 0.004)
 
     def test_overhead_under_three_percent_on_smoke_sweep(self, tmp_path,
