@@ -40,7 +40,8 @@ _ROUNDS = 5
 
 #: The acceptance floor for the single-path columnar engine.
 MIN_SPEEDUP = 3.0
-#: Conservative floor for the multipath twin (measured ~2.2x).
+#: Conservative floor for the multipath twin (three runs at scale 0.05
+#: on a 2-vCPU host read 3.27-3.39x).
 MIN_SPEEDUP_MULTIPATH = 1.5
 
 

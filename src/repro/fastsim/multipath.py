@@ -1,8 +1,9 @@
 """Fast multipath cycle-level engine.
 
 A drop-in counterpart of :class:`repro.multipath.cpu.MultipathCPU`
-producing bit-identical counters, rebuilt around the same four levers
-as the columnar single-path engine (:mod:`repro.fastsim.cycle`):
+producing bit-identical counters, rebuilt around the levers of the
+columnar single-path engine (:mod:`repro.fastsim.cycle`), plus an
+alive-path list of its own:
 
 * **Hoisted decode.** All static per-instruction facts and the
   execution semantics come from the per-program
@@ -10,13 +11,22 @@ as the columnar single-path engine (:mod:`repro.fastsim.cycle`):
   functions (``exec_fns_mp``) capture stores instead of writing memory
   and read loads through the store-forwarding path, exactly like the
   reference ``_PathState`` adapter, with no per-dispatch decode work.
-* **Event-driven work lists.** The reference scans the whole RUU every
-  cycle for issue and writeback candidates and walks it backwards for
-  every load. Here dispatched-but-unissued entries live in a ``pending``
-  list, issued-but-incomplete entries in an ``inflight`` list (with the
-  earliest completion cycle cached), and in-flight stores in a
-  per-address forwarding index — so each stage touches only entries
-  that can possibly act.
+* **Completion map and wakeup**, as in :mod:`repro.fastsim.cycle`
+  (SimpleScalar ``sim-outorder``'s event queue and dependence chains).
+  The reference scans the whole RUU every cycle for issue and
+  writeback candidates and walks it backwards for every load. Here
+  each dispatched entry counts its in-flight producers and joins their
+  consumer lists; issue puts the entry in a map keyed by its completion
+  cycle. Writeback pops the entries due this cycle and wakes every
+  consumer whose count reaches zero. Issue walks only the entries whose
+  producers have all completed, in program order, so an entry waiting
+  on an operand is never re-tested. In-flight stores sit in a
+  per-address forwarding index.
+* **One alive-path list.** Dispatch, fetch, the fork decision and the
+  fast-forward read the alive paths, in ``_paths`` order, from one
+  list that is rebuilt only when a path's liveness changes (a fork, a
+  kill, a lost fork resolution, a recovery or a prune), instead of
+  filtering every unpruned path several times a cycle.
 * **Quiescent-cycle fast-forward.** A cycle in which no stage acted
   cannot differ from the next one until some scheduled event (an
   in-flight completion, an IFQ head becoming ready, an I-cache fill)
@@ -39,7 +49,7 @@ instruction the engine allocates as little as the model needs:
   and only conditional branches are offered to it;
 * an RUU row is a slim ``__slots__`` :class:`_Entry` (instead of
   :class:`~repro.pipeline.inflight.InflightInstruction`), built in one
-  call with its final values. Its ``deps`` is a tuple of at most two
+  call. It holds the count of its in-flight producers, not the
   producers, and its ``undo`` is the log the exec function just wrote.
 
 Issue runs before dispatch in every cycle, so an entry is never issued
@@ -55,6 +65,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
+from heapq import heappop, heappush
 from operator import attrgetter
 from typing import Deque, Dict, List, Optional, Tuple
 
@@ -81,16 +92,21 @@ _COND = CONTROL_CODE[ControlClass.COND_BRANCH]
 
 
 class _Entry:
-    """One RUU row (the fast engine's InflightInstruction)."""
+    """One RUU row (the fast engine's InflightInstruction).
+
+    ``wait`` and ``consumers`` are the two ends of the dependence
+    wakeup: how many in-flight producers the entry still waits on, and
+    the entries waiting on it.
+    """
 
     __slots__ = (
         "seq", "pc", "ii", "next_pc", "taken", "prediction", "undo",
-        "deps", "dest", "mem_address", "is_store", "store_value",
-        "mispredicted", "path", "fork_child", "complete_cycle",
+        "wait", "consumers", "dest", "mem_address", "is_store",
+        "store_value", "mispredicted", "path", "fork_child",
         "completed", "squashed",
     )
 
-    def __init__(self, seq, pc, ii, next_pc, taken, prediction, undo, deps,
+    def __init__(self, seq, pc, ii, next_pc, taken, prediction, undo,
                  dest, mem_address, is_store, store_value, mispredicted,
                  path, fork_child):
         self.seq = seq
@@ -101,8 +117,11 @@ class _Entry:
         self.prediction = prediction
         #: The exec function's undo log (register records only).
         self.undo = undo
-        #: In-flight producers of the sources: at most two entries.
-        self.deps: Tuple["_Entry", ...] = deps
+        #: In-flight producers of the sources not yet completed, counted
+        #: at dispatch (a register read twice counts its writer twice).
+        self.wait = 0
+        #: Entries whose ``wait`` counts this one; None until one joins.
+        self.consumers: Optional[List[_Entry]] = None
         #: Destination register, -1 for none (the decode column's code).
         self.dest = dest
         self.mem_address: Optional[int] = mem_address
@@ -111,7 +130,6 @@ class _Entry:
         self.mispredicted = mispredicted
         self.path = path
         self.fork_child: Optional[PathContext] = fork_child
-        self.complete_cycle = -1
         self.completed = False
         self.squashed = False
 
@@ -163,10 +181,10 @@ class FastMultipathCPU:
             ras=self.organizer.root_stack(),
         )
         self._paths: List[PathContext] = [root]
+        #: The alive members of ``_paths``, in its order (see _relist).
+        self._alive: List[PathContext] = [root]
         self._next_path_id = 1
         self._ruu: Deque[_Entry] = deque()
-        self._lsq_count = 0
-        self._seq = 0
         self.cycle = 0
         self.done = False
         self.final_regs: Optional[List[int]] = None
@@ -174,10 +192,6 @@ class FastMultipathCPU:
         self._fetch_line_shift = (
             self.config.memory.l1i.line_bytes.bit_length() - 1)
 
-        # Work lists (see module docstring).
-        self._pending: List[_Entry] = []
-        self._inflight: List[_Entry] = []
-        self._min_complete = 0
         #: address -> in-flight stores to it, oldest first (seq order).
         self._store_map: Dict[int, List[_Entry]] = {}
         #: Path bound for the duration of one exec-function call.
@@ -262,6 +276,17 @@ class FastMultipathCPU:
         for entry in self._ruu:
             if not entry.squashed and id(entry.path) in victim_set:
                 self._squash_entry(entry, rewind=False)
+        self._relist()
+
+    def _relist(self) -> None:
+        """Rebuild the alive-path list; called after every change of a
+        path's liveness, so its readers never filter ``_paths``.
+
+        The rebuild makes a new list and never changes the old one, so
+        fetch may keep iterating the list it started with while a fork
+        rebuilds it.
+        """
+        self._alive = [p for p in self._paths if p.alive]
 
     def _squash_entry(self, entry: _Entry, rewind: bool) -> None:
         if rewind and entry.undo:
@@ -345,6 +370,7 @@ class FastMultipathCPU:
         path.alive = False
         path.lost = True
         path.fetch_halted = True
+        self._relist()
         # No RAS restore: see StackOrganizer.repair_on_fork_resolution.
 
     def _recover_in_path(self, branch: _Entry) -> None:
@@ -356,6 +382,7 @@ class FastMultipathCPU:
         path.fetch_halted = False
         path.fetch_stalled_until = self.cycle + 1
         path.last_fetch_line = None
+        self._relist()
 
     def _maybe_fork(self, path: PathContext, pc: int, ii: int,
                     prediction) -> Optional[PathContext]:
@@ -364,11 +391,7 @@ class FastMultipathCPU:
         Offered conditional branches only; returns the child path, or
         None when the branch does not fork.
         """
-        alive = 0
-        for other in self._paths:
-            if other.alive:
-                alive += 1
-        if alive >= self.config.multipath.max_paths:
+        if len(self._alive) >= self.config.multipath.max_paths:
             return None
         if not self.confidence.is_low_confidence(pc):
             return None
@@ -385,6 +408,7 @@ class FastMultipathCPU:
         child.alternate_target = alternate
         self._next_path_id += 1
         self._paths.append(child)
+        self._relist()
         self._forks += 1
         return child
 
@@ -414,6 +438,7 @@ class FastMultipathCPU:
                     referenced.add(id(node))
                     node = node.parent
         self._paths = [p for p in self._paths if id(p) in referenced]
+        self._relist()
 
     # ------------------------------------------------------------------
     # Driver.
@@ -423,8 +448,11 @@ class FastMultipathCPU:
 
         One monolithic loop over the five stages; stage order and
         semantics replicate ``MultipathCPU.step``/``run`` exactly, with
-        the work lists and the quiescent-cycle fast-forward as the only
-        (unobservable) differences.
+        the event lists, the alive-path list and the quiescent-cycle
+        fast-forward as the only (unobservable) differences. The
+        window's event lists live in this frame, as in
+        ``ColumnarCycleCPU.run``, so a run stopped at a limit is not
+        resumed by a second call.
         """
         core = self.config.core
         fetch_width = core.fetch_width
@@ -470,16 +498,25 @@ class FastMultipathCPU:
         maybe_fork = self._maybe_fork
         ruu = self._ruu
         store_map = self._store_map
-        pending = self._pending
-        inflight = self._inflight
-        min_complete = self._min_complete
+        # The window's event lists (see module docstring). Entries sort
+        # in program order by ``seq``; a squashed entry stays on a list
+        # until it is met there, and is skipped.
+        #: Entries whose in-flight producers have all completed and that
+        #: have not issued, in program order: all that issue may pick.
+        ready: List[_Entry] = []
+        #: completion cycle -> the entries that complete then, and a
+        #: heap of those cycles (the earliest is the fast-forward
+        #: horizon). Each key is popped exactly at its cycle: no skip
+        #: goes past the earliest.
+        completions: Dict[int, List[_Entry]] = {}
+        horizon: List[int] = []
 
         COND = _COND
         RET = CONTROL_CODE[ControlClass.RETURN]
 
         cycle = self.cycle
-        seq = self._seq
-        lsq_count = self._lsq_count
+        seq = 0
+        lsq_count = 0
         committed = self._committed
         fetched_n = self._fetched
         dispatched = self._dispatched
@@ -539,69 +576,64 @@ class FastMultipathCPU:
 
             if not done:
                 # ---- writeback / fork resolution / recovery ----------
-                if inflight and min_complete <= cycle:
-                    resolvable = []
-                    keep = []
-                    for entry in inflight:
-                        if entry.complete_cycle <= cycle:
-                            resolvable.append(entry)
+                if horizon and horizon[0] <= cycle:
+                    due = completions.pop(heappop(horizon))
+                    activity = True
+                    if len(due) > 1:
+                        due.sort(key=_by_seq)  # the reference's RUU order
+                    woken = None
+                    for entry in due:
+                        entry.completed = True
+                        if entry.squashed:
+                            # Its consumers are squashed too: none to wake.
+                            continue
+                        consumers = entry.consumers
+                        if consumers is not None:
+                            # Wake each consumer whose last in-flight
+                            # producer this was.
+                            entry.consumers = None
+                            for consumer in consumers:
+                                left = consumer.wait - 1
+                                consumer.wait = left
+                                if not left:
+                                    if woken is None:
+                                        woken = [consumer]
+                                    else:
+                                        woken.append(consumer)
+                        prediction = entry.prediction
+                        if prediction is None:
+                            continue
+                        if entry.fork_child is not None:
+                            self.cycle = cycle
+                            self._mispredictions = mispredictions
+                            self._resolve_fork(entry)
+                            mispredictions = self._mispredictions
+                        elif entry.mispredicted:
+                            mispredictions += 1
+                            if d_control[entry.ii] == RET:
+                                mispred_return += 1
+                            repair(prediction)
+                            release(prediction)
+                            self.cycle = cycle
+                            self._recover_in_path(entry)
                         else:
-                            keep.append(entry)
-                    if resolvable:
-                        activity = True
-                        inflight = keep
-                        resolvable.sort(key=_by_seq)
-                        for entry in resolvable:
-                            if entry.squashed:
-                                entry.completed = True
-                                continue
-                            entry.completed = True
-                            prediction = entry.prediction
-                            if prediction is None:
-                                continue
-                            if entry.fork_child is not None:
-                                self.cycle = cycle
-                                self._mispredictions = mispredictions
-                                self._resolve_fork(entry)
-                                mispredictions = self._mispredictions
-                            elif entry.mispredicted:
-                                mispredictions += 1
-                                if d_control[entry.ii] == RET:
-                                    mispred_return += 1
-                                repair(prediction)
-                                release(prediction)
-                                self.cycle = cycle
-                                self._recover_in_path(entry)
-                            else:
-                                release(prediction)
-                        if inflight:
-                            min_complete = inflight[0].complete_cycle
-                            for entry in inflight:
-                                if entry.complete_cycle < min_complete:
-                                    min_complete = entry.complete_cycle
-                        else:
-                            min_complete = 0
+                            release(prediction)
+                    if woken is not None:
+                        ready += woken
+                        ready.sort(key=_by_seq)
 
                 # ---- issue (program order, resource constrained) -----
-                if pending:
+                if ready:
                     budget = issue_width
                     alus, muls, ports = n_alus, n_muls, n_ports
                     still = []
                     hold = still.append
-                    for idx, entry in enumerate(pending):
+                    for idx, entry in enumerate(ready):
                         if budget == 0:
-                            still.extend(pending[idx:])
+                            still += ready[idx:]
                             break
                         if entry.squashed:
                             continue  # bubbles never issue; prune
-                        blocked = False
-                        for dep in entry.deps:
-                            if not dep.completed:
-                                blocked = True
-                                break
-                        if blocked:
-                            hold(entry)
-                            continue
                         ii = entry.ii
                         if d_load[ii]:
                             if ports == 0:
@@ -634,13 +666,15 @@ class FastMultipathCPU:
                             alus -= 1
                             latency = d_lat[ii]
                         cc = cycle + latency
-                        entry.complete_cycle = cc
-                        if not inflight or cc < min_complete:
-                            min_complete = cc
-                        inflight.append(entry)
+                        bucket = completions.get(cc)
+                        if bucket is None:
+                            completions[cc] = [entry]
+                            heappush(horizon, cc)
+                        else:
+                            bucket.append(entry)
                         budget -= 1
                         activity = True
-                    pending = still
+                    ready = still
 
                 # ---- dispatch (round-robin over ready paths) ---------
                 budget = decode_width
@@ -648,13 +682,13 @@ class FastMultipathCPU:
                 # comprehension reading `cycle` makes it a closure cell,
                 # and every hot-loop access to it a LOAD_DEREF.
                 candidates = []
-                for p in self._paths:
-                    if (p.alive and p.dispatch_enabled and p.ifq
-                            and p.ifq[0][3] <= cycle):
+                for p in self._alive:
+                    if p.dispatch_enabled and p.ifq and p.ifq[0][3] <= cycle:
                         candidates.append(p)
                 if candidates:
                     start = self._rr_offset % len(candidates)
-                    order = candidates[start:] + candidates[:start]
+                    order = (candidates[start:] + candidates[:start] if start
+                             else candidates)
                     progress = True
                     full = False
                     while budget and progress and not full:
@@ -679,22 +713,6 @@ class FastMultipathCPU:
                             next_pc, taken, mem_addr, store_value = (
                                 exec_fns[ii](path.regs, load_fn, undo,
                                              text[ii], pc + WORD_SIZE))
-                            last_writer = path.last_writer
-                            deps = ()
-                            src = d_src1[ii]
-                            if src >= 0:
-                                writer = last_writer.get(src)
-                                if (writer is not None
-                                        and not writer.completed
-                                        and not writer.squashed):
-                                    deps = (writer,)
-                                src = d_src2[ii]
-                                if src >= 0:
-                                    writer = last_writer.get(src)
-                                    if (writer is not None
-                                            and not writer.completed
-                                            and not writer.squashed):
-                                        deps += (writer,)
                             if child is not None and not child.alive:
                                 child = None
                             mispredicted = (prediction is not None
@@ -704,8 +722,38 @@ class FastMultipathCPU:
                             is_store = d_store[ii]
                             entry = _Entry(
                                 seq, pc, ii, next_pc, taken, prediction,
-                                undo, deps, dest, mem_addr, is_store,
+                                undo, dest, mem_addr, is_store,
                                 store_value, mispredicted, path, child)
+                            # Count the in-flight producers of the sources
+                            # and join their consumer lists.
+                            last_writer = path.last_writer
+                            wait = 0
+                            src = d_src1[ii]
+                            if src >= 0:
+                                writer = last_writer.get(src)
+                                if (writer is not None
+                                        and not writer.completed
+                                        and not writer.squashed):
+                                    wait = 1
+                                    if writer.consumers is None:
+                                        writer.consumers = [entry]
+                                    else:
+                                        writer.consumers.append(entry)
+                                src = d_src2[ii]
+                                if src >= 0:
+                                    writer = last_writer.get(src)
+                                    if (writer is not None
+                                            and not writer.completed
+                                            and not writer.squashed):
+                                        wait += 1
+                                        if writer.consumers is None:
+                                            writer.consumers = [entry]
+                                        else:
+                                            writer.consumers.append(entry)
+                            if wait:
+                                entry.wait = wait
+                            else:
+                                ready.append(entry)
                             if dest >= 0:
                                 last_writer[dest] = entry
                             if d_memory[ii]:
@@ -723,18 +771,17 @@ class FastMultipathCPU:
                                 child.dispatch_enabled = True
                                 child.last_writer = dict(last_writer)
                             ruu.append(entry)
-                            pending.append(entry)
                             dispatched += 1
                             budget -= 1
                             progress = True
                             activity = True
 
                 # ---- fetch (round-robin over alive paths) ------------
-                paths = [p for p in self._paths if p.alive]
+                paths = self._alive
                 if paths:
                     self._rr_offset += 1
                     start = self._rr_offset % len(paths)
-                    order = paths[start:] + paths[:start]
+                    order = paths[start:] + paths[:start] if start else paths
                     budget = fetch_width
                     ready_at = cycle + frontend_lag
                     for path in order:
@@ -801,21 +848,20 @@ class FastMultipathCPU:
                 # completion, an IFQ head turning ready, or an I-cache
                 # fill finishing. (A candidate already in the past means
                 # the stage is capacity-blocked, which only a completion
-                # unblocks — covered by min_complete.) The jump is
+                # unblocks — covered by the horizon.) The jump is
                 # clamped to the deadlock deadline, the prune boundary,
                 # and max_cycles, and the fetch round-robin offset
                 # advances as if every skipped cycle had run.
                 target = -1
-                if inflight:
-                    target = min_complete
-                for path in self._paths:
-                    if not path.alive:
-                        continue
+                if horizon:
+                    target = horizon[0]
+                for path in self._alive:
                     ifq = path.ifq
                     if ifq and path.dispatch_enabled:
-                        ready = ifq[0][3]
-                        if ready >= cycle and (target < 0 or ready < target):
-                            target = ready
+                        head_ready = ifq[0][3]
+                        if head_ready >= cycle and (target < 0
+                                                    or head_ready < target):
+                            target = head_ready
                     if (not path.fetch_halted and len(ifq) < ifq_cap
                             and path.fetch_stalled_until >= cycle
                             and (target < 0
@@ -848,11 +894,6 @@ class FastMultipathCPU:
 
         self.cycle = cycle
         self.done = done
-        self._seq = seq
-        self._lsq_count = lsq_count
-        self._pending = pending
-        self._inflight = inflight
-        self._min_complete = min_complete
         self._store_counts(committed, fetched_n, dispatched,
                            mispredictions, mispred_return)
         return self._finalize()

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import pathlib
 from typing import Dict, List, Optional, Union
 
@@ -38,6 +39,9 @@ from repro.errors import TelemetryError
 LEDGER_SCHEMA = 1
 
 LEDGER_FILENAME = "ledger.jsonl"
+
+#: Bytes per backwards read when only the newest entries are wanted.
+_TAIL_BLOCK = 1 << 16
 
 #: Entry keys that legitimately differ between two runs of the same
 #: sweep: wall-clock identity and timing, the span totals (``spans``)
@@ -63,6 +67,19 @@ def deterministic_view(entry: Entry) -> Entry:
     """The entry minus timing — identical across reruns of one sweep."""
     return {key: value for key, value in entry.items()
             if key not in NONDETERMINISTIC_KEYS}
+
+
+def _parse_line(line: bytes) -> Optional[Entry]:
+    """One ledger line's entry; None for a blank, torn or hand-mangled
+    line."""
+    line = line.strip()
+    if not line:
+        return None
+    try:
+        entry = json.loads(line)
+    except ValueError:
+        return None
+    return entry if isinstance(entry, dict) else None
 
 
 class RunLedger:
@@ -98,36 +115,73 @@ class RunLedger:
         return entry
 
     def entries(self, limit: Optional[int] = None) -> List[Entry]:
-        """All parseable entries, oldest first (torn lines are skipped)."""
+        """All parseable entries, oldest first (torn lines are skipped).
+
+        With a positive ``limit``, only the newest ``limit`` of them,
+        read from the end of the file, so the cost follows ``limit`` and
+        not the ledger's length.
+        """
+        if limit is not None and limit > 0:
+            return self._tail(limit)
         try:
-            text = self.path.read_text()
+            data = self.path.read_bytes()
         except OSError:
             return []
         parsed: List[Entry] = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                continue  # torn or hand-mangled line
-            if isinstance(entry, dict):
+        for line in data.split(b"\n"):
+            entry = _parse_line(line)
+            if entry is not None:
                 parsed.append(entry)
         if limit is not None:
             return parsed[-limit:]
         return parsed
 
+    def _tail(self, count: int) -> List[Entry]:
+        """The newest ``count`` parseable entries (all of them if there
+        are fewer), oldest first, reading the file backwards in blocks."""
+        newest_first: List[Entry] = []
+        try:
+            with open(self.path, "rb") as stream:
+                position = stream.seek(0, os.SEEK_END)
+                head = b""
+                while position and len(newest_first) < count:
+                    size = min(_TAIL_BLOCK, position)
+                    position -= size
+                    stream.seek(position)
+                    lines = (stream.read(size) + head).split(b"\n")
+                    if position:
+                        # The block may start mid-line: finish that line
+                        # with the block before it.
+                        head = lines.pop(0)
+                    for line in reversed(lines):
+                        entry = _parse_line(line)
+                        if entry is not None:
+                            newest_first.append(entry)
+                            if len(newest_first) == count:
+                                break
+        except OSError:
+            return []
+        newest_first.reverse()
+        return newest_first
+
     def get(self, ref: str) -> Entry:
         """Resolve ``ref``: an integer index (``-1`` = latest) or a
         ``run_id`` prefix. Ambiguous or unknown refs raise
-        :class:`~repro.errors.TelemetryError`."""
-        entries = self.entries()
+        :class:`~repro.errors.TelemetryError`.
+
+        A negative index reads only the ledger's tail; a non-negative
+        index or a prefix (which must be checked for ambiguity) reads
+        the whole ledger.
+        """
+        try:
+            index: Optional[int] = int(ref)
+        except ValueError:
+            index = None
+        entries = self.entries(
+            limit=-index if index is not None and index < 0 else None)
         if not entries:
             raise TelemetryError(f"run ledger {self.path} is empty or missing")
-        try:
-            index = int(ref)
-        except ValueError:
+        if index is None:
             matches = [entry for entry in entries
                        if str(entry.get("run_id", "")).startswith(ref)]
             if len(matches) == 1:

@@ -61,21 +61,33 @@ def _matrix_cell(mechanism, entries):
 
 
 @functools.lru_cache(maxsize=None)
-def _multipath_cell(organization):
+def _multipath_cell(organization, paths=2, name="li"):
     """Flat counters of ``(reference, fast)`` for one stack organisation
-    at 2 paths, shared by the parity and golden tests below."""
-    config = multipath_machine(2, organization)
-    program = _program()
+    and path budget, shared by the parity and golden tests below."""
+    config = multipath_machine(paths, organization)
+    program = _program(name)
     reference, _ = run_multipath(program, config)
     fast, _ = run_multipath_fast(program, config)
     return flatten_group(reference.group), flatten_group(fast.group)
 
 
-def _with_core(**fields):
-    """The Table 1 machine with some core fields replaced."""
-    config = baseline_config()
+def _with_core(base=None, **fields):
+    """``base`` (the Table 1 machine by default) with some core fields
+    replaced."""
+    config = base or baseline_config()
     return dataclasses.replace(
         config, core=dataclasses.replace(config.core, **fields))
+
+
+#: Cores on which woken and already-ready entries compete for an issue
+#: slot or a functional unit.
+_NARROW_CORES = [
+    pytest.param({"issue_width": 1}, id="issue-1"),
+    pytest.param({"int_alus": 1, "int_multipliers": 1,
+                  "memory_ports": 1}, id="one-unit-each"),
+    pytest.param({"fetch_width": 2, "decode_width": 2,
+                  "issue_width": 2, "commit_width": 2}, id="two-wide"),
+]
 
 
 class TestCycleParityMatrix:
@@ -118,15 +130,19 @@ class TestStructuralPressureParity:
     reference's program-order walk."""
 
     @pytest.mark.parametrize("name", ["li", "go"])
-    @pytest.mark.parametrize("core", [
-        pytest.param({"issue_width": 1}, id="issue-1"),
-        pytest.param({"int_alus": 1, "int_multipliers": 1,
-                      "memory_ports": 1}, id="one-unit-each"),
-        pytest.param({"fetch_width": 2, "decode_width": 2,
-                      "issue_width": 2, "commit_width": 2}, id="two-wide"),
-    ])
+    @pytest.mark.parametrize("core", _NARROW_CORES)
     def test_reference_and_fast_agree(self, core, name):
         check_cycle_parity(_program(name), _with_core(**core)).ensure()
+
+    @pytest.mark.parametrize("name", ["li", "go"])
+    @pytest.mark.parametrize("core", _NARROW_CORES)
+    def test_multipath_reference_and_fast_agree(self, core, name):
+        """Four paths on one narrow core: entries of different paths,
+        woken by completions or ready at dispatch, compete for the
+        same slots and units."""
+        config = _with_core(
+            multipath_machine(4, StackOrganization.PER_PATH), **core)
+        check_multipath_parity(_program(name), config).ensure()
 
 
 class TestMultipathParity:
@@ -136,22 +152,16 @@ class TestMultipathParity:
         assert reference == fast
 
     def test_wider_path_budget(self):
-        config = multipath_machine(4, StackOrganization.PER_PATH)
-        program = _program()
-        reference, _ = run_multipath(program, config)
-        fast, _ = run_multipath_fast(program, config)
-        assert flatten_group(reference.group) == flatten_group(fast.group)
+        reference, fast = _multipath_cell(StackOrganization.PER_PATH, 4)
+        assert reference == fast
 
     @pytest.mark.parametrize("organization", list(StackOrganization))
     def test_fork_heavy_program(self, organization):
         """go forks 522-558 times a cell here (li: 143-247), so forks,
         fork-child IFQ rows and cross-path visibility get exercised."""
-        config = multipath_machine(4, organization)
-        program = _program("go")
-        reference, _ = run_multipath(program, config)
-        fast, _ = run_multipath_fast(program, config)
-        assert fast.counter("forks") > 400
-        assert flatten_group(reference.group) == flatten_group(fast.group)
+        reference, fast = _multipath_cell(organization, 4, "go")
+        assert fast["forks"] > 400
+        assert reference == fast
 
 
 def _digest(flat):
@@ -199,6 +209,12 @@ _GOLDEN = {
         "a3ad7429c6c25bc5131b6ac3cf6621be32e3b083dfcf90db67a97217c638c32b",
     "multipath-fast/unified-checkpoint/2":
         "ae2c34c2ccebf441cb39b03710c1aa15638472500a4c7e78e8193e6179310569",
+    "multipath-fast/go/per-path/4":
+        "f84b543452fc8cdcc34e5a71a37f1821166a5332d39039f28c530d4dc17e9de2",
+    "multipath-fast/go/unified/4":
+        "3800634d4b58251fad7048f606d4a5a3851d202f568b6118acf06e950b568b81",
+    "multipath-fast/go/unified-checkpoint/4":
+        "53e3f8bffa9917cfcf89aa5e0630f465978e983a89dfd4b421eb6907d40f12aa",
     "frontend":
         "3191dc70195c3cd32dc70910b68043053517e21720114f77fa1d591481a86792",
     "cycle-fast/go/hybrid":
@@ -236,6 +252,16 @@ class TestGoldenCounters:
     def test_stack_organization_at_two_paths(self, organization):
         _, fast = _multipath_cell(organization)
         key = f"multipath-fast/{organization.value}/2"
+        assert _digest(fast) == _GOLDEN[key]
+
+    @pytest.mark.parametrize("organization", list(StackOrganization))
+    def test_fork_heavy_stack_organization(self, organization):
+        """go at 4 paths forks 522-558 times, so these pin the layers
+        both multipath engines share (path contexts, the stack
+        organiser, the fork-confidence estimator), which parity cannot
+        see."""
+        _, fast = _multipath_cell(organization, 4, "go")
+        key = f"multipath-fast/go/{organization.value}/4"
         assert _digest(fast) == _GOLDEN[key]
 
     def test_frontend_job(self):

@@ -177,8 +177,42 @@ class TestRunLedger:
     def test_missing_ledger_is_empty_and_get_raises(self, tmp_path):
         ledger = RunLedger(tmp_path / "nope.jsonl")
         assert ledger.entries() == []
+        assert ledger.entries(limit=3) == []
         with pytest.raises(TelemetryError):
             ledger.get("-1")
+
+    def _mangled_ledger(self, path, count, pad):
+        """``count`` entries of about ``pad`` bytes each, with a blank
+        line, a torn line, a non-object line and a torn final line among
+        them, as crashed or concurrent writers leave."""
+        ledger = RunLedger(path)
+        for number in range(count):
+            ledger.append(self._entry(jobs=number, note="x" * (pad + number)))
+            if number == count // 3:
+                with open(path, "a") as stream:
+                    stream.write('\n{"kind": "sweep", "torn\n[1, 2]\n')
+        with open(path, "a") as stream:
+            stream.write('{"kind": "sweep", "truncated')
+        return ledger
+
+    @pytest.mark.parametrize("count, pad", [
+        pytest.param(5, 50, id="under-one-block"),
+        pytest.param(300, 2_000, id="many-blocks"),
+        pytest.param(4, 150_000, id="lines-longer-than-a-block"),
+    ])
+    def test_tail_reads_equal_the_full_scan(self, tmp_path, count, pad):
+        ledger = self._mangled_ledger(tmp_path / "ledger.jsonl", count, pad)
+        everything = ledger.entries()
+        assert [entry["jobs"] for entry in everything] == list(range(count))
+        for limit in (1, 2, count - 1, count, count + 5):
+            assert ledger.entries(limit=limit) == everything[-limit:]
+        for index in {1, 2, count // 2, count}:
+            assert ledger.get(str(-index)) == everything[-index]
+
+    def test_out_of_range_negative_index_names_the_count(self, tmp_path):
+        ledger = self._mangled_ledger(tmp_path / "ledger.jsonl", 5, 50)
+        with pytest.raises(TelemetryError, match=r"\(5 entries\)"):
+            ledger.get("-6")
 
 
 class TestSweepLedger:
