@@ -237,7 +237,8 @@ def _build_parser() -> argparse.ArgumentParser:
     r = rsub.add_parser("list", help="recorded runs, oldest first")
     ledger_opt(r)
     r.add_argument("--limit", type=int, default=20,
-                   help="show only the newest N entries (default 20)")
+                   help="show only the newest N entries (default 20; "
+                        "below 1: all of them)")
     r.add_argument("--json", metavar="OUT", default=None,
                    help="also write the table as JSON to OUT")
 

@@ -153,8 +153,13 @@ class ColumnarCycleCPU:
         One monolithic loop: stage order, per-stage semantics, stall
         attribution, and deadlock behaviour replicate
         ``SinglePathCPU.step``/``run`` exactly; see the module docstring
-        for what is allowed to differ (nothing observable).
+        for what is allowed to differ (nothing observable). The machine
+        registers live in this frame, so a CPU runs once: a second call
+        raises :class:`~repro.errors.SimulationError`.
         """
+        if self.cycle:
+            raise SimulationError(
+                "cycle-fast: run() may be called once per CPU")
         # -- bind everything hot to locals -----------------------------
         core = self.config.core
         fetch_width = core.fetch_width

@@ -25,8 +25,8 @@ alive-path list of its own:
 * **One alive-path list.** Dispatch, fetch, the fork decision and the
   fast-forward read the alive paths, in ``_paths`` order, from one
   list that is rebuilt only when a path's liveness changes (a fork, a
-  kill, a lost fork resolution, a recovery or a prune), instead of
-  filtering every unpruned path several times a cycle.
+  kill, a lost fork resolution or a recovery), instead of filtering
+  every unpruned path several times a cycle.
 * **Quiescent-cycle fast-forward.** A cycle in which no stage acted
   cannot differ from the next one until some scheduled event (an
   in-flight completion, an IFQ head becoming ready, an I-cache fill)
@@ -437,8 +437,9 @@ class FastMultipathCPU:
                 while node is not None:
                     referenced.add(id(node))
                     node = node.parent
+        # Every alive path is referenced and the order is kept, so the
+        # alive-path list needs no rebuild.
         self._paths = [p for p in self._paths if id(p) in referenced]
-        self._relist()
 
     # ------------------------------------------------------------------
     # Driver.
@@ -451,9 +452,13 @@ class FastMultipathCPU:
         the event lists, the alive-path list and the quiescent-cycle
         fast-forward as the only (unobservable) differences. The
         window's event lists live in this frame, as in
-        ``ColumnarCycleCPU.run``, so a run stopped at a limit is not
-        resumed by a second call.
+        ``ColumnarCycleCPU.run``, so a CPU runs once: a second call
+        raises :class:`~repro.errors.SimulationError` instead of
+        resuming a run stopped at a limit.
         """
+        if self.cycle or self._ruu:
+            raise SimulationError(
+                "multipath-fast: run() may be called once per CPU")
         core = self.config.core
         fetch_width = core.fetch_width
         decode_width = core.decode_width
@@ -514,7 +519,7 @@ class FastMultipathCPU:
         COND = _COND
         RET = CONTROL_CODE[ControlClass.RETURN]
 
-        cycle = self.cycle
+        cycle = 0
         seq = 0
         lsq_count = 0
         committed = self._committed
@@ -524,7 +529,7 @@ class FastMultipathCPU:
         mispred_return = self._mispred_return
         max_cycles = self.max_cycles
         max_insts = self.max_instructions
-        done = self.done
+        done = False
         last_commit_cycle = 0
         last_committed = committed
 

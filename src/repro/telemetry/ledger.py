@@ -40,8 +40,8 @@ LEDGER_SCHEMA = 1
 
 LEDGER_FILENAME = "ledger.jsonl"
 
-#: Bytes per backwards read when only the newest entries are wanted.
-_TAIL_BLOCK = 1 << 16
+#: Bytes per block when the ledger is read from its end.
+_READ_BLOCK = 1 << 16
 
 #: Entry keys that legitimately differ between two runs of the same
 #: sweep: wall-clock identity and timing, the span totals (``spans``)
@@ -117,35 +117,21 @@ class RunLedger:
     def entries(self, limit: Optional[int] = None) -> List[Entry]:
         """All parseable entries, oldest first (torn lines are skipped).
 
-        With a positive ``limit``, only the newest ``limit`` of them,
-        read from the end of the file, so the cost follows ``limit`` and
-        not the ledger's length.
+        With a positive ``limit``, only the newest ``limit`` of them; a
+        limit that is absent or not positive means all of them. The file
+        is read backwards in blocks and the read stops once ``limit``
+        entries are in hand, so the cost follows ``limit`` and not the
+        ledger's length.
         """
-        if limit is not None and limit > 0:
-            return self._tail(limit)
-        try:
-            data = self.path.read_bytes()
-        except OSError:
-            return []
-        parsed: List[Entry] = []
-        for line in data.split(b"\n"):
-            entry = _parse_line(line)
-            if entry is not None:
-                parsed.append(entry)
-        if limit is not None:
-            return parsed[-limit:]
-        return parsed
-
-    def _tail(self, count: int) -> List[Entry]:
-        """The newest ``count`` parseable entries (all of them if there
-        are fewer), oldest first, reading the file backwards in blocks."""
+        count = limit if limit is not None and limit > 0 else None
         newest_first: List[Entry] = []
         try:
             with open(self.path, "rb") as stream:
                 position = stream.seek(0, os.SEEK_END)
                 head = b""
-                while position and len(newest_first) < count:
-                    size = min(_TAIL_BLOCK, position)
+                while position and (count is None
+                                    or len(newest_first) < count):
+                    size = min(_READ_BLOCK, position)
                     position -= size
                     stream.seek(position)
                     lines = (stream.read(size) + head).split(b"\n")

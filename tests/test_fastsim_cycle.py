@@ -29,6 +29,7 @@ from repro.core.experiment import (
     run_frontend,
     run_multipath,
 )
+from repro.errors import SimulationError
 from repro.fastsim.cycle import ColumnarCycleCPU, run_cycle_fast
 from repro.fastsim.decode import DecodeTable, decode_table
 from repro.fastsim.multipath import FastMultipathCPU, run_multipath_fast
@@ -292,6 +293,21 @@ class TestHotLoopLocals:
         """A variable a nested comprehension or generator reads becomes a
         closure cell, and every hot-loop access to it a LOAD_DEREF."""
         assert engine.run.__code__.co_cellvars == ()
+
+    @pytest.mark.parametrize("engine, config", [
+        (ColumnarCycleCPU, baseline_config()),
+        (FastMultipathCPU,
+         multipath_machine(2, StackOrganization.PER_PATH)),
+    ])
+    def test_second_run_raises(self, engine, config):
+        """The window state lives in ``run``'s frame, so a run stopped
+        at a limit cannot be resumed; a second call says so rather than
+        restarting beside the entries still in flight."""
+        cpu = engine(_program(), config, max_cycles=300)
+        cpu.run()
+        assert cpu.cycle == 300
+        with pytest.raises(SimulationError, match="called once"):
+            cpu.run()
 
 
 class TestExecutorWiring:

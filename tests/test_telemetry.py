@@ -206,6 +206,8 @@ class TestRunLedger:
         assert [entry["jobs"] for entry in everything] == list(range(count))
         for limit in (1, 2, count - 1, count, count + 5):
             assert ledger.entries(limit=limit) == everything[-limit:]
+        for limit in (0, -1):  # not positive: no limit
+            assert ledger.entries(limit=limit) == everything
         for index in {1, 2, count // 2, count}:
             assert ledger.get(str(-index)) == everything[-index]
 
